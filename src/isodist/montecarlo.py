@@ -161,9 +161,12 @@ def t_map_lipschitz_check(points: np.ndarray, h: float = FD_STEP) -> TMapCheck:
 
     For each point: central-difference Jacobian, cross-checked against
     the exact one, its 2-norm compared with t_map_opnorm_bound; ok means
-    no norm exceeds the bound by more than 1e-6 relative.
+    no norm exceeds the bound by more than 1e-6 relative.  Points must
+    lie in t_map's domain; the differences are taken of x / sum(x), which
+    is smooth wherever the sum is positive, so coordinates below h are fine.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    t_map(points)
     n = points.shape[1]
     worst, fd_err = 0.0, 0.0
     for x in points:
@@ -171,7 +174,8 @@ def t_map_lipschitz_check(points: np.ndarray, h: float = FD_STEP) -> TMapCheck:
         for i in range(n):
             step = np.zeros(n)
             step[i] = h
-            jfd[i] = (t_map(x + step) - t_map(x - step)) / (2.0 * h)
+            up, down = x + step, x - step
+            jfd[i] = (up / up.sum() - down / down.sum()) / (2.0 * h)
         jex = t_map_jacobian(x)
         fd_err = max(fd_err, float(np.linalg.norm(jfd - jex, 2)))
         ratio = float(np.linalg.norm(jfd, 2)) / t_map_opnorm_bound(x)

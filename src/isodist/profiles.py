@@ -42,11 +42,6 @@ class ConstantsConfig:
 
     c_lambda: float = 1.0
     c_iso: Union[float, Callable[[float], float]] = 1.0
-    c_s: float = 1.0
-    c_b: float = 1.0
-    small_set_threshold_C: float = 1.0
-    sz_T: float = 1.0
-    sz_c: float = 1.0
 
     def iso(self, p: float) -> float:
         if callable(self.c_iso):

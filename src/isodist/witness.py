@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from scipy import optimize
+from scipy import special as sp
 
 from .bodies import BodyFamily, validate_epsilon, validate_p
 from .errors import DomainError
@@ -38,6 +39,7 @@ from .specfun import SQRT_E, phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
 _VOLUME_TOL = 1e-10
+_CAP_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,12 @@ class BoundReport:
 def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     """Opposite caps of volume eps in the unit-volume l_p ball.
 
-    The cap height a solves V_n(a) = eps (bracketed Brent on the
-    monotone tail volume, checked to 1e-10); the caps +-{x_1 >= a} are
-    then exactly 2a apart.  n = 1 is the unit segment for every p, where
-    a = 1/2 - eps directly.
+    The cap height a inverts the closed-form cap volume of sections
+    (betainccinv), and the caps +-{x_1 >= a} are then exactly 2a apart.
+    DomainError is raised unless the cap at a holds eps to 1e-6
+    relative; the float spacing of a near omega_n rules that out only at
+    small n and tiny eps (below about 3e-15 at n = 2, 1e-50 at n = 10).
+    n = 1 is the unit segment for every p, where a = 1/2 - eps directly.
     """
     p = validate_p(p)
     eps = validate_epsilon(eps)
@@ -96,9 +100,9 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         a = 0.5 - eps
     else:
         omega = unit_volume_radius("lp", n, p)
-        a = optimize.brentq(lambda t: lp_tail_volume(t, p, n) - eps,
-                            0.0, omega, xtol=1e-13, rtol=8.9e-16)
-        if abs(lp_tail_volume(a, p, n) - eps) > _VOLUME_TOL:
+        z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
+        a = omega * z ** (1.0 / p)
+        if not abs(lp_tail_volume(a, p, n) - eps) <= _CAP_REL_TOL * eps:
             raise DomainError("cap volume solve missed its tolerance")
     fam = "ball" if p == 2.0 else f"lp({p:g})"
     return RegionPair(

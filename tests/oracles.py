@@ -3,15 +3,21 @@
 Everything here rebuilds package quantities from first principles:
 direct quadrature of the densities, bracketed Brent inverses, plain
 gamma-function volume formulas, exact rational Irwin-Hall sums, an
-incomplete-beta cap volume, an explicit-Euler integrator for the
-enlargement ODE, and tail-expansion brackets for the inverse
-asymptotes.  None of it imports isodist, so agreement between the two
-is evidence rather than tautology.
+explicit-Euler integrator for the enlargement ODE, and tail-expansion
+brackets for the inverse asymptotes.  None of it imports isodist, so
+agreement between the two is evidence rather than tautology.
+
+The package computes l_p cap volumes with scipy's upper incomplete beta
+function.  lp_tail_betainc uses the same formula, so the cap volumes are
+checked against two other routes: lp_tail_quad integrates the section
+area over the cap itself, and lp_tail_mp evaluates the incomplete beta
+in 50-digit mpmath.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 from scipy import integrate, optimize
 from scipy import special as sp
 
@@ -119,6 +125,36 @@ def lp_tail_betainc(x: float, p: float, n: int) -> float:
         return 0.0
     z = (x / om) ** p
     return 0.5 * (1.0 - sp.betainc(1.0 / p, (n - 1.0) / p + 1.0, z))
+
+
+def lp_tail_quad(x: float, p: float, n: int) -> float:
+    """Cap volume past x by adaptive quadrature of the section area over
+    [x, omega], to a relative 1e-12.
+
+    Integrating the cap itself, rather than taking 1/2 minus the integral
+    over [0, x], keeps tiny caps free of cancellation.
+    """
+    om = lp_radius_direct(p, n)
+    if x >= om:
+        return 0.0
+    val, _ = integrate.quad(lambda t: lp_section_direct(t, p, n), x, om,
+                            epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+def lp_tail_mp(x: float, p: float, n: int) -> float:
+    """Cap volume past x from mpmath's regularized incomplete beta at 50
+    digits; its absolute error is near 1e-50, so it serves for caps well
+    above that."""
+    with mpmath.workdps(50):
+        p_mp = mpmath.mpf(p)
+        om = (mpmath.gamma(1 + n / p_mp) ** (mpmath.mpf(1) / n)
+              / (2 * mpmath.gamma(1 + 1 / p_mp)))
+        if x >= om:
+            return 0.0
+        z = (mpmath.mpf(x) / om) ** p_mp
+        return float(mpmath.betainc(1 / p_mp, (n - 1) / p_mp + 1, z, 1,
+                                    regularized=True) / 2)
 
 
 def irwin_hall_exact(n: int, s: float) -> float:

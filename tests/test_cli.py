@@ -71,6 +71,15 @@ def test_bounds_bad_constants_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_bounds_constants_file_rejects_removed_field(capsys, tmp_path):
+    path = tmp_path / "consts.txt"
+    path.write_text("c_s = 2\n")
+    code = main(["bounds", "--family", "ball", "--eps", "0.1",
+                 "--constants", str(path)])
+    assert code == 2
+    assert "unknown constants" in capsys.readouterr().err
+
+
 def test_csv_values_carry_twelve_significant_digits(capsys):
     _, out = run(capsys, "bounds", "--family", "cube", "--eps", "0.1")
     val = csv_rows(out)[0]["lower"]

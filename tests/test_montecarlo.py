@@ -105,6 +105,20 @@ def test_t_map_lipschitz_check_passes(rng):
     assert chk.max_fd_error < 1e-6
 
 
+def test_t_map_lipschitz_check_coordinate_below_step():
+    # the first coordinate is below the 1e-6 difference step
+    chk = t_map_lipschitz_check(np.array([1e-9, 0.7, 1.3, 0.2]))
+    assert chk.ok and chk.count == 1
+    assert chk.max_fd_error < 1e-9
+
+
+def test_t_map_lipschitz_check_rejects_points_off_the_orthant():
+    with pytest.raises(DomainError):
+        t_map_lipschitz_check(np.array([-0.1, 0.7, 1.3]))
+    with pytest.raises(DomainError):
+        t_map_lipschitz_check(np.zeros(3))
+
+
 def test_cutoff_plateau_values():
     # c1 = 1, n = 4: h1 = clip(2 - 2 ||x||_2, 0, 1)
     inside = np.full(4, 0.2)     # norm 0.4 < 1/2

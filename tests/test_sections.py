@@ -68,6 +68,18 @@ def test_section_curve_matches_pointwise():
             lp_section_area(float(grid[i]), 1.5, 9), rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("p,n", [(1.5, 100), (1.2, 7), (1.0, 40)])
+def test_section_curve_tails_relative_to_cap_quadrature(p, n):
+    # the README grid 0:3:0.01 reaches far into the tail; every cap above
+    # 1e-300 must keep its relative accuracy
+    grid = np.arange(0.0, 3.005, 0.01)
+    curve = section_curve(p, n, grid)
+    want = np.array([oracles.lp_tail_quad(float(x), p, n) for x in grid])
+    live = want > 1e-300
+    rel = np.abs(curve.tails[live] - want[live]) / want[live]
+    assert float(rel.max()) <= 1e-9
+
+
 def test_section_curve_rejects_bad_grid():
     for grid in ([0.3], [0.1, 0.1], [0.2, 0.1], [-0.1, 0.2]):
         with pytest.raises(DomainError):

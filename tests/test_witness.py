@@ -42,6 +42,19 @@ def test_lp_caps_betainc_oracle():
             assert w.limit_value == pytest.approx(-2.0 * psi_p_inv(0.07, p), rel=1e-13)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-15])
+def test_lp_caps_tiny_eps_against_mpmath(eps):
+    a = lp_caps_witness(200, 1.5, eps).distance / 2.0
+    assert oracles.lp_tail_mp(a, 1.5, 200) == pytest.approx(eps, rel=1e-9, abs=0.0)
+
+
+def test_lp_caps_unresolvable_volume_raises():
+    # at n = 10 no double-precision cap height has volume within 1e-6 of
+    # 1e-200 relative, so the witness refuses rather than return one
+    with pytest.raises(DomainError):
+        lp_caps_witness(10, 1.5, 1e-200)
+
+
 def test_caps_n1_degenerates_to_segment():
     # every unit-volume 1-d body is the segment; caps are its two ends
     for p in (1.0, 1.7, 2.0):
