@@ -267,7 +267,7 @@ def _check_lines(args) -> list[tuple[bool, str]]:
     suites = ["sodin", "transfer", "tails", "avgdist"] if args.suite == "all" \
         else [args.suite]
     if "sodin" in suites:
-        # derivative fuzz is per-point quadratic work; cap the cloud sizes
+        # the cloud caps fix the documented corpus output; keep them
         for dim in sorted({2, 5, min(n, 20)}):
             pts = generate(seed, f"check-sodin-{dim}", min(samples, 10_000),
                            lambda g, m, d=dim: g.standard_exponential((m, d)))

@@ -49,12 +49,15 @@ def time_to_half(profile: IsoProfile, eps: float, *, epsrel: float = 1e-11,
                  limit: int = 200) -> float:
     """Quadrature of 1/I(t) over [eps, 1/2].
 
-    Adaptive Gauss-Kronrod via scipy.integrate.quad; raises
+    Substituting t = e^{-u} integrates e^{-u} / I(e^{-u}) over
+    [ln 2, -ln eps], which keeps tiny eps (down to about 1e-300) within
+    reach of adaptive Gauss-Kronrod via scipy.integrate.quad; raises
     NonConvergenceError if the refinement gives up before the requested
     relative tolerance.
     """
     eps = validate_epsilon(eps)
-    out = integrate.quad(lambda t: 1.0 / profile(t), eps, 0.5,
+    out = integrate.quad(lambda u: math.exp(-u) / profile(math.exp(-u)),
+                         _LN2, -math.log(eps),
                          epsabs=0.0, epsrel=epsrel, limit=limit, full_output=1)
     if len(out) > 3:
         raise NonConvergenceError(f"enlargement quadrature did not converge: {out[3]}")

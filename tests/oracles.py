@@ -12,12 +12,18 @@ function.  lp_tail_betainc uses the same formula, so the cap volumes are
 checked against two other routes: lp_tail_quad integrates the section
 area over the cap itself, and lp_tail_mp evaluates the incomplete beta
 in 50-digit mpmath.
+
+The lemma checks difference whole clouds at once; t_map_check_pointwise,
+cutoff_check_pointwise and cutoff_product_pointwise redo them one point
+and one coordinate at a time, with the cutoffs and the T-map Jacobian
+written out.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from scipy import integrate, optimize
 from scipy import special as sp
 
@@ -203,3 +209,97 @@ def euler_delta_to_half(profile, eps: float, step: float = 1e-5) -> float:
         v += dv
         s += step
     raise RuntimeError("no crossing within step budget")
+
+
+def _fd_rows(f, x, h):
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h, row i for
+    coordinate i; f may be scalar or vector valued."""
+    rows = []
+    for i in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        rows.append((f(up) - f(down)) / (2.0 * h))
+    return np.array(rows)
+
+
+def t_map_check_pointwise(points, h=1e-6):
+    """(count, max_excess, max_fd_error) of the T-map Lipschitz check.
+
+    Per point: the central-difference Jacobian of x / sum(x), its 2-norm
+    distance to the exact (delta_ij - T_j) / ||x||_1, and its 2-norm over
+    the bound (1 + sqrt(n) ||T||_2) / ||x||_1, minus 1; the excess is
+    floored at 0.
+    """
+    worst = fd_err = 0.0
+    for x in points:
+        n, s = x.size, x.sum()
+        t = x / s
+        jfd = _fd_rows(lambda y: y / y.sum(), x, h)
+        jex = (np.eye(n) - t[None, :]) / s
+        bound = (1.0 + math.sqrt(n) * float(np.linalg.norm(t))) / s
+        fd_err = max(fd_err, float(np.linalg.norm(jfd - jex, 2)))
+        worst = max(worst, float(np.linalg.norm(jfd, 2)) / bound - 1.0)
+    return len(points), worst, fd_err
+
+
+def _cutoffs(x, c1, c2):
+    """clip(2 - c1 sqrt(n) ||x||_2, 0, 1) and clip(c2 ||x||_1 / n - 1, 0, 1)."""
+    n = x.size
+    h1 = min(max(2.0 - c1 * math.sqrt(n) * float(np.linalg.norm(x)), 0.0), 1.0)
+    h2 = min(max(c2 * float(np.abs(x).sum()) / n - 1.0, 0.0), 1.0)
+    return h1, h2
+
+
+def _near_kink(x, c1, c2):
+    n = x.size
+    a = c1 * math.sqrt(n) * float(np.linalg.norm(x))
+    b = c2 * float(np.abs(x).sum()) / n
+    return min(abs(a - 1.0), abs(a - 2.0)) < 1e-4 or min(abs(b - 1.0), abs(b - 2.0)) < 1e-4
+
+
+def _gradient_norms(x, c1, c2, h):
+    """Finite-difference gradient norms of h1, h2 and h1 h2 at x."""
+    g1 = _fd_rows(lambda y: _cutoffs(y, c1, c2)[0], x, h)
+    g2 = _fd_rows(lambda y: _cutoffs(y, c1, c2)[1], x, h)
+    gp = _fd_rows(lambda y: _cutoffs(y, c1, c2)[0] * _cutoffs(y, c1, c2)[1], x, h)
+    return (float(np.linalg.norm(g1)), float(np.linalg.norm(g2)),
+            float(np.linalg.norm(gp)))
+
+
+def cutoff_check_pointwise(points, c1, c2, h=1e-6):
+    """(count, skipped, plateau, gradient) of the cutoff check.
+
+    Per point: the four plateau statements, then, unless the point lies
+    within 1e-4 of a kink sphere, ||grad h1|| <= c1 sqrt(n) and
+    ||grad h2|| <= c2 / sqrt(n) up to 1e-5 relative.
+    """
+    skipped = plateau = gradient = 0
+    for x in points:
+        n = x.size
+        sq = math.sqrt(n)
+        r2, r1 = float(np.linalg.norm(x)), float(np.abs(x).sum())
+        v1, v2 = _cutoffs(x, c1, c2)
+        plateau += ((v1 == 1.0) != (r2 <= 1.0 / (c1 * sq))) \
+            + ((v1 == 0.0) != (r2 >= 2.0 / (c1 * sq))) \
+            + ((v2 == 1.0) != (r1 >= 2.0 * n / c2)) \
+            + ((v2 == 0.0) != (r1 <= n / c2))
+        if _near_kink(x, c1, c2):
+            skipped += 1
+            continue
+        g1, g2, _ = _gradient_norms(x, c1, c2, h)
+        gradient += (g1 > c1 * sq * (1.0 + 1e-5)) + (g2 > c2 / sq * (1.0 + 1e-5))
+    return len(points), skipped, plateau, gradient
+
+
+def cutoff_product_pointwise(points, c1, c2, h=1e-6, tol=1e-5):
+    """(count, skipped, violations) of ||grad(h1 h2)|| <= ||grad h1||
+    + ||grad h2|| + tol, skipping points within 1e-4 of a kink sphere."""
+    skipped = bad = 0
+    for x in points:
+        if _near_kink(x, c1, c2):
+            skipped += 1
+            continue
+        g1, g2, gp = _gradient_norms(x, c1, c2, h)
+        bad += gp > g1 + g2 + tol
+    return len(points), skipped, bad

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import os
 
 import pytest
 
@@ -195,9 +194,17 @@ def test_out_file_and_manifest_replay(capsys, tmp_path):
     assert target.read_bytes() == first
 
 
-def test_check_all_documented_corpus():
-    if os.environ.get("ISODIST_SLOW") != "1":
-        pytest.skip("set ISODIST_SLOW=1 to run the full documented corpus")
-    code = main(["check", "all", "--n", "20", "--samples", "100000",
-                 "--seed", "7"])
+def test_check_all_documented_corpus(capsys):
+    code, out = run(capsys, "check", "all", "--n", "20", "--samples", "100000",
+                    "--seed", "7")
     assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == [
+        "PASS t-map operator norm <= bound at n=2 (max excess 0)",
+        "PASS t-map operator norm <= bound at n=5 (max excess 0)",
+        "PASS t-map operator norm <= bound at n=20 (max excess 0)",
+        "PASS cutoff plateaus and gradient bounds at n=20 (0 plateau, "
+        "0 gradient violations, 2 skipped at kinks)",
+        "PASS cutoff product gradient inequality at n=20 (0 violations)",
+    ]
+    assert all(line.startswith("PASS ") for line in lines)

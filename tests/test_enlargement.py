@@ -20,7 +20,7 @@ EPS_GRID = (0.01, 0.05, 0.1, 0.25, 0.45)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
-@pytest.mark.parametrize("eps", EPS_GRID)
+@pytest.mark.parametrize("eps", EPS_GRID + (1e-100, 1e-300))
 def test_quadrature_matches_closed_form(family, eps):
     closed = delta_closed_form(family, eps)
     quad = time_to_half(make_profile(family), eps)

@@ -157,6 +157,102 @@ def test_cutoff_near_kink_points_are_skipped():
     assert chk.ok
 
 
+def _spread(rng, m, n):
+    """Unit directions in the orthant times log-uniform radii that span
+    both cutoff bands and their plateaus."""
+    u = rng.exponential(1.0, (m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    lo, hi = math.log10(0.1 / math.sqrt(n)), math.log10(4.0 * math.sqrt(n))
+    return 10.0 ** rng.uniform(lo, hi, (m, 1)) * u
+
+
+def _assert_tmap_matches_pointwise(pts):
+    chk = t_map_lipschitz_check(pts)
+    count, excess, fd_err = oracles.t_map_check_pointwise(np.atleast_2d(pts))
+    assert chk.count == count
+    assert chk.max_excess == pytest.approx(excess, rel=1e-12, abs=0.0)
+    assert chk.max_fd_error == pytest.approx(fd_err, rel=1e-12, abs=0.0)
+    assert chk.ok == (excess <= 1e-6)
+
+
+def _assert_cutoffs_match_pointwise(pts, c1, c2):
+    rows = np.atleast_2d(pts)
+    cut = cutoff_gradient_check(pts, c1, c2)
+    assert (cut.count, cut.skipped_near_kink, cut.plateau_violations,
+            cut.gradient_violations) == oracles.cutoff_check_pointwise(rows, c1, c2)
+    prod = cutoff_product_check(pts, c1, c2)
+    assert (prod.count, prod.skipped_near_kink, prod.gradient_violations) \
+        == oracles.cutoff_product_pointwise(rows, c1, c2)
+    return cut, prod
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_lemma_checks_match_pointwise_oracles(n):
+    rng = np.random.default_rng(1000 + n)
+    _assert_tmap_matches_pointwise(rng.exponential(1.0, (25, n)))
+    pts = _spread(rng, 25, n)
+    for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
+        _assert_cutoffs_match_pointwise(pts, c1, c2)
+
+
+def test_lemma_checks_single_point_and_coordinate_below_step(rng):
+    x = _spread(rng, 1, 7)[0]
+    _assert_tmap_matches_pointwise(x)
+    _assert_cutoffs_match_pointwise(x, 1.0, 1.0)
+    tiny = np.array([1e-9, 0.7, 1.3, 0.2])   # first coordinate below h = 1e-6
+    _assert_tmap_matches_pointwise(tiny)
+    _assert_tmap_matches_pointwise(np.vstack([tiny, x[:4]]))
+    _assert_cutoffs_match_pointwise(np.vstack([tiny, 2.0 * tiny]), 1.0, 1.0)
+
+
+def test_cutoff_checks_skip_every_kink_sphere():
+    # n = 4, c1 = c2 = 1: the unit vector u has ||u||_1 = 2, so 0.5u and u
+    # sit on the h1 kinks (||x||_2 = 1/2, 1) and 2u, 4u on the h2 kinks
+    # (||x||_1 = 4, 8), all exactly
+    u = np.full(4, 0.5)
+    pts = np.array([0.5, 1.0, 2.0, 4.0])[:, None] * u
+    cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
+    assert cut.skipped_near_kink == prod.skipped_near_kink == 4
+    assert cut.ok and prod.ok
+
+
+def test_cutoff_checks_on_both_plateaus(rng):
+    n = 9
+    u = rng.exponential(1.0, (40, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # ||x||_2 <= 0.3/3 gives h1 = 1 and h2 = 0; ||x||_2 >= 2n gives h1 = 0, h2 = 1
+    pts = np.vstack([0.1 * rng.uniform(0.1, 1.0, (20, 1)) * u[:20],
+                     2.0 * n * rng.uniform(1.0, 3.0, (20, 1)) * u[20:]])
+    assert set(cutoff_h1(pts[:20], 1.0)) == {1.0} and set(cutoff_h2(pts[:20], 1.0)) == {0.0}
+    assert set(cutoff_h1(pts[20:], 1.0)) == {0.0} and set(cutoff_h2(pts[20:], 1.0)) == {1.0}
+    cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
+    assert cut.skipped_near_kink == 0 and cut.ok and prod.ok
+
+
+def test_cutoff_checks_skip_a_cloud_all_near_kinks(rng):
+    n = 6
+    u = rng.exponential(1.0, (30, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # ||x||_2 within 5e-5 relative of the inner h1 kink 1/sqrt(n)
+    pts = (1.0 + rng.uniform(-5e-5, 5e-5, (30, 1))) / math.sqrt(n) * u
+    cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
+    assert cut.skipped_near_kink == prod.skipped_near_kink == 30
+    assert cut.gradient_violations == prod.gradient_violations == 0
+    assert cut.ok and prod.ok
+
+
+def test_t_map_jacobian_and_bound_stack_row_by_row(rng):
+    pts = rng.exponential(1.0, (12, 5))
+    jac, bound = t_map_jacobian(pts), t_map_opnorm_bound(pts)
+    assert jac.shape == (12, 5, 5) and bound.shape == (12,)
+    for x, j, b in zip(pts, jac, bound):
+        one = t_map_jacobian(x)
+        assert isinstance(one, np.ndarray) and one.shape == (5, 5)
+        assert np.array_equal(one, j)
+        assert type(t_map_opnorm_bound(x)) is float
+        assert t_map_opnorm_bound(x) == b
+
+
 def test_exp_tail_frozen_numbers():
     chk = exp_tail_check(3, 0.2, 50_000, seed=13)
     assert chk.erlang == pytest.approx(ERLANG_3_AT_06, abs=1e-12)
