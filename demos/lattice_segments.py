@@ -4,8 +4,8 @@ Order cells by coordinate sum, ties to the lexicographically larger
 coordinate vector. Initial segments of this order spread out as slowly as
 possible, so the pair (initial segment of size r, final segment of size s)
 maximizes distance among all size-(r, s) pairs. Small grids can be checked
-against brute force; larger ones are counted with the prefix-sum DP and
-rescaled toward the continuous cube limit 0.73990.
+against brute force; larger ones are counted in closed form by
+inclusion-exclusion and rescaled toward the continuous cube limit 0.73990.
 """
 
 import argparse

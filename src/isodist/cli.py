@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .bodies import BodyFamily
 from .errors import BudgetExceededError, DomainError, IsodistError
-from .lattice import Grid, scaled_max_distance, verify_extremal_pairs
+from .lattice import DEFAULT_PAIR_BUDGET, Grid, scaled_max_distance, verify_extremal_pairs
 from .montecarlo import (average_distance_experiment, cutoff_gradient_check,
                          cutoff_product_check, exp_tail_check,
                          t_map_lipschitz_check, transfer_map_check)
@@ -47,8 +47,6 @@ from .specfun import (phi_inv, phi_inv_asymptote, psi_p, psi_p_inv,
                       psi_p_inv_asymptote)
 from .witness import (ball_caps_witness, bound_report, cube_diagonal_witness,
                       lp_caps_witness, simplex_corner_witness)
-
-_SQRT_PI_6 = 0.7236012545582676  # sqrt(pi/6)
 
 
 def _fmt(value):
@@ -222,7 +220,7 @@ def cmd_lattice_scaling(args) -> int:
         rows.append({
             "n": args.n, "m": args.m, "epsilon": float(eps),
             "scaled_distance": scaled,
-            "limit_value": -2.0 * _SQRT_PI_6 * phi_inv(eps),
+            "limit_value": bound_report(BodyFamily.cube(), eps).manhattan_scaled_limit,
         })
     _emit(rows, args, {"n": args.n, "m": args.m, "eps": args.eps})
     return 0
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--n", type=int, required=True)
     lv.add_argument("--r", type=int, required=True)
     lv.add_argument("--s", type=int, required=True)
-    lv.add_argument("--budget", type=int, default=10_000_000)
+    lv.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     _add_output_args(lv)
     lv.set_defaults(fn=cmd_lattice_verify)
     ls = lat_subs.add_parser("scaling", help="normalized slab distance")

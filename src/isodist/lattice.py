@@ -8,9 +8,13 @@ and s, the initial and final segments of the simplicial order realize
 the largest possible set distance.  verify_extremal_pairs confirms it by
 exhaustive search on small grids.
 
+Subsets are bit masks over the row-major cell index.  t_boundary and
+set_distance both read one axis-sweep distance transform of a set.
+
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
-approaches the continuous diagonal-slab value -2 sqrt(pi/6) phi_inv(eps).
+approaches the continuous diagonal-slab value -2 sqrt(pi/6) phi_inv(eps);
+the count is an exact inclusion-exclusion sum.
 """
 
 from __future__ import annotations
@@ -86,6 +90,18 @@ def simplicial_cmp(x: Cell, y: Cell) -> int:
     return bool(kx > ky) - bool(kx < ky)
 
 
+def _mask_bits(handle: SubsetHandle) -> np.ndarray:
+    """The mask as a boolean array of shape (k,)*n, cell x at bits[x]."""
+    g = handle.grid
+    raw = np.frombuffer(handle.mask.to_bytes((g.size + 7) // 8, "little"), np.uint8)
+    bits = np.unpackbits(raw, count=g.size, bitorder="little")
+    return bits.view(bool).reshape((g.k,) * g.n)
+
+
+def _bits_mask(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class SubsetHandle:
     grid: Grid
@@ -99,10 +115,7 @@ class SubsetHandle:
         return bool(self.mask >> self.grid.index(cell) & 1)
 
     def cells(self) -> list[Cell]:
-        return [self.grid.cell(i) for i in range(self.grid.size) if self.mask >> i & 1]
-
-    def indices(self) -> list[int]:
-        return [i for i in range(self.grid.size) if self.mask >> i & 1]
+        return [tuple(c) for c in np.argwhere(_mask_bits(self)).tolist()]
 
     @classmethod
     def from_cells(cls, grid: Grid, cells: Sequence[Cell]) -> "SubsetHandle":
@@ -130,46 +143,43 @@ def final_segment(grid: Grid, s: int) -> SubsetHandle:
     return _segment(grid, s, final=True)
 
 
+def _distance_to(handle: SubsetHandle) -> np.ndarray:
+    """Manhattan distance from every cell to the nearest cell of the set,
+    shaped (k,)*n.  L1 splits by coordinate, so a forward sweep
+    d[i] = min(d[i], d[i-1] + 1), i.e. min_{j<=i}(d[j] - j) + i, and the
+    mirrored backward sweep along each axis give the exact distance."""
+    grid = handle.grid
+    d = np.where(_mask_bits(handle), 0, grid.n * (grid.k - 1) + 1)
+    step = np.arange(grid.k)
+    for axis in range(grid.n):
+        v = np.moveaxis(d, axis, -1)
+        v = np.minimum.accumulate(v - step, axis=-1) + step
+        v = np.minimum.accumulate((v + step)[..., ::-1], axis=-1)[..., ::-1] - step
+        d = np.moveaxis(v, -1, axis)
+    return d
+
+
 def t_boundary(handle: SubsetHandle, t: int) -> SubsetHandle:
     """Closed t-neighborhood: cells within lattice distance t of the set.
 
-    BFS over the 2n-neighbor adjacency (one coordinate +-1 per step);
-    t = 0 returns the set itself.
+    Thresholds the axis-sweep distance transform at t; t = 0 returns the
+    set itself.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
     if handle.mask == 0:
         raise EmptySetError("t-boundary of an empty set")
-    grid = handle.grid
-    frontier = set(handle.cells())
-    seen = set(frontier)
-    for _ in range(t):
-        nxt = set()
-        for cell in frontier:
-            for i in range(grid.n):
-                for d in (-1, 1):
-                    c = cell[i] + d
-                    if 0 <= c < grid.k:
-                        nb = cell[:i] + (c,) + cell[i + 1:]
-                        if nb not in seen:
-                            nxt.add(nb)
-        seen |= nxt
-        frontier = nxt
-        if not frontier:
-            break
-    return SubsetHandle.from_cells(grid, sorted(seen))
+    return SubsetHandle(handle.grid, _bits_mask(_distance_to(handle) <= t))
 
 
 def set_distance(a: SubsetHandle, b: SubsetHandle) -> int:
-    """Smallest Manhattan distance over pairs (x, y) in A x B."""
+    """Smallest Manhattan distance over pairs (x, y) in A x B: the axis-sweep
+    distance transform of A, minimized over the cells of B."""
     if a.grid != b.grid:
         raise DimensionMismatchError("subsets live on different grids")
     if a.mask == 0 or b.mask == 0:
         raise EmptySetError("distance needs two nonempty sets")
-    ca = np.array(a.cells(), dtype=np.int64)
-    cb = np.array(b.cells(), dtype=np.int64)
-    d = np.abs(ca[:, None, :] - cb[None, :, :]).sum(axis=2)
-    return int(d.min())
+    return int(_distance_to(a)[_mask_bits(b)].min())
 
 
 @dataclass(frozen=True)
@@ -229,27 +239,17 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
 def count_cells_sum_le(k: int, n: int, s: int) -> int:
     """Number of cells of [k]^n with coordinate sum <= s, exactly.
 
-    Dimension-by-dimension prefix-sum recurrence on python integers, so
-    the count stays exact far beyond 2^53.
+    Inclusion-exclusion over the j coordinates forced to k or more,
+    sum_j (-1)^j C(n, j) C(s - jk + n, n) with s clipped to n(k-1), on
+    python integers, so the count stays exact far beyond 2^53.
     """
     if k < 2 or n < 1:
         raise DomainError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    s = int(s)
+    s = min(int(s), n * (k - 1))
     if s < 0:
         return 0
-    top = n * (k - 1)
-    if s >= top:
-        return k**n
-    counts = [1] + [0] * top  # counts[j] = #cells of current prefix with sum j
-    for dim in range(1, n + 1):
-        prefix = list(itertools.accumulate(counts))
-        hi = dim * (k - 1)
-        nxt = [0] * (top + 1)
-        for j in range(hi + 1):
-            lo = j - (k - 1)
-            nxt[j] = prefix[j] - (prefix[lo - 1] if lo >= 1 else 0)
-        counts = nxt
-    return sum(counts[: s + 1])
+    return sum((-1) ** j * math.comb(n, j) * math.comb(s - j * k + n, n)
+               for j in range(s // k + 1))
 
 
 def scaled_max_distance(n: int, m: int, eps: float) -> float:

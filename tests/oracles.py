@@ -17,10 +17,18 @@ The lemma checks difference whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
 and one coordinate at a time, with the cutoffs and the T-map Jacobian
 written out.
+
+The lattice counts cells by inclusion-exclusion and measures distances
+with an axis-sweep distance transform; count_cells_recurrence convolves
+the coordinate-sum counts one dimension at a time, and t_boundary_bfs
+grows a neighborhood by breadth-first search over cell tuples.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -176,6 +184,44 @@ def irwin_hall_exact(n: int, s: float) -> float:
     for j in range(int(sF) + 1):
         tot += (-1) ** j * math.comb(n, j) * (sF - j) ** n
     return float(tot / math.factorial(n))
+
+
+@lru_cache(maxsize=None)
+def _sum_counts(k: int, n: int) -> tuple:
+    """counts[j] = number of cells of [k]^n with coordinate sum j, by a
+    prefix-sum recurrence over dimensions."""
+    counts = [1]
+    for _ in range(n):
+        # one more coordinate: new[j] sums old[j - k + 1 .. j], a difference
+        # of prefix sums padded with k zeros in front
+        prefix = [0] * k + list(itertools.accumulate(counts + [0] * (k - 1)))
+        counts = list(map(operator.sub, prefix[k:], prefix))
+    return tuple(counts)
+
+
+def count_cells_recurrence(k: int, n: int, s: int) -> int:
+    """Cells of [k]^n with coordinate sum <= s, summed from the
+    dimension-by-dimension count table."""
+    if s < 0:
+        return 0
+    return sum(_sum_counts(k, n)[: s + 1])
+
+
+def t_boundary_bfs(cells, k: int, t: int) -> set:
+    """Cells of [k]^n within Manhattan distance t of the given cell tuples,
+    by breadth-first search over the 2n-neighbor adjacency."""
+    seen = set(map(tuple, cells))
+    frontier = set(seen)
+    for _ in range(t):
+        nxt = set()
+        for cell in frontier:
+            for i, c in enumerate(cell):
+                for nb in (c - 1, c + 1):
+                    if 0 <= nb < k:
+                        nxt.add(cell[:i] + (nb,) + cell[i + 1:])
+        frontier = nxt - seen
+        seen |= frontier
+    return seen
 
 
 def erlang_cdf_series(n: int, x: float) -> float:

@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import oracles
 from isodist import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, Grid, RangeError, SubsetHandle,
                      count_cells_sum_le, final_segment, initial_segment,
@@ -20,6 +22,14 @@ def brute_pair_max(grid, r, s):
             hb = SubsetHandle.from_cells(grid, B)
             best = max(best, set_distance(ha, hb))
     return best
+
+
+def random_handle(grid, rng, density):
+    """A random nonempty subset holding each cell with the given chance."""
+    mask = 1 << int(rng.integers(grid.size))
+    for i in np.flatnonzero(rng.random(grid.size) < density):
+        mask |= 1 << int(i)
+    return SubsetHandle(grid, mask)
 
 
 def test_grid_basics():
@@ -96,6 +106,23 @@ def test_t_boundary_examples():
         t_boundary(SubsetHandle(g, 0), 1)
     with pytest.raises(DomainError):
         t_boundary(a, -1)
+    path = Grid(7, 1)
+    mid = SubsetHandle.from_cells(path, [(3,)])
+    assert t_boundary(mid, 2).cells() == [(1,), (2,), (3,), (4,), (5,)]
+    assert t_boundary(mid, 0).cells() == [(3,)]
+    assert t_boundary(mid, 3).size == 7
+    ends = SubsetHandle.from_cells(path, [(0,), (6,)])
+    assert t_boundary(ends, 1).cells() == [(0,), (1,), (5,), (6,)]
+
+
+def test_t_boundary_matches_bfs(rng):
+    for g in (Grid(5, 3), Grid(3, 4), Grid(2, 5), Grid(7, 1)):
+        for density in (0.02, 0.1, 0.3):
+            for _ in range(10):
+                a = random_handle(g, rng, density)
+                for t in range(4):
+                    expect = oracles.t_boundary_bfs(a.cells(), g.k, t)
+                    assert set(t_boundary(a, t).cells()) == expect
 
 
 def test_t_boundary_monotone_contains(rng):
@@ -129,6 +156,11 @@ def test_set_distance_examples():
         set_distance(a, SubsetHandle(g, 0))
     with pytest.raises(DimensionMismatchError):
         set_distance(a, SubsetHandle.from_cells(Grid(2, 2), [(0, 0)]))
+    path = Grid(7, 1)
+    left = SubsetHandle.from_cells(path, [(0,), (1,)])
+    assert set_distance(left, SubsetHandle.from_cells(path, [(6,)])) == 5
+    assert set_distance(left, SubsetHandle.from_cells(path, [(4,), (5,)])) == 3
+    assert set_distance(left, left) == 0
 
 
 def test_set_distance_equals_t_boundary_characterization(rng):
@@ -146,14 +178,21 @@ def test_set_distance_equals_t_boundary_characterization(rng):
 
 def test_set_distance_second_enumeration(rng):
     # definitional min-over-pairs recomputed without numpy
+    def expect(a, b):
+        return min(sum(abs(u - v) for u, v in zip(x, y))
+                   for x in a.cells() for y in b.cells())
+
     g = Grid(3, 2)
     full = 2 ** g.size - 1
     for _ in range(300):
         a = SubsetHandle(g, int(rng.integers(1, full)))
         b = SubsetHandle(g, int(rng.integers(1, full)))
-        expect = min(sum(abs(u - v) for u, v in zip(x, y))
-                     for x in a.cells() for y in b.cells())
-        assert set_distance(a, b) == expect
+        assert set_distance(a, b) == expect(a, b)
+    g = Grid(5, 3)
+    for _ in range(100):
+        a = random_handle(g, rng, 0.03)
+        b = random_handle(g, rng, 0.03)
+        assert set_distance(a, b) == expect(a, b)
 
 
 def test_verify_extremal_pairs_examples():
@@ -162,6 +201,11 @@ def test_verify_extremal_pairs_examples():
     assert chk.search_space == 16
     chk = verify_extremal_pairs(Grid(3, 2), 2, 2)
     assert chk.agree and chk.segment_distance == 2
+    # the path [32]^1: two cells at one end, nine at the other
+    space = math.comb(32, 2) * math.comb(32, 9)
+    chk = verify_extremal_pairs(Grid(32, 1), 2, 9, budget=space)
+    assert chk.agree and chk.brute_max == chk.segment_distance == 22
+    assert chk.search_space == space
 
 
 def test_verify_extremal_pairs_matches_literal_bruteforce():
@@ -223,11 +267,18 @@ def test_count_cells_sum_symmetry():
 
 
 def test_count_cells_big_values_exact():
-    # far beyond 2^53; the DP must stay integer-exact
+    # far beyond 2^53; the alternating sum must stay integer-exact
     v = count_cells_sum_le(65, 30, 960)
-    assert v % 2 == count_cells_sum_le(65, 30, 960) % 2
+    assert v == oracles.count_cells_recurrence(65, 30, 960)
     assert v > 2 ** 53
     assert count_cells_sum_le(65, 30, 30 * 64) == 65 ** 30
+
+
+def test_count_cells_matches_recurrence_at_big_dimensions():
+    for k, n in ((65, 200), (17, 200), (2, 300)):
+        top = n * (k - 1)
+        for s in (-1, 0, 1, k - 1, k, top // 2, top - 1, top, top + 5):
+            assert count_cells_sum_le(k, n, s) == oracles.count_cells_recurrence(k, n, s)
 
 
 def test_scaled_max_distance_values():
