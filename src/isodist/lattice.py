@@ -107,6 +107,11 @@ class SubsetHandle:
     grid: Grid
     mask: int
 
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.grid.size:
+            raise RangeError(f"mask {self.mask} has bits outside a grid of "
+                             f"{self.grid.size} cells")
+
     @property
     def size(self) -> int:
         return self.mask.bit_count()

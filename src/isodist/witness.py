@@ -28,18 +28,17 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from scipy import optimize
 from scipy import special as sp
 
 from .bodies import BodyFamily, validate_epsilon, validate_p
 from .errors import DomainError
 from .profiles import DEFAULT_CONSTANTS, ConstantsConfig
-from .sections import cube_sum_cdf, lp_tail_volume
+from .sections import _irwin_hall_lower, lp_tail_volume
 from .specfun import SQRT_E, phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
-_VOLUME_TOL = 1e-10
-_CAP_REL_TOL = 1e-6
+_VOLUME_REL_TOL = 1e-6
+_NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         omega = unit_volume_radius("lp", n, p)
         z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
         a = omega * z ** (1.0 / p)
-        if not abs(lp_tail_volume(a, p, n) - eps) <= _CAP_REL_TOL * eps:
+        if not abs(lp_tail_volume(a, p, n) - eps) <= _VOLUME_REL_TOL * eps:
             raise DomainError("cap volume solve missed its tolerance")
     fam = "ball" if p == 2.0 else f"lp({p:g})"
     return RegionPair(
@@ -119,20 +118,51 @@ def ball_caps_witness(n: int, eps: float) -> RegionPair:
     return lp_caps_witness(n, 2.0, eps)
 
 
+def _slab_threshold(n: int, eps: float) -> float:
+    """The s in [0, n/2] with F_n(s) = eps, F_n the Irwin-Hall cdf.
+
+    Newton steps on log F_n, which is concave because the Irwin-Hall
+    density is log-concave, so after the first step every iterate sits
+    at or below the root and climbs to it.  The start is the
+    Cornish-Fisher guess with the excess kurtosis -6/(5n); iterates are
+    clamped to [(eps n!)^{1/n}, n/2], whose lower end never passes the
+    root because F_n(s) <= s^n/n!.
+    """
+    z = float(sp.ndtri(eps))
+    z -= (z ** 3 - 3.0 * z) / (20.0 * n)
+    lo = math.exp((math.log(eps) + math.lgamma(n + 1.0)) / n)
+    half = 0.5 * n
+    s = min(max(half + z * math.sqrt(n / 12.0), lo), half)
+    for _ in range(_NEWTON_STEPS):
+        vol, dens = _irwin_hall_lower(n, s)
+        if not (vol > 0.0 and dens > 0.0):
+            break
+        gap = math.log(vol / eps)
+        step = min(max(s - gap * vol / dens, lo), half)
+        if abs(gap) <= 1e-13 or abs(step - s) <= 1e-15 * s:
+            if abs(vol - eps) <= _VOLUME_REL_TOL * eps:
+                return s
+            break
+        s = step
+    raise DomainError("slab volume solve missed its tolerance")
+
+
 def cube_diagonal_witness(n: int, eps: float) -> RegionPair:
     """Diagonal slabs of volume eps at the two corners of (0, 1)^n.
 
-    The slab threshold s solves cube_sum_cdf(n, s) = eps; writing
+    The slab threshold s solves cube_sum_cdf(n, s) = eps by Newton steps
+    on the log of the exact Irwin-Hall volume; writing
     s = n/2 - a sqrt(n), the opposing slabs are exactly 2a apart.
+    DomainError is raised unless the slab at s holds eps to 1e-6
+    relative, as for the caps, or when the volume underflows or the
+    solve does not settle; that happens only for subnormal eps at large
+    n (eps <= 1e-315 at n = 500, 1e-310 at n = 2000).
     """
     eps = validate_epsilon(eps)
     n = int(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    s = optimize.brentq(lambda t: cube_sum_cdf(n, t) - eps, 0.0, 0.5 * n,
-                        xtol=1e-13, rtol=8.9e-16)
-    if abs(cube_sum_cdf(n, s) - eps) > _VOLUME_TOL:
-        raise DomainError("slab volume solve missed its tolerance")
+    s = _slab_threshold(n, eps)
     a = (0.5 * n - s) / math.sqrt(n)
     return RegionPair(
         "cube", n, eps,

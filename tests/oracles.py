@@ -11,7 +11,8 @@ The package computes l_p cap volumes with scipy's upper incomplete beta
 function.  lp_tail_betainc uses the same formula, so the cap volumes are
 checked against two other routes: lp_tail_quad integrates the section
 area over the cap itself, and lp_tail_mp evaluates the incomplete beta
-in 50-digit mpmath.
+in 50-digit mpmath, in its lower form so that tiny caps keep their
+relative accuracy.
 
 The lemma checks difference whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
@@ -158,8 +159,12 @@ def lp_tail_quad(x: float, p: float, n: int) -> float:
 
 def lp_tail_mp(x: float, p: float, n: int) -> float:
     """Cap volume past x from mpmath's regularized incomplete beta at 50
-    digits; its absolute error is near 1e-50, so it serves for caps well
-    above that."""
+    digits, in the swapped lower form I^c_z(a, b) = I_{1-z}(b, a).
+
+    mpmath's upper form 1 - I_z(a, b) keeps only about 1e-50 absolute,
+    which loses every cap below that; the lower form keeps the relative
+    accuracy of tiny caps too.
+    """
     with mpmath.workdps(50):
         p_mp = mpmath.mpf(p)
         om = (mpmath.gamma(1 + n / p_mp) ** (mpmath.mpf(1) / n)
@@ -167,7 +172,7 @@ def lp_tail_mp(x: float, p: float, n: int) -> float:
         if x >= om:
             return 0.0
         z = (mpmath.mpf(x) / om) ** p_mp
-        return float(mpmath.betainc(1 / p_mp, (n - 1) / p_mp + 1, z, 1,
+        return float(mpmath.betainc((n - 1) / p_mp + 1, 1 / p_mp, 0, 1 - z,
                                     regularized=True) / 2)
 
 

@@ -47,6 +47,14 @@ def test_grid_basics():
         g.cell(9)
 
 
+def test_subset_handle_rejects_masks_outside_the_grid():
+    g = Grid(3, 2)
+    assert SubsetHandle(g, (1 << 9) - 1).size == 9
+    for mask in (1 << 9, 1 << 20, -1):
+        with pytest.raises(RangeError):
+            SubsetHandle(g, mask)
+
+
 def test_simplicial_order_on_3x3():
     expect = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (2, 1), (1, 2), (2, 2)]

@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from isodist import (DomainError, convergence_report, cube_sum_cdf,
-                     lp_section_area, lp_tail_volume, orthogonal_ball_geometry,
-                     phi_p, psi_p, psi_p_density_limit, section_curve,
-                     sphere_projection_cdf, unit_volume_radius)
+from isodist import (DomainError, convergence_report, cube_diagonal_witness,
+                     cube_sum_cdf, lp_section_area, lp_tail_volume,
+                     orthogonal_ball_geometry, phi_p, psi_p,
+                     psi_p_density_limit, section_curve, sphere_projection_cdf,
+                     unit_volume_radius)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -55,6 +59,15 @@ def test_tail_volume_endpoints_and_monotone():
     xs = np.linspace(0.0, om, 30)
     vals = [lp_tail_volume(float(x), 1.3, 7) for x in xs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_tiny_cap_against_mpmath_lower_form():
+    # 250-digit mpmath value; the 50-digit upper form 1 - I gave 0.0 here
+    want = 1.0171239135544519e-143
+    assert oracles.lp_tail_mp(12.68, 1.455, 977) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    assert lp_tail_volume(12.68, 1.455, 977) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
 
 
 def test_section_curve_matches_pointwise():
@@ -175,11 +188,34 @@ def test_cube_sum_cdf_exact_rational_oracle(n, rng):
             oracles.irwin_hall_exact(n, s), abs=1e-15)
 
 
-def test_cube_sum_cdf_normal_switchover_is_smooth():
-    # above n = 40 the CLT branch takes over; the seam should be small
-    for frac in (0.45, 0.5, 0.55):
-        exact41 = oracles.irwin_hall_exact(41, frac * 41)
-        assert cube_sum_cdf(41, frac * 41) == pytest.approx(exact41, abs=2e-3)
+@pytest.mark.parametrize("n", [41, 100, 300])
+def test_cube_sum_cdf_relative_to_exact_sum_beyond_40(n):
+    # deep in the lower tail the volume is tiny; it must keep its digits
+    sigma = math.sqrt(n / 12.0)
+    for s in (0.5, 1.0, n / 2 - 9 * sigma, n / 2 - 3 * sigma, n / 2, n - 1):
+        assert cube_sum_cdf(n, s) == pytest.approx(
+            oracles.irwin_hall_exact(n, s), rel=1e-13, abs=0.0)
+
+
+def test_cube_sum_cdf_first_piece_is_a_power():
+    # on (0, 1] the volume is s^n/n!; the spline must not extrapolate there
+    for n in range(1, 51):
+        for s in (1e-3, 0.25, 0.7, 1.0):
+            want = float(Fraction(s) ** n / math.factorial(n))
+            assert cube_sum_cdf(n, s) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.integers(1, 120),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(-300.0, math.log10(0.5), exclude_max=True))
+def test_cube_slabs_against_exact_sum_property(n, frac, log_eps):
+    s = frac * n
+    assert cube_sum_cdf(n, s) == pytest.approx(
+        oracles.irwin_hall_exact(n, s), rel=1e-13, abs=1e-300)
+    eps = 10.0 ** log_eps
+    low = cube_diagonal_witness(n, eps).region_a.params["threshold"]
+    assert oracles.irwin_hall_exact(n, low) == pytest.approx(eps, rel=1e-9, abs=0.0)
 
 
 def test_sphere_projection_special_cases():

@@ -72,6 +72,13 @@ def test_cube_witness_volume_distance_and_regions():
         assert w.limit_value == pytest.approx(CUBE_MANHATTAN_01, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,eps", [(1, 1e-15), (41, 1e-2), (100, 1e-15),
+                                   (300, 1e-300)])
+def test_cube_witness_slab_volume_relative_to_exact_sum(n, eps):
+    s = cube_diagonal_witness(n, eps).region_a.params["threshold"]
+    assert oracles.irwin_hall_exact(n, s) == pytest.approx(eps, rel=1e-9, abs=0.0)
+
+
 def test_cube_witness_converges_to_scaled_limit():
     gaps = [abs(cube_diagonal_witness(n, 0.1).distance - CUBE_MANHATTAN_01)
             for n in (5, 20, 40)]
