@@ -6,10 +6,13 @@ first differing coordinate (larger first coordinate means earlier).  The
 extremal-pair fact checked here: among all pairs of subsets of sizes r
 and s, the initial and final segments of the simplicial order realize
 the largest possible set distance.  verify_extremal_pairs confirms it by
-exhaustive search on small grids.
+exhaustive search on small grids, taking the r-subsets in fixed blocks
+of batched numpy work so that memory stays bounded however many there
+are.
 
-Subsets are bit masks over the row-major cell index.  t_boundary and
-set_distance both read one axis-sweep distance transform of a set.
+Subsets are bit masks over the row-major cell index.  The segments come
+from one lexsort of the cell coordinates.  t_boundary and set_distance
+both read one axis-sweep distance transform of a set.
 
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
@@ -35,6 +38,7 @@ from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
 Cell = Tuple[int, ...]
 
 _EXACT_CELL_LIMIT = 32
+_SWEEP_BLOCK = 512  # r-subsets per block of the exhaustive sweep
 DEFAULT_PAIR_BUDGET = 10_000_000
 
 
@@ -56,6 +60,9 @@ class Grid:
         return itertools.product(range(self.k), repeat=self.n)
 
     def index(self, cell: Cell) -> int:
+        if len(cell) != self.n:
+            raise DimensionMismatchError(
+                f"cell {cell} has {len(cell)} coordinates, grid has n={self.n}")
         i = 0
         for c in cell:
             if not 0 <= c < self.k:
@@ -133,9 +140,12 @@ class SubsetHandle:
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
-    order = sorted(grid.cells(), key=simplicial_key)
-    chosen = order[grid.size - count:] if final else order[:count]
-    return SubsetHandle.from_cells(grid, chosen)
+    c = np.indices((grid.k,) * grid.n).reshape(grid.n, -1)
+    # lexsort's last key is the primary one: coordinate sum, then -c_0, -c_1, ...
+    order = np.lexsort(np.vstack((-c[::-1], c.sum(axis=0))))
+    bits = np.zeros(grid.size, dtype=bool)
+    bits[order[grid.size - count:] if final else order[:count]] = True
+    return SubsetHandle(grid, _bits_mask(bits))
 
 
 def initial_segment(grid: Grid, r: int) -> SubsetHandle:
@@ -201,23 +211,33 @@ class ExtremalCheck:
 
 @lru_cache(maxsize=None)
 def _distance_matrix(k: int, n: int) -> np.ndarray:
-    coords = np.array(list(Grid(k, n).cells()), dtype=np.int64)
-    return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    """Pairwise Manhattan distances of [k]^n in row-major cell order, as
+    uint8: the exhaustive search only runs where n(k-1) <= 31."""
+    c = np.indices((k,) * n).reshape(n, -1)
+    return np.abs(c[:, :, None] - c[:, None, :]).sum(axis=0).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     """For each s, the max over all |A| = r of the s-th largest min-distance
     to A.  Picking the s farthest cells is the exact best B for a fixed A,
-    so best[s-1] equals the literal max over (A, B) pairs."""
+    so best[s-1] equals the literal max over (A, B) pairs.
+
+    The r-subsets are taken from itertools.combinations in blocks of
+    _SWEEP_BLOCK.  Each block gathers the rows of D for its subsets (D is
+    symmetric), takes their minimum, sorts every row and folds the rows
+    into the running maximum, so memory stays bounded by the block, about
+    half a megabyte at the largest grid, whatever C(k^n, r) is.
+    """
     D = _distance_matrix(k, n)
     size = k**n
-    best = np.zeros(size, dtype=np.int64)
-    for A in itertools.combinations(range(size), r):
-        d = D[:, A].min(axis=1)
-        d[::-1].sort()
-        np.maximum(best, d, out=best)
-    return tuple(int(v) for v in best)
+    best = np.zeros(size, dtype=np.uint8)  # ascending: best[-s] is the s-th largest
+    flat = itertools.chain.from_iterable(itertools.combinations(range(size), r))
+    while (idx := np.fromiter(itertools.islice(flat, _SWEEP_BLOCK * r),
+                              dtype=np.intp)).size:
+        d = np.sort(D[idx.reshape(-1, r)].min(axis=1), axis=1)
+        np.maximum(best, d.max(axis=0), out=best)
+    return tuple(int(v) for v in best[::-1])
 
 
 def verify_extremal_pairs(grid: Grid, r: int, s: int,
@@ -246,11 +266,12 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
 
     Inclusion-exclusion over the j coordinates forced to k or more,
     sum_j (-1)^j C(n, j) C(s - jk + n, n) with s clipped to n(k-1), on
-    python integers, so the count stays exact far beyond 2^53.
+    python integers, so the count stays exact far beyond 2^53.  A
+    fractional s counts the cells with sum <= floor(s).
     """
     if k < 2 or n < 1:
         raise DomainError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    s = min(int(s), n * (k - 1))
+    s = min(math.floor(s), n * (k - 1))
     if s < 0:
         return 0
     return sum((-1) ** j * math.comb(n, j) * math.comb(s - j * k + n, n)

@@ -22,7 +22,10 @@ written out.
 The lattice counts cells by inclusion-exclusion and measures distances
 with an axis-sweep distance transform; count_cells_recurrence convolves
 the coordinate-sum counts one dimension at a time, and t_boundary_bfs
-grows a neighborhood by breadth-first search over cell tuples.
+grows a neighborhood by breadth-first search over cell tuples.  The
+extremal-pair search runs over blocks of r-subsets and the segments come
+from one lexsort; sweep_max_by_s_loop walks the r-subsets one at a time
+and simplicial_segment_sorted sorts cell tuples by (sum, -c).
 """
 
 import itertools
@@ -227,6 +230,34 @@ def t_boundary_bfs(cells, k: int, t: int) -> set:
         frontier = nxt - seen
         seen |= frontier
     return seen
+
+
+def sweep_max_by_s_loop(k: int, n: int, r: int) -> tuple:
+    """For each s, the max over all r-subsets A of [k]^n of the s-th largest
+    distance from a cell to A, one subset at a time."""
+    cells = list(itertools.product(range(k), repeat=n))
+    D = np.array([[sum(abs(a - b) for a, b in zip(x, y)) for y in cells]
+                  for x in cells])
+    best = np.zeros(len(cells), dtype=np.int64)
+    for A in itertools.combinations(range(len(cells)), r):
+        d = D[:, A].min(axis=1)
+        d[::-1].sort()
+        np.maximum(best, d, out=best)
+    return tuple(int(v) for v in best)
+
+
+@lru_cache(maxsize=None)
+def _simplicial_order(k: int, n: int) -> list:
+    return sorted(itertools.product(range(k), repeat=n),
+                  key=lambda c: (sum(c), tuple(-v for v in c)))
+
+
+def simplicial_segment_sorted(k: int, n: int, count: int, final: bool) -> list:
+    """The first (or, with final, the last) count cells of [k]^n in the
+    simplicial order: coordinate sum, then the larger first differing
+    coordinate first."""
+    order = _simplicial_order(k, n)
+    return order[len(order) - count:] if final else order[:count]
 
 
 def erlang_cdf_series(n: int, x: float) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from isodist import (BudgetExceededError, DimensionMismatchError, DomainError,
                      count_cells_sum_le, final_segment, initial_segment,
                      phi_inv, scaled_max_distance, set_distance,
                      simplicial_cmp, t_boundary, verify_extremal_pairs)
+from isodist import lattice
 
 
 def brute_pair_max(grid, r, s):
@@ -45,6 +47,18 @@ def test_grid_basics():
         Grid(3, 0)
     with pytest.raises(RangeError):
         g.cell(9)
+
+
+def test_cells_of_the_wrong_length_are_rejected():
+    g = Grid(3, 2)
+    h = SubsetHandle.from_cells(g, [(0, 2)])
+    for cell in ((1,), (2,), (), (0, 1, 2)):
+        with pytest.raises(DimensionMismatchError):
+            g.index(cell)
+        with pytest.raises(DimensionMismatchError):
+            h.contains(cell)
+        with pytest.raises(DimensionMismatchError):
+            SubsetHandle.from_cells(g, [cell])
 
 
 def test_subset_handle_rejects_masks_outside_the_grid():
@@ -100,6 +114,15 @@ def test_final_segment_is_reflected_initial_segment():
             ini = initial_segment(g, s)
             reflected = {tuple(g.k - 1 - c for c in cell) for cell in ini.cells()}
             assert set(fin.cells()) == reflected
+
+
+@pytest.mark.parametrize("k, n", [(5, 4), (3, 3), (2, 5), (7, 1)])
+def test_segments_match_sorted_cells(k, n):
+    g = Grid(k, n)
+    for count in range(g.size + 1):
+        for final, segment in ((False, initial_segment), (True, final_segment)):
+            expect = sorted(oracles.simplicial_segment_sorted(k, n, count, final))
+            assert segment(g, count).cells() == expect
 
 
 def test_t_boundary_examples():
@@ -231,6 +254,37 @@ def test_verify_extremal_pairs_matches_literal_bruteforce():
         assert chk.agree
 
 
+def assert_brute_max_matches_loop(k, n, r):
+    g = Grid(k, n)
+    expect = oracles.sweep_max_by_s_loop(k, n, r)
+    for s in range(1, g.size + 1):
+        space = math.comb(g.size, r) * math.comb(g.size, s)
+        assert verify_extremal_pairs(g, r, s, budget=space).brute_max == expect[s - 1]
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5) for k in range(2, 17)
+                                  if k**n <= 16])
+def test_brute_max_matches_subset_loop_on_small_grids(k, n):
+    for r in range(1, k**n + 1):
+        assert_brute_max_matches_loop(k, n, r)
+
+
+def test_brute_max_matches_subset_loop_on_the_path_of_32():
+    for r in (1, 2, 3, 29, 30, 31, 32):
+        assert_brute_max_matches_loop(32, 1, r)
+
+
+@pytest.mark.parametrize("k, n, r", [(2, 3, 2), (4, 2, 3), (32, 1, 30), (3, 3, 2)])
+def test_brute_max_across_block_boundaries(monkeypatch, k, n, r):
+    # C(k^n, r) subsets in blocks one smaller than, equal to and one larger than
+    # their count: a single leftover subset, one exactly full block, one short block
+    count = math.comb(k**n, r)
+    for block in (count - 1, count, count + 1):
+        monkeypatch.setattr(lattice, "_SWEEP_BLOCK", block)
+        lattice._sweep_max_by_s.cache_clear()
+        assert_brute_max_matches_loop(k, n, r)
+
+
 def test_verify_extremal_pairs_partition_cases():
     # r + s covering the grid forces adjacent or overlapping sets
     for g in (Grid(2, 2), Grid(2, 3)):
@@ -265,6 +319,14 @@ def test_count_cells_sum_le_brute(rng):
         for s in range(n * (k - 1) + 1):
             expect = sum(1 for v in sums if v <= s)
             assert count_cells_sum_le(k, n, s) == expect
+
+
+def test_count_cells_sum_le_floors_a_fractional_sum():
+    assert count_cells_sum_le(3, 2, -0.5) == 0
+    assert count_cells_sum_le(3, 2, -1e-9) == 0
+    assert count_cells_sum_le(3, 2, 2.5) == count_cells_sum_le(3, 2, 2) == 6
+    assert count_cells_sum_le(3, 2, Fraction(7, 2)) == 8
+    assert count_cells_sum_le(3, 2, 3.999) == 8
 
 
 def test_count_cells_sum_symmetry():
