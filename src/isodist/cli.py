@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -417,10 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args never changes it, and building
+    it costs more than most commands take to run."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._argv = argv
     try:
         return args.fn(args)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +66,10 @@ class Grid:
                 f"cell {cell} has {len(cell)} coordinates, grid has n={self.n}")
         i = 0
         for c in cell:
+            try:
+                c = operator.index(c)
+            except TypeError:
+                raise DomainError(f"cell {cell} has a non-integer coordinate") from None
             if not 0 <= c < self.k:
                 raise DomainError(f"cell {cell} outside grid")
             i = i * self.k + c
@@ -267,13 +272,16 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
     Inclusion-exclusion over the j coordinates forced to k or more,
     sum_j (-1)^j C(n, j) C(s - jk + n, n) with s clipped to n(k-1), on
     python integers, so the count stays exact far beyond 2^53.  A
-    fractional s counts the cells with sum <= floor(s).
+    fractional s counts the cells with sum <= floor(s); s = +inf counts
+    every cell and s = -inf none; NaN raises DomainError.
     """
     if k < 2 or n < 1:
         raise DomainError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    s = min(math.floor(s), n * (k - 1))
+    if s != s:
+        raise DomainError("s must be a number, got NaN")
     if s < 0:
         return 0
+    s = math.floor(min(s, n * (k - 1)))
     return sum((-1) ** j * math.comb(n, j) * math.comb(s - j * k + n, n)
                for j in range(s // k + 1))
 

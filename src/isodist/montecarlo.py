@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy import stats
 
 from .bodies import BodyFamily
 from .errors import DomainError
@@ -351,6 +350,8 @@ def transfer_map_check(n: int, count: int, seed: int,
     uniform(0,1), plus difference quotients ||phi(x)-phi(y)|| / ||x-y||
     over sampled pairs, which must stay below 1 + 1e-6.
     """
+    from scipy import stats  # the only user; kept off `import isodist`
+
     pts = sample_gaussian(n, count, seed)
     mapped = gaussian_to_cube_map(pts)
     min_p = min(float(stats.kstest(mapped[:, i], "uniform").pvalue)

@@ -7,7 +7,7 @@ import pytest
 
 from isodist import (bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, BodyFamily)
-from isodist.cli import main
+from isodist.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -31,6 +31,21 @@ def test_bounds_csv_matches_library(capsys):
         assert float(r["upper"]) == pytest.approx(rep.upper, rel=1e-11)
         assert float(r["exact_limit"]) == pytest.approx(rep.exact_limit, rel=1e-11)
         assert r["parametric"] == "false"
+
+
+def test_repeated_main_calls_share_nothing(capsys):
+    # main reuses one parser; each call must still parse from scratch
+    first = run(capsys, "bounds", "--family", "cube", "--eps", "0.1", "--eps", "0.2")
+    second = run(capsys, "bounds", "--family", "cube", "--eps", "0.3")
+    third = run(capsys, "asympt", "--which", "phi-inv", "--eps", "1e-4,1e-8")
+    fourth = run(capsys, "bounds", "--family", "ball", "--eps", "0.05")
+    assert [code for code, _ in (first, second, third, fourth)] == [0, 0, 0, 0]
+    assert [r["epsilon"] for r in csv_rows(first[1])] == ["0.1", "0.2"]
+    assert [r["epsilon"] for r in csv_rows(second[1])] == ["0.3"]
+    assert [r["epsilon"] for r in csv_rows(fourth[1])] == ["0.05"]
+    assert {r["family"] for r in csv_rows(fourth[1])} == {"ball"}
+    assert run(capsys, "bounds", "--family", "cube", "--eps", "0.1", "--eps", "0.2") == first
+    assert build_parser() is not build_parser()
 
 
 def test_bounds_repeated_eps_flags(capsys):

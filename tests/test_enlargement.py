@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from scipy import integrate
 
 import oracles
-from isodist import (BodyFamily, ConstantsConfig, DomainError,
-                     delta_closed_form, distance_upper_bound, make_profile,
-                     time_to_half)
+from isodist import (BodyFamily, ConstantsConfig, DomainError, IsoProfile,
+                     NonConvergenceError, delta_closed_form,
+                     distance_upper_bound, make_profile, time_to_half)
 
 FAMILIES = [
     BodyFamily.cube(),
@@ -22,9 +23,44 @@ EPS_GRID = (0.01, 0.05, 0.1, 0.25, 0.45)
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
 @pytest.mark.parametrize("eps", EPS_GRID + (1e-100, 1e-300))
 def test_quadrature_matches_closed_form(family, eps):
+    profile = make_profile(family)
     closed = delta_closed_form(family, eps)
-    quad = time_to_half(make_profile(family), eps)
+    quad = time_to_half(profile, eps)
     assert quad == pytest.approx(closed, rel=1e-8)
+    # and QUADPACK's adaptive Gauss-Kronrod on the same integrand in u = -ln t
+    ref, _ = integrate.quad(lambda u: math.exp(-u) / profile(math.exp(-u)),
+                            math.log(2.0), -math.log(eps),
+                            epsabs=0.0, epsrel=1e-13, limit=500)
+    assert quad == pytest.approx(ref, rel=1e-12)
+
+
+def test_quadrature_subinterval_limit():
+    cube = make_profile(BodyFamily.cube())
+    with pytest.raises(NonConvergenceError):
+        time_to_half(cube, 1e-300, limit=1)
+    with pytest.raises(NonConvergenceError):
+        time_to_half(cube, 1e-300, limit=3)
+    assert time_to_half(cube, 1e-300) == pytest.approx(
+        delta_closed_form(BodyFamily.cube(), 1e-300), rel=1e-12)
+    # the linear profile's integrand is constant: one interval suffices
+    assert time_to_half(make_profile(BodyFamily.simplex()), 1e-300, limit=1) == (
+        pytest.approx(delta_closed_form(BodyFamily.simplex(), 1e-300), rel=1e-14))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_quadrature_rejects_a_non_finite_integrand():
+    zero = IsoProfile("zero", "zero", lambda t: 0.0 * t)
+    with pytest.raises(NonConvergenceError):
+        time_to_half(zero, 0.1)
+
+
+@pytest.mark.parametrize("eps", [math.nextafter(0.5, 0.0), 0.4999999999999999,
+                                 0.4999999999999998, 0.5 - 1e-13])
+def test_quadrature_next_to_one_half(eps):
+    # nodes within an ulp of u = ln 2 must not round to t = 1/2
+    for family in (BodyFamily.cube(), BodyFamily.simplex()):
+        delta = time_to_half(make_profile(family), eps)
+        assert delta == pytest.approx(delta_closed_form(family, eps), rel=1e-6)
 
 
 def test_closed_form_values_eps_01():

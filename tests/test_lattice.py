@@ -61,6 +61,21 @@ def test_cells_of_the_wrong_length_are_rejected():
             SubsetHandle.from_cells(g, [cell])
 
 
+def test_cells_with_non_integer_coordinates_are_rejected():
+    g = Grid(3, 2)
+    h = SubsetHandle.from_cells(g, [(0, 2)])
+    for cell in ((0.5, 1), (1.0, 1), (1, 2.0), (Fraction(1, 2), 0), ("1", 0)):
+        with pytest.raises(DomainError):
+            g.index(cell)
+        with pytest.raises(DomainError):
+            h.contains(cell)
+        with pytest.raises(DomainError):
+            SubsetHandle.from_cells(g, [cell])
+    # numpy integers are integers
+    assert g.index((np.int64(1), np.uint8(2))) == 5
+    assert h.contains((np.int32(0), np.int64(2)))
+
+
 def test_subset_handle_rejects_masks_outside_the_grid():
     g = Grid(3, 2)
     assert SubsetHandle(g, (1 << 9) - 1).size == 9
@@ -327,6 +342,18 @@ def test_count_cells_sum_le_floors_a_fractional_sum():
     assert count_cells_sum_le(3, 2, 2.5) == count_cells_sum_le(3, 2, 2) == 6
     assert count_cells_sum_le(3, 2, Fraction(7, 2)) == 8
     assert count_cells_sum_le(3, 2, 3.999) == 8
+
+
+def test_count_cells_sum_le_at_infinite_and_nan_sums():
+    assert count_cells_sum_le(3, 2, math.inf) == 9
+    assert count_cells_sum_le(65, 30, math.inf) == 65 ** 30
+    assert count_cells_sum_le(3, 2, -math.inf) == 0
+    assert count_cells_sum_le(3, 2, 1e300) == 9
+    assert count_cells_sum_le(3, 2, 10 ** 400) == 9
+    with pytest.raises(DomainError):
+        count_cells_sum_le(3, 2, math.nan)
+    with pytest.raises(DomainError):
+        count_cells_sum_le(3, 2, np.float64("nan"))
 
 
 def test_count_cells_sum_symmetry():
