@@ -59,9 +59,9 @@ class BodyFamily:
         return self.kind
 
 
-def validate_epsilon(eps: float, *, upper: float = 0.5) -> float:
-    """Volume fractions must sit strictly between 0 and `upper`."""
+def validate_epsilon(eps: float) -> float:
+    """Volume fractions must sit strictly between 0 and 1/2."""
     eps = float(eps)
-    if not 0.0 < eps < upper:
-        raise DomainError(f"epsilon must lie in (0, {upper}), got {eps}")
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"epsilon must lie in (0, 0.5), got {eps}")
     return eps

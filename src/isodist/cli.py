@@ -307,6 +307,8 @@ def _check_lines(args) -> list[tuple[bool, str]]:
 
 
 def cmd_check(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
     lines = _check_lines(args)
     failed = False
     for ok, text in lines:

@@ -14,7 +14,7 @@ its relatives):
     cube     delta_M = -phi_inv(eps)
     ball     delta_M = -phi_inv(eps) / sqrt(e)
     simplex  delta_M = -(ln eps + ln 2) / c_lambda
-    l_p      delta_M = (p / c_iso(p)) ((-ln eps)^{1/p} - (ln 2)^{1/p})
+    l_p      delta_M = (p / c_iso) ((-ln eps)^{1/p} - (ln 2)^{1/p})
 
 The simplex/l_p closed forms keep the (ln 2)-type terms the integral
 produces; the looser theorem-statement forms that drop them live in the
@@ -41,6 +41,7 @@ _LN2 = math.log(2.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # nodes within an ulp of u = ln 2 would round to t = 1/2, outside the profiles' domain
 _T_BELOW_HALF = math.nextafter(0.5, 0.0)
+_MAX_SUBINTERVALS = 200
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class EnlargementResult:
     method: str
 
 
-def time_to_half(profile: IsoProfile, eps: float, *, epsrel: float = 1e-11,
-                 limit: int = 200) -> float:
+def time_to_half(profile: IsoProfile, eps: float) -> float:
     """Quadrature of 1/I(t) over [eps, 1/2].
 
     Substituting t = e^{-u} integrates e^{-u} / I(e^{-u}) over
@@ -61,11 +61,11 @@ def time_to_half(profile: IsoProfile, eps: float, *, epsrel: float = 1e-11,
     reach.  The quadrature is adaptive 15-point Gauss-Legendre: each
     subinterval's error is estimated by comparing its rule with the sum
     over its two halves, and only the subintervals that miss their share
-    of epsrel are bisected again.  Each refinement pass evaluates the
-    profile once, on an array of every pending node, so the profile must
-    accept numpy arrays (every built-in IsoProfile does).  Raises
-    NonConvergenceError if more than `limit` subintervals would be needed
-    or the integrand is not finite.
+    of the relative tolerance 1e-11 are bisected again.  Each refinement
+    pass evaluates the profile once, on an array of every pending node,
+    so the profile must accept numpy arrays (every built-in IsoProfile
+    does).  Raises NonConvergenceError if more than 200 subintervals
+    would be needed or the integrand is not finite.
     """
     eps = validate_epsilon(eps)
     a, b = _LN2, -math.log(eps)
@@ -95,7 +95,7 @@ def time_to_half(profile: IsoProfile, eps: float, *, epsrel: float = 1e-11,
         pair = left + right
         err = np.abs(whole - pair)
         val = done_val + float(np.sum(pair))
-        tol = epsrel * abs(val)
+        tol = 1e-11 * abs(val)
         abserr = done_err + float(np.sum(err))
         refine = err > tol * (hi - lo) / (b - a)
         if abserr <= tol or not refine.any():
@@ -103,10 +103,10 @@ def time_to_half(profile: IsoProfile, eps: float, *, epsrel: float = 1e-11,
         done_val += float(np.sum(pair[~refine]))
         done_err += float(np.sum(err[~refine]))
         count += int(np.count_nonzero(refine))
-        if count > limit:
+        if count > _MAX_SUBINTERVALS:
             raise NonConvergenceError(
-                f"enlargement quadrature needs more than {limit} subintervals "
-                f"(error estimate {abserr:g} for value {val:g})")
+                f"enlargement quadrature needs more than {_MAX_SUBINTERVALS} "
+                f"subintervals (error estimate {abserr:g} for value {val:g})")
         lo, hi = split(lo[refine], hi[refine])
         whole = np.concatenate([left[refine], right[refine]])
         halves = rule(*split(lo, hi))
@@ -124,12 +124,12 @@ def delta_closed_form(family: BodyFamily, eps: float,
         return -phi_inv(eps)
     if family.kind == "ball":
         return -phi_inv(eps) / SQRT_E
+    d = -math.log(2.0 * eps)
     if family.kind == "simplex":
-        return -(math.log(eps) + _LN2) / constants.c_lambda
+        return d / constants.c_lambda
     if family.kind == "lp":
-        p = family.p
-        c = constants.iso(p)
-        return (p / c) * ((-math.log(eps)) ** (1.0 / p) - _LN2 ** (1.0 / p))
+        p, c = family.p, constants.c_iso
+        return (p / c) * _LN2 ** (1.0 / p) * math.expm1(math.log1p(d / _LN2) / p)
     raise DomainError(f"no closed form for family {family.kind!r}")
 
 

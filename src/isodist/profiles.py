@@ -8,7 +8,7 @@ enlargement bound:
     cube     I(t) =  exp(-pi phi_inv(t)^2)
     ball     I(t) =  sqrt(e) exp(-pi e (phi_inv(t)/sqrt(e))^2)   (n -> inf limit)
     simplex  I(t) =  c_lambda * t
-    l_p      I(t) =  c_iso(p) * t * (-ln t)^{1-1/p}
+    l_p      I(t) =  c_iso * t * (-ln t)^{1-1/p}
     exp law  I(t) =  min(t, 1-t)   on (0, 1), the one-sided exponential measure
 
 The ball limit equals sqrt(e) times the cube profile identically.  The
@@ -18,16 +18,16 @@ is kept.
 
 The linear and l_p profiles hold up to dimension-free constants that the
 underlying estimates do not pin down.  ConstantsConfig carries those
-placeholders (all default 1.0); every result built from them is flagged
-parametric downstream, so no output silently presents a placeholder as a
-proved constant.
+placeholders as floats, default 1.0 (pass c_iso=f(p) for a p-dependent
+one); every result built from them is flagged parametric downstream, so
+no output silently presents a placeholder as a proved constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -41,12 +41,7 @@ class ConstantsConfig:
     """Unpinned dimension-free constants; defaults are 1.0 placeholders."""
 
     c_lambda: float = 1.0
-    c_iso: Union[float, Callable[[float], float]] = 1.0
-
-    def iso(self, p: float) -> float:
-        if callable(self.c_iso):
-            return float(self.c_iso(p))
-        return float(self.c_iso)
+    c_iso: float = 1.0
 
 
 DEFAULT_CONSTANTS = ConstantsConfig()
@@ -120,7 +115,7 @@ def xlog_power_derivative(x, p: float):
 
 @dataclass(frozen=True)
 class IsoProfile:
-    """A profile bundled with its provenance tag and constants.
+    """A profile bundled with its provenance tag.
 
     tag is one of cube / ball_limit / simplex_linear / lp_loglinear /
     exp_measure; fn evaluates the profile; parametric marks profiles
@@ -130,7 +125,6 @@ class IsoProfile:
     label: str
     tag: str
     fn: Callable = field(repr=False)
-    constants: ConstantsConfig = DEFAULT_CONSTANTS
     parametric: bool = False
     p: float | None = None
 
@@ -141,18 +135,16 @@ class IsoProfile:
 def make_profile(family: BodyFamily, constants: ConstantsConfig = DEFAULT_CONSTANTS) -> IsoProfile:
     """Profile for a body family, wired to the given constants."""
     if family.kind == "cube":
-        return IsoProfile("cube", "cube", cube_profile, constants)
+        return IsoProfile("cube", "cube", cube_profile)
     if family.kind == "ball":
-        return IsoProfile("ball", "ball_limit", ball_profile_limit, constants)
+        return IsoProfile("ball", "ball_limit", ball_profile_limit)
     if family.kind == "simplex":
-        c = constants.c_lambda
         return IsoProfile("simplex", "simplex_linear",
-                          lambda t, c=c: simplex_profile(t, c), constants, True)
+                          lambda t, c=constants.c_lambda: simplex_profile(t, c), True)
     if family.kind == "lp":
-        p = family.p
-        c = constants.iso(p)
+        p, c = family.p, constants.c_iso
         return IsoProfile(family.label(), "lp_loglinear",
-                          lambda t, p=p, c=c: lp_profile(t, p, c), constants, True, p)
+                          lambda t, p=p, c=c: lp_profile(t, p, c), True, p)
     raise DomainError(f"no profile for family {family.kind!r}")
 
 

@@ -4,9 +4,9 @@ Every sampler draws through Philox, a counter-based 64-bit generator,
 keyed per chunk by SeedSequence(seed, spawn_key=(tag, chunk_index)).
 Work is split into fixed-size chunks of DEFAULT_CHUNK points; each chunk
 owns an independent stream and the results are assembled in chunk order.
-Outputs are therefore a pure function of (seed, tag, parameters, chunk
-size).  ISODIST_THREADS only sizes the thread pool that fills chunks, so
-it changes wall time, never values.
+Outputs are therefore a pure function of (seed, tag, parameters).
+ISODIST_THREADS only sizes the thread pool that fills chunks, so it
+changes wall time, never values.
 
 The tag separates draw purposes (uniform cube points vs exponential
 sums, say); it is derived from a short name by crc32, which is stable
@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+from .errors import DomainError
 
 DEFAULT_CHUNK = 16384
 
@@ -44,20 +46,17 @@ def thread_count() -> int:
 
 
 def generate(seed: int, name: str, count: int,
-             fill: Callable[[np.random.Generator, int], np.ndarray],
-             chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Assemble fill(generator, m) over chunks, in index order.
+             fill: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
+    """Assemble fill(generator, m) over DEFAULT_CHUNK chunks, in index order.
 
     fill must draw exactly the same variates for a given m regardless of
     context; it receives the chunk's own generator.
     """
     count = int(count)
     if count <= 0:
-        raise ValueError(f"need count >= 1, got {count}")
+        raise DomainError(f"need count >= 1, got {count}")
     tag = stream_tag(name)
-    sizes = [chunk] * (count // chunk)
-    if count % chunk:
-        sizes.append(count % chunk)
+    sizes = [min(DEFAULT_CHUNK, count - lo) for lo in range(0, count, DEFAULT_CHUNK)]
 
     def one(i: int) -> np.ndarray:
         return np.asarray(fill(chunk_generator(seed, tag, i), sizes[i]))

@@ -33,7 +33,7 @@ from scipy import special as sp
 from .bodies import BodyFamily, validate_epsilon, validate_p
 from .errors import DomainError
 from .profiles import DEFAULT_CONSTANTS, ConstantsConfig
-from .sections import _irwin_hall_lower, lp_tail_volume
+from .sections import _irwin_hall_lower, lp_section_area, lp_tail_volume
 from .specfun import SQRT_E, phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
@@ -86,9 +86,9 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     The cap height a inverts the closed-form cap volume of sections
     (betainccinv), and the caps +-{x_1 >= a} are then exactly 2a apart.
     DomainError is raised unless the cap at a holds eps to 1e-6
-    relative; the float spacing of a near omega_n rules that out only at
-    small n and tiny eps (below about 3e-15 at n = 2, 1e-50 at n = 10).
-    n = 1 is the unit segment for every p, where a = 1/2 - eps directly.
+    relative even with a moved by the rounding of omega_n and a: for eps
+    below about 3.5e-14 at n = 2 and 1e-45 at n = 10 (p = 2), and 2e-11
+    at n = 1, the unit segment for every p, where a = 1/2 - eps directly.
     """
     p = validate_p(p)
     eps = validate_epsilon(eps)
@@ -97,12 +97,16 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         raise DomainError(f"need n >= 1, got {n}")
     if n == 1:
         a = 0.5 - eps
+        miss = abs((0.5 - a) - eps)  # exact: the cap's true volume error
     else:
         omega = unit_volume_radius("lp", n, p)
         z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
         a = omega * z ** (1.0 / p)
-        if not abs(lp_tail_volume(a, p, n) - eps) <= _VOLUME_REL_TOL * eps:
-            raise DomainError("cap volume solve missed its tolerance")
+        # measured float error of omega_n: <= 6.3 + 3 |ln omega_n| half-ulps; of a: 0.5
+        miss = abs(lp_tail_volume(a, p, n) - eps) + a * lp_section_area(a, p, n) \
+            * 2.0**-53 * (7.0 + 3.0 * abs(math.log(omega)))
+    if not miss <= _VOLUME_REL_TOL * eps:
+        raise DomainError("cap volume solve missed its tolerance")
     fam = "ball" if p == 2.0 else f"lp({p:g})"
     return RegionPair(
         fam, n, eps,
@@ -180,7 +184,7 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
     PQ, orthogonal to it; each half has volume 1/2.  Scaling the P-half
     toward P by alpha = (2 eps)^{1/(n-1)} gives volume alpha^{n-1}/2 =
     eps, likewise at Q, and the two copies end up exactly
-    sqrt(2) omega_n (1 - alpha) apart.
+    sqrt(2) omega_n (1 - alpha) apart (through expm1, as alpha nears 1).
     """
     eps = validate_epsilon(eps)
     n = int(n)
@@ -188,7 +192,7 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
         raise DomainError(f"need n >= 2, got {n}")
     alpha = (2.0 * eps) ** (1.0 / (n - 1.0))
     omega = unit_volume_radius("simplex", n)
-    distance = math.sqrt(2.0) * omega * (1.0 - alpha)
+    distance = -math.sqrt(2.0) * omega * math.expm1(math.log(2.0 * eps) / (n - 1.0))
     return RegionPair(
         "simplex", n, eps,
         RegionDescriptor("corner_homothety", {"vertex": 0, "alpha": alpha}),
@@ -236,6 +240,6 @@ def bound_report(family: BodyFamily, eps: float,
         p = family.p
         return BoundReport(family.label(), eps,
                            -2.0 * psi_p_inv(eps, p),
-                           (2.0 * p / constants.iso(p)) * (-math.log(eps)) ** (1.0 / p),
+                           (2.0 * p / constants.c_iso) * (-math.log(eps)) ** (1.0 / p),
                            None, True)
     raise DomainError(f"no bound report for family {family.kind!r}")

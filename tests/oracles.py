@@ -179,6 +179,23 @@ def lp_tail_mp(x: float, p: float, n: int) -> float:
                                     regularized=True) / 2)
 
 
+def lp_delta_mp(eps: float, p: float) -> float:
+    """The l_p enlargement closed form p((-ln eps)^{1/p} - (ln 2)^{1/p})
+    at 50 digits, with c_iso = 1; at p = 1 it is the simplex's ln(1/(2 eps))."""
+    with mpmath.workdps(50):
+        inv = 1 / mpmath.mpf(p)
+        return float(p * ((-mpmath.log(mpmath.mpf(eps))) ** inv - mpmath.log(2) ** inv))
+
+
+def simplex_corner_distance_mp(n: int, eps: float) -> float:
+    """sqrt(2) omega_n (1 - (2 eps)^{1/(n-1)}) at 50 digits, with the
+    simplex radius omega_n = (n! / (n sqrt(n)))^{1/(n-1)}."""
+    with mpmath.workdps(50):
+        omega = mpmath.exp((mpmath.loggamma(n + 1) - 1.5 * mpmath.log(n)) / (n - 1))
+        alpha = (2 * mpmath.mpf(eps)) ** (mpmath.mpf(1) / (n - 1))
+        return float(mpmath.sqrt(2) * omega * (1 - alpha))
+
+
 def irwin_hall_exact(n: int, s: float) -> float:
     """P(U_1 + ... + U_n <= s) with the alternating sum done in exact
     rational arithmetic (the float s becomes an exact binary rational),

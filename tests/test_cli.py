@@ -185,6 +185,19 @@ def test_check_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "tails", "--samples", "0"),
+    ("check", "sodin", "--n", "-3"),
+    ("check", "avgdist", "--samples", "1"),
+])
+def test_check_bad_input_is_a_usage_error(capsys, argv):
+    # exit 1 means a violated inequality; bad input is exit 2, no traceback
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_domain_error_exit_code(capsys):
     code, _ = run(capsys, "bounds", "--family", "ball", "--eps", "0.7")
     assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from scipy import integrate
 
 import oracles
+from isodist import enlargement
 from isodist import (BodyFamily, ConstantsConfig, DomainError, IsoProfile,
                      NonConvergenceError, delta_closed_form,
                      distance_upper_bound, make_profile, time_to_half)
@@ -34,16 +35,17 @@ def test_quadrature_matches_closed_form(family, eps):
     assert quad == pytest.approx(ref, rel=1e-12)
 
 
-def test_quadrature_subinterval_limit():
+def test_quadrature_subinterval_limit(monkeypatch):
     cube = make_profile(BodyFamily.cube())
-    with pytest.raises(NonConvergenceError):
-        time_to_half(cube, 1e-300, limit=1)
-    with pytest.raises(NonConvergenceError):
-        time_to_half(cube, 1e-300, limit=3)
     assert time_to_half(cube, 1e-300) == pytest.approx(
         delta_closed_form(BodyFamily.cube(), 1e-300), rel=1e-12)
+    for limit in (1, 3):
+        monkeypatch.setattr(enlargement, "_MAX_SUBINTERVALS", limit)
+        with pytest.raises(NonConvergenceError):
+            time_to_half(cube, 1e-300)
     # the linear profile's integrand is constant: one interval suffices
-    assert time_to_half(make_profile(BodyFamily.simplex()), 1e-300, limit=1) == (
+    monkeypatch.setattr(enlargement, "_MAX_SUBINTERVALS", 1)
+    assert time_to_half(make_profile(BodyFamily.simplex()), 1e-300) == (
         pytest.approx(delta_closed_form(BodyFamily.simplex(), 1e-300), rel=1e-14))
 
 
@@ -75,6 +77,17 @@ def test_closed_form_values_eps_01():
         math.log(5.0), rel=1e-14)
     expect = 1.5 * ((-math.log(0.1)) ** (2 / 3) - math.log(2.0) ** (2 / 3))
     assert delta_closed_form(BodyFamily.lp(1.5), 0.1) == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.4999999999999999, 0.4999999999999998, 0.5 - 1e-11,
+                                 0.4999, 0.3, 0.1, 1e-10, 1e-300])
+def test_closed_form_next_to_one_half_against_mpmath(eps):
+    # the difference of logs cancelled here: 34% off at p = 1.5, 67% at p = 2
+    for p in (1.0, 1.25, 1.5, 1.75, 2.0):
+        assert delta_closed_form(BodyFamily.lp(p), eps) == pytest.approx(
+            oracles.lp_delta_mp(eps, p), rel=1e-13, abs=0.0)
+    assert delta_closed_form(BodyFamily.simplex(), eps) == pytest.approx(
+        oracles.lp_delta_mp(eps, 1.0), rel=1e-13, abs=0.0)
 
 
 def test_delta_decreases_in_eps():

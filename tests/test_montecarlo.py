@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isodist import (BodyFamily, DomainError, average_distance_experiment,
+from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
                      cutoff_gradient_check, cutoff_h1, cutoff_h2,
                      cutoff_product_check, estimate_cap_volume, exp_tail_check,
                      gaussian_to_cube_map, sample_gaussian, sample_uniform,
@@ -307,6 +307,16 @@ def test_average_distance_n1_and_second_moment():
     y = sample_uniform(BodyFamily.cube(), 5, 100_000, seed=15).points
     sq = np.sum((x - y) ** 2, axis=1)
     assert sq.mean() == pytest.approx(5.0 / 6.0, abs=0.01)
+
+
+def test_sample_interval_needs_two_values():
+    # one value has no sample deviation: std(ddof=1) would be NaN
+    for values in ([], [0.5]):
+        with pytest.raises(DomainError):
+            EstimateWithCI.from_samples(np.array(values))
+    est = EstimateWithCI.from_samples(np.array([1.0, 3.0]))
+    assert (est.estimate, est.count) == (2.0, 2)
+    assert est.half_width_95 == pytest.approx(1.96)
 
 
 def test_average_distance_bound_high_dimension():

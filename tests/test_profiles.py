@@ -104,12 +104,6 @@ def test_make_profile_dispatch():
     assert tent.tag == "exp_measure" and tent(0.7) == pytest.approx(0.3)
 
 
-def test_constants_config_iso_callable():
-    cfg = ConstantsConfig(c_iso=lambda p: 2.0 * p)
-    assert cfg.iso(1.5) == 3.0
-    assert ConstantsConfig(c_iso=0.7).iso(2.0) == 0.7
-
-
 def test_profiles_accept_arrays():
     t = np.array([0.1, 0.2, 0.3])
     assert cube_profile(t).shape == (3,)

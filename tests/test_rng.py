@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isodist import DomainError
 from isodist.rng import DEFAULT_CHUNK, chunk_generator, generate, stream_tag, thread_count
 
 
@@ -26,7 +27,10 @@ def test_streams_separate_by_name():
 def test_partial_chunk_and_explicit_default_agree():
     count = DEFAULT_CHUNK + 777
     a = generate(7, "demo", count, unit_fill)
-    b = generate(7, "demo", count, unit_fill, chunk=DEFAULT_CHUNK)
+    # one full DEFAULT_CHUNK from chunk 0, then the 777 left from chunk 1
+    tag = stream_tag("demo")
+    b = np.concatenate([unit_fill(chunk_generator(7, tag, 0), DEFAULT_CHUNK),
+                        unit_fill(chunk_generator(7, tag, 1), 777)])
     assert a.shape == (count,)
     assert np.array_equal(a, b)
 
@@ -69,3 +73,5 @@ def test_chunk_generator_keying():
 def test_generate_rejects_empty():
     with pytest.raises(ValueError):
         generate(1, "demo", 0, unit_fill)
+    with pytest.raises(DomainError):
+        generate(1, "demo", -3, unit_fill)
