@@ -15,7 +15,7 @@ their sharpness, and the discrete and Monte Carlo checks around them:
     cli          the `isodist` command
 """
 
-from .bodies import BodyFamily, validate_epsilon, validate_p
+from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
 from .enlargement import (EnlargementResult, delta_closed_form,
                           distance_upper_bound, time_to_half)
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
@@ -33,10 +33,9 @@ from .montecarlo import (AvgDistanceResult, CutoffCheck, EstimateWithCI,
                          sample_gaussian, sample_uniform, t_map,
                          t_map_jacobian, t_map_lipschitz_check,
                          t_map_opnorm_bound, transfer_map_check)
-from .profiles import (DEFAULT_CONSTANTS, ConstantsConfig, IsoProfile,
-                       ball_profile_limit, cube_profile, exp_measure_profile,
-                       lp_profile, make_exp_measure_profile, make_profile,
-                       simplex_profile, xlog_power_derivative)
+from .profiles import (IsoProfile, ball_profile_limit, cube_profile,
+                       exp_measure_profile, lp_profile, make_exp_measure_profile,
+                       make_profile, simplex_profile, xlog_power_derivative)
 from .sections import (ConvergenceReport, OrthogonalBallGeometry, SectionCurve,
                        convergence_report, cube_sum_cdf, lp_section_area,
                        lp_tail_volume, orthogonal_ball_geometry,

@@ -8,6 +8,7 @@ p = 1 member is the cross-polytope and p = 2 the euclidean ball.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -65,3 +66,19 @@ def validate_epsilon(eps: float) -> float:
     if not 0.0 < eps < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {eps}")
     return eps
+
+
+def validate_n(n, least: int) -> int:
+    """A dimension n >= least, as an int.
+
+    Python and numpy integers pass, and so do integral floats such as
+    25.0; a fractional, infinite or NaN n raises DomainError instead of
+    being truncated.
+    """
+    try:
+        m = operator.index(n)
+    except TypeError:
+        m = int(n) if isinstance(n, float) and n.is_integer() else None
+    if m is None or m < least:
+        raise DomainError(f"need an integer n >= {least}, got {n!r}")
+    return m

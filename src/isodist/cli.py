@@ -41,7 +41,6 @@ from .lattice import DEFAULT_PAIR_BUDGET, Grid, scaled_max_distance, verify_extr
 from .montecarlo import (average_distance_experiment, cutoff_gradient_check,
                          cutoff_product_check, exp_tail_check,
                          t_map_lipschitz_check, transfer_map_check)
-from .profiles import DEFAULT_CONSTANTS, ConstantsConfig
 from .rng import generate
 from .sections import psi_p_density_limit, section_curve
 from .specfun import (phi_inv, phi_inv_asymptote, psi_p, psi_p_inv,
@@ -112,27 +111,6 @@ def _write_manifest(args, parameters: dict) -> None:
         fh.write("\n")
 
 
-def _load_constants(path: str | None) -> ConstantsConfig:
-    if not path:
-        return DEFAULT_CONSTANTS
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if not key or not raw:
-                raise DomainError(f"bad constants line: {line!r}")
-            values[key] = float(raw)
-    known = {f for f in ConstantsConfig.__dataclass_fields__}
-    unknown = set(values) - known
-    if unknown:
-        raise DomainError(f"unknown constants: {sorted(unknown)}")
-    return ConstantsConfig(**values)
-
-
 def _family(args) -> BodyFamily:
     if args.family == "lp":
         if args.p is None:
@@ -154,11 +132,10 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ------------------------------------------------------------- commands
 
 def cmd_bounds(args) -> int:
-    constants = _load_constants(args.constants)
     family = _family(args)
     rows = []
     for eps in args.eps:
-        rep = bound_report(family, eps, constants)
+        rep = bound_report(family, eps)
         rows.append({
             "family": rep.family,
             "p": family.p,
@@ -169,8 +146,7 @@ def cmd_bounds(args) -> int:
             "manhattan_scaled_limit": rep.manhattan_scaled_limit,
             "parametric": rep.parametric,
         })
-    _emit(rows, args, {"family": family.label(), "eps": args.eps,
-                       "constants": args.constants})
+    _emit(rows, args, {"family": family.label(), "eps": args.eps})
     return 0
 
 
@@ -365,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--family", **fam_kw)
     b.add_argument("--p", type=float, default=None)
     b.add_argument("--eps", type=_floats, action="extend", required=True)
-    b.add_argument("--constants", default=None, metavar="FILE")
     _add_output_args(b)
     b.set_defaults(fn=cmd_bounds)
 

@@ -16,9 +16,11 @@ its relatives):
     simplex  delta_M = -(ln eps + ln 2) / c_lambda
     l_p      delta_M = (p / c_iso) ((-ln eps)^{1/p} - (ln 2)^{1/p})
 
-The simplex/l_p closed forms keep the (ln 2)-type terms the integral
-produces; the looser theorem-statement forms that drop them live in the
-witness module's bound reports, so both displays are available.
+with the unpinned constants c_lambda and c_iso at their placeholder 1
+(see profiles), so those two rows are parametric.  The simplex/l_p
+closed forms keep the (ln 2)-type terms the integral produces; the
+looser theorem-statement forms that drop them live in the witness
+module's bound reports, so both displays are available.
 
 time_to_half evaluates the integral directly for any profile, by an
 adaptive Gauss-Legendre rule in numpy; it checks the closed forms.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .bodies import BodyFamily, validate_epsilon
 from .errors import DomainError, NonConvergenceError
-from .profiles import DEFAULT_CONSTANTS, ConstantsConfig, IsoProfile, make_profile
+from .profiles import IsoProfile, make_profile
 from .specfun import SQRT_E, phi_inv
 
 _LN2 = math.log(2.0)
@@ -116,8 +118,7 @@ def time_to_half(profile: IsoProfile, eps: float) -> float:
     return val
 
 
-def delta_closed_form(family: BodyFamily, eps: float,
-                      constants: ConstantsConfig = DEFAULT_CONSTANTS) -> float:
+def delta_closed_form(family: BodyFamily, eps: float) -> float:
     """Closed form of the enlargement integral for one family."""
     eps = validate_epsilon(eps)
     if family.kind == "cube":
@@ -126,15 +127,14 @@ def delta_closed_form(family: BodyFamily, eps: float,
         return -phi_inv(eps) / SQRT_E
     d = -math.log(2.0 * eps)
     if family.kind == "simplex":
-        return d / constants.c_lambda
+        return d
     if family.kind == "lp":
-        p, c = family.p, constants.c_iso
-        return (p / c) * _LN2 ** (1.0 / p) * math.expm1(math.log1p(d / _LN2) / p)
+        p = family.p
+        return p * _LN2 ** (1.0 / p) * math.expm1(math.log1p(d / _LN2) / p)
     raise DomainError(f"no closed form for family {family.kind!r}")
 
 
 def distance_upper_bound(family: BodyFamily, eps: float,
-                         constants: ConstantsConfig = DEFAULT_CONSTANTS,
                          method: str = "closed_form") -> EnlargementResult:
     """Upper bound 2 delta_M on the distance between two eps-volume sets.
 
@@ -143,9 +143,9 @@ def distance_upper_bound(family: BodyFamily, eps: float,
     """
     eps = validate_epsilon(eps)
     if method == "closed_form":
-        delta = delta_closed_form(family, eps, constants)
+        delta = delta_closed_form(family, eps)
     elif method == "quadrature":
-        delta = time_to_half(make_profile(family, constants), eps)
+        delta = time_to_half(make_profile(family), eps)
     else:
         raise DomainError(f"unknown method {method!r}")
     return EnlargementResult(family.label(), eps, delta, 2.0 * delta, method)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily
+from .bodies import BodyFamily, validate_n
 from .errors import DomainError
 from .rng import generate
 from .specfun import phi, unit_volume_radius
@@ -100,11 +100,7 @@ def _fill_for(family: BodyFamily, n: int):
 
 def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleBatch:
     """Uniform points in the unit-volume body of the family."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if family.kind == "simplex" and n < 2:
-        raise DomainError("simplex sampling needs n >= 2")
+    n = validate_n(n, 2 if family.kind == "simplex" else 1)
     pts = generate(seed, f"uniform-{family.label()}-{n}", count,
                    _fill_for(family, n))
     return SampleBatch(family.label(), n, int(count), int(seed), pts)
@@ -304,9 +300,9 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     within its own 95% interval of the exact value (rule-of-three floor
     3/count when the tail sees no hits).
     """
-    n = int(n)
-    if n < 1 or alpha <= 0.0:
-        raise DomainError("need n >= 1 and alpha > 0")
+    n = validate_n(n, 1)
+    if not alpha > 0.0:
+        raise DomainError(f"need alpha > 0, got {alpha}")
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))
@@ -322,6 +318,7 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
 
 def sample_gaussian(n: int, count: int, seed: int) -> np.ndarray:
     """Points with density exp(-pi ||x||^2): normals scaled by 1/sqrt(2 pi)."""
+    n = validate_n(n, 1)
     return generate(seed, f"gaussian-{n}", count,
                     lambda g, m: g.standard_normal((m, n)) / math.sqrt(2.0 * math.pi))
 
@@ -352,6 +349,7 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     """
     from scipy import stats  # the only user; kept off `import isodist`
 
+    n = validate_n(n, 1)
     pts = sample_gaussian(n, count, seed)
     mapped = gaussian_to_cube_map(pts)
     min_p = min(float(stats.kstest(mapped[:, i], "uniform").pvalue)
@@ -382,9 +380,7 @@ def average_distance_experiment(n: int, count: int, seed: int) -> AvgDistanceRes
     radius scale of the optimal (ball) family; at n = 1 the exact mean
     is 1/3 and E||X-Y||^2 = n/6 in every dimension.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = validate_n(n, 1)
     x = generate(seed, f"avgdist-x-{n}", count, lambda g, m: g.random((m, n)))
     y = generate(seed, f"avgdist-y-{n}", count, lambda g, m: g.random((m, n)))
     dist = np.linalg.norm(x - y, axis=1)

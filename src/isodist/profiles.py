@@ -16,11 +16,11 @@ profile values are treated directly as the isoperimetric lower envelope
 fed into the enlargement integral; no separate boundary-content object
 is kept.
 
-The linear and l_p profiles hold up to dimension-free constants that the
-underlying estimates do not pin down.  ConstantsConfig carries those
-placeholders as floats, default 1.0 (pass c_iso=f(p) for a p-dependent
-one); every result built from them is flagged parametric downstream, so
-no output silently presents a placeholder as a proved constant.
+The linear and l_p profiles hold up to dimension-free constants c_lambda
+and c_iso that the underlying estimates do not pin down.  Both are fixed
+at the placeholder 1, so the profiles above are evaluated with the
+constant dropped; every profile and bound built from them is flagged
+parametric, so no output presents a placeholder as a proved constant.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ import numpy as np
 from .bodies import BodyFamily, validate_p
 from .errors import DomainError
 from .specfun import SQRT_E, phi_inv
-
-
-@dataclass(frozen=True)
-class ConstantsConfig:
-    """Unpinned dimension-free constants; defaults are 1.0 placeholders."""
-
-    c_lambda: float = 1.0
-    c_iso: float = 1.0
-
-
-DEFAULT_CONSTANTS = ConstantsConfig()
 
 
 def _check_t(t, upper=0.5):
@@ -73,18 +62,19 @@ def ball_profile_limit(t):
     return float(out) if out.ndim == 0 else out
 
 
-def simplex_profile(t, c_lambda: float = 1.0):
-    """Linear profile c_lambda * t on (0, 1/2)."""
+def simplex_profile(t):
+    """Linear profile c_lambda * t on (0, 1/2), at the placeholder c_lambda = 1."""
     t = _check_t(t)
-    out = float(c_lambda) * t
+    out = t.copy()
     return float(out) if out.ndim == 0 else out
 
 
-def lp_profile(t, p: float, c_iso: float = 1.0):
-    """c_iso * t * (-ln t)^{1-1/p} on (0, 1/2); reduces to linear at p = 1."""
+def lp_profile(t, p: float):
+    """c_iso * t * (-ln t)^{1-1/p} on (0, 1/2), at the placeholder c_iso = 1;
+    reduces to linear at p = 1."""
     p = validate_p(p)
     t = _check_t(t)
-    out = float(c_iso) * t * (-np.log(t)) ** (1.0 - 1.0 / p)
+    out = t * (-np.log(t)) ** (1.0 - 1.0 / p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -132,19 +122,18 @@ class IsoProfile:
         return self.fn(t)
 
 
-def make_profile(family: BodyFamily, constants: ConstantsConfig = DEFAULT_CONSTANTS) -> IsoProfile:
-    """Profile for a body family, wired to the given constants."""
+def make_profile(family: BodyFamily) -> IsoProfile:
+    """Profile for a body family; the simplex and l_p ones are parametric."""
     if family.kind == "cube":
         return IsoProfile("cube", "cube", cube_profile)
     if family.kind == "ball":
         return IsoProfile("ball", "ball_limit", ball_profile_limit)
     if family.kind == "simplex":
-        return IsoProfile("simplex", "simplex_linear",
-                          lambda t, c=constants.c_lambda: simplex_profile(t, c), True)
+        return IsoProfile("simplex", "simplex_linear", simplex_profile, True)
     if family.kind == "lp":
-        p, c = family.p, constants.c_iso
+        p = family.p
         return IsoProfile(family.label(), "lp_loglinear",
-                          lambda t, p=p, c=c: lp_profile(t, p, c), True, p)
+                          lambda t, p=p: lp_profile(t, p), True, p)
     raise DomainError(f"no profile for family {family.kind!r}")
 
 

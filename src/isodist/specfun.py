@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_p
+from .bodies import BodyFamily, validate_n, validate_p
 from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -156,9 +156,7 @@ def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None)
     """
     if isinstance(family, str):
         family = BodyFamily(family, p) if family == "lp" else BodyFamily(family)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    n = validate_n(n, 1)
     if family.kind == "cube":
         return 1.0
     if family.kind == "ball":

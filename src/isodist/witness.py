@@ -18,8 +18,9 @@ n -> inf limit of that distance:
 bound_report collects, per family, the best lower bound a witness gives
 in the limit and the enlargement upper bound in its theorem-statement
 form.  For the ball the two coincide: the distance is exactly
--2 phi_inv(eps)/sqrt(e) in the limit.  Rows whose upper bound rests on a
-placeholder constant are flagged parametric.
+-2 phi_inv(eps)/sqrt(e) in the limit.  The simplex and l_p upper bounds
+rest on the unpinned constants c_lambda and c_iso, which are fixed at the
+placeholder 1 (see profiles); those rows are flagged parametric.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from typing import Mapping
 
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_epsilon, validate_p
+from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
 from .errors import DomainError
-from .profiles import DEFAULT_CONSTANTS, ConstantsConfig
-from .sections import _irwin_hall_lower, lp_section_area, lp_tail_volume
+from .sections import _irwin_hall_lower, _lp_cap_volume, _section_log_prefactor
 from .specfun import SQRT_E, phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
@@ -92,9 +92,7 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     """
     p = validate_p(p)
     eps = validate_epsilon(eps)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = validate_n(n, 1)
     if n == 1:
         a = 0.5 - eps
         miss = abs((0.5 - a) - eps)  # exact: the cap's true volume error
@@ -102,9 +100,13 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         omega = unit_volume_radius("lp", n, p)
         z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
         a = omega * z ** (1.0 / p)
+        # the section area at a, zero from the tip omega_n on
+        ratio = (a / omega) ** p
+        area = math.exp(_section_log_prefactor(p, n, omega)
+                        + ((n - 1.0) / p) * math.log1p(-ratio)) if ratio < 1.0 else 0.0
         # measured float error of omega_n: <= 6.3 + 3 |ln omega_n| half-ulps; of a: 0.5
-        miss = abs(lp_tail_volume(a, p, n) - eps) + a * lp_section_area(a, p, n) \
-            * 2.0**-53 * (7.0 + 3.0 * abs(math.log(omega)))
+        miss = abs(_lp_cap_volume(a, p, n, omega) - eps) \
+            + a * area * 2.0**-53 * (7.0 + 3.0 * abs(math.log(omega)))
     if not miss <= _VOLUME_REL_TOL * eps:
         raise DomainError("cap volume solve missed its tolerance")
     fam = "ball" if p == 2.0 else f"lp({p:g})"
@@ -163,9 +165,7 @@ def cube_diagonal_witness(n: int, eps: float) -> RegionPair:
     n (eps <= 1e-315 at n = 500, 1e-310 at n = 2000).
     """
     eps = validate_epsilon(eps)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = validate_n(n, 1)
     s = _slab_threshold(n, eps)
     a = (0.5 * n - s) / math.sqrt(n)
     return RegionPair(
@@ -187,9 +187,7 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
     sqrt(2) omega_n (1 - alpha) apart (through expm1, as alpha nears 1).
     """
     eps = validate_epsilon(eps)
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = validate_n(n, 2)
     alpha = (2.0 * eps) ** (1.0 / (n - 1.0))
     omega = unit_volume_radius("simplex", n)
     distance = -math.sqrt(2.0) * omega * math.expm1(math.log(2.0 * eps) / (n - 1.0))
@@ -209,8 +207,7 @@ def general_symmetric_lower(eps: float) -> float:
     return -2.0 * phi_inv(eps) / SQRT_E
 
 
-def bound_report(family: BodyFamily, eps: float,
-                 constants: ConstantsConfig = DEFAULT_CONSTANTS) -> BoundReport:
+def bound_report(family: BodyFamily, eps: float) -> BoundReport:
     """Two-sided dimension-free bounds for one family at volume eps.
 
     ball     lower = upper = exact limit = -2 phi_inv(eps)/sqrt(e)
@@ -220,8 +217,10 @@ def bound_report(family: BodyFamily, eps: float,
     simplex  lower = -(sqrt(2)/e) ln(2 eps), upper = -(2/c_lambda) ln eps
     l_p      lower = -2 psi_p_inv(eps), upper = (2p/c_iso)(-ln eps)^{1/p}
 
-    p = 2 is the euclidean ball, so that member returns the exact ball
-    row rather than the loose parametric form.
+    The simplex and l_p uppers are evaluated at the placeholder constants
+    c_lambda = c_iso = 1 and flagged parametric.  p = 2 is the euclidean
+    ball, so that member returns the exact ball row rather than the loose
+    parametric form.
     """
     eps = validate_epsilon(eps)
     if family.kind == "ball" or (family.kind == "lp" and family.p == 2.0):
@@ -234,12 +233,12 @@ def bound_report(family: BodyFamily, eps: float,
     if family.kind == "simplex":
         return BoundReport("simplex", eps,
                            -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
-                           -(2.0 / constants.c_lambda) * math.log(eps),
+                           -2.0 * math.log(eps),
                            None, True)
     if family.kind == "lp":
         p = family.p
         return BoundReport(family.label(), eps,
                            -2.0 * psi_p_inv(eps, p),
-                           (2.0 * p / constants.c_iso) * (-math.log(eps)) ** (1.0 / p),
+                           2.0 * p * (-math.log(eps)) ** (1.0 / p),
                            None, True)
     raise DomainError(f"no bound report for family {family.kind!r}")

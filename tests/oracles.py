@@ -12,7 +12,9 @@ function.  lp_tail_betainc uses the same formula, so the cap volumes are
 checked against two other routes: lp_tail_quad integrates the section
 area over the cap itself, and lp_tail_mp evaluates the incomplete beta
 in 50-digit mpmath, in its lower form so that tiny caps keep their
-relative accuracy.
+relative accuracy.  Likewise phi_p_inv_mp inverts the distribution
+functions through mpmath's incomplete gamma functions at 50 digits,
+not through the scipy inverses the package calls.
 
 The lemma checks difference whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
@@ -71,6 +73,50 @@ def phi_inv_bisect(eps: float) -> float:
 def phi_p_inv_bisect(eps: float, p: float) -> float:
     return optimize.brentq(lambda a: phi_p_quad(a, p) - eps, -60.0, 60.0,
                            xtol=1e-13)
+
+
+def phi_p_inv_mp(eps: float, p: float) -> float:
+    """Inverse of the distribution function of exp(-kappa_p |x|^p) at 50
+    digits; at p = 2 it is the inverse of exp(-pi x^2)'s.
+
+    Below 0 the distribution function is Q(1/p, kappa_p |a|^p)/2 and above
+    it 1/2 + P(1/p, kappa_p a^p)/2, with P, Q mpmath's regularized
+    incomplete gamma functions and kappa_p = 2^p Gamma(1+1/p)^p.  The
+    root z of Q = 2 eps, or of P = 2 eps - 1, is sought in w = ln z on
+    the log of the function, so tails down to 1e-300 and arguments next
+    to 1/2 keep their digits: bisection over w in [-200, 8], then Newton
+    steps with the exact slope.
+    """
+    with mpmath.workdps(50):
+        e, p_mp = mpmath.mpf(eps), mpmath.mpf(p)
+        s = 1 / p_mp
+        if e == 0.5:
+            return 0.0
+        low = e < 0.5
+        log_target = mpmath.log(2 * e if low else 2 * e - 1)
+
+        def gap(w):
+            z = mpmath.exp(w)
+            f = mpmath.gammainc(s, z, mpmath.inf, regularized=True) if low \
+                else mpmath.gammainc(s, 0, z, regularized=True)
+            slope = z**s * mpmath.exp(-z) / (mpmath.gamma(s) * f)
+            return mpmath.log(f) - log_target, -slope if low else slope
+
+        lo, hi = mpmath.mpf(-200), mpmath.mpf(8)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if (gap(mid)[0] > 0) == low:
+                lo = mid
+            else:
+                hi = mid
+        w = (lo + hi) / 2
+        for _ in range(20):
+            g, slope = gap(w)
+            w -= g / slope
+            if abs(g / slope) < mpmath.mpf(10) ** -40:
+                break
+        kap = 2**p_mp * mpmath.gamma(1 + s) ** p_mp
+        return float((-1 if low else 1) * (mpmath.exp(w) / kap) ** s)
 
 
 def gaussian_asymptote_ratio_bracket(eps: float) -> tuple[float, float]:

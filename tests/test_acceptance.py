@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isodist import (BodyFamily, ConstantsConfig, average_distance_experiment,
+from isodist import (BodyFamily, average_distance_experiment,
                      bound_report, convergence_report, cube_diagonal_witness,
                      cube_sum_cdf, cutoff_gradient_check, cutoff_product_check,
                      delta_closed_form, exp_tail_check, Grid, make_profile,
@@ -233,18 +233,17 @@ def test_criterion_12_cross_identities():
     grid = np.linspace(-4.0, 4.0, 161)
     psi_gap = float(np.max(np.abs(psi_p(grid, 2.0) - phi(SQRT_E * grid))))
 
-    matched = ConstantsConfig(c_lambda=1.7, c_iso=1.7)
+    # at the placeholder constants c_lambda = c_iso = 1
     lp1, simplex = BodyFamily.lp(1.0), BodyFamily.simplex()
     prof_gap = 0.0
     for t in np.linspace(0.01, 0.49, 49):
-        prof_gap = max(prof_gap, abs(make_profile(lp1, matched)(t)
-                                     - make_profile(simplex, matched)(t)))
+        prof_gap = max(prof_gap, abs(make_profile(lp1)(t) - make_profile(simplex)(t)))
     form_gap = upper_gap = diag_gap = 0.0
     for eps in EPS_GRID:
-        form_gap = max(form_gap, abs(delta_closed_form(lp1, eps, matched)
-                                     - delta_closed_form(simplex, eps, matched)))
-        rl = bound_report(lp1, eps, matched)
-        rs = bound_report(simplex, eps, matched)
+        form_gap = max(form_gap, abs(delta_closed_form(lp1, eps)
+                                     - delta_closed_form(simplex, eps)))
+        rl = bound_report(lp1, eps)
+        rs = bound_report(simplex, eps)
         upper_gap = max(upper_gap, abs(rl.upper - rs.upper))
         # the simplex witness runs along a diagonal, the l1 witness along
         # an axis; the lower bounds differ by exactly sqrt(2)

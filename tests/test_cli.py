@@ -66,34 +66,6 @@ def test_bounds_lp_is_parametric_and_json_mode(capsys):
                                          rel=1e-11)
 
 
-def test_bounds_constants_file_rescales_simplex(capsys, tmp_path):
-    path = tmp_path / "consts.txt"
-    path.write_text("# fatter isoperimetric constant\nc_lambda = 2.0\n")
-    _, base = run(capsys, "bounds", "--family", "simplex", "--eps", "0.1")
-    _, scaled = run(capsys, "bounds", "--family", "simplex", "--eps", "0.1",
-                    "--constants", str(path))
-    up0 = float(csv_rows(base)[0]["upper"])
-    up1 = float(csv_rows(scaled)[0]["upper"])
-    assert up1 == pytest.approx(up0 / 2.0, rel=1e-11)
-
-
-def test_bounds_bad_constants_file(capsys, tmp_path):
-    path = tmp_path / "consts.txt"
-    path.write_text("c_bogus = 3.0\n")
-    code, _ = run(capsys, "bounds", "--family", "ball", "--eps", "0.1",
-                  "--constants", str(path))
-    assert code == 2
-
-
-def test_bounds_constants_file_rejects_removed_field(capsys, tmp_path):
-    path = tmp_path / "consts.txt"
-    path.write_text("c_s = 2\n")
-    code = main(["bounds", "--family", "ball", "--eps", "0.1",
-                 "--constants", str(path)])
-    assert code == 2
-    assert "unknown constants" in capsys.readouterr().err
-
-
 def test_csv_values_carry_twelve_significant_digits(capsys):
     _, out = run(capsys, "bounds", "--family", "cube", "--eps", "0.1")
     val = csv_rows(out)[0]["lower"]

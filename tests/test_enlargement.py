@@ -5,7 +5,7 @@ from scipy import integrate
 
 import oracles
 from isodist import enlargement
-from isodist import (BodyFamily, ConstantsConfig, DomainError, IsoProfile,
+from isodist import (BodyFamily, DomainError, IsoProfile,
                      NonConvergenceError, delta_closed_form,
                      distance_upper_bound, make_profile, time_to_half)
 
@@ -99,13 +99,6 @@ def test_delta_decreases_in_eps():
 def test_delta_vanishes_at_half():
     for family in FAMILIES:
         assert delta_closed_form(family, 0.5 - 1e-13) == pytest.approx(0.0, abs=1e-5)
-
-
-def test_constants_rescale_parametric_families():
-    cfg = ConstantsConfig(c_lambda=2.0, c_iso=2.0)
-    for family in (BodyFamily.simplex(), BodyFamily.lp(1.5)):
-        assert delta_closed_form(family, 0.1, cfg) == pytest.approx(
-            0.5 * delta_closed_form(family, 0.1), rel=1e-14)
 
 
 def test_distance_upper_bound_result():

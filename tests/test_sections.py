@@ -70,6 +70,20 @@ def test_tiny_cap_against_mpmath_lower_form():
         want, rel=1e-12, abs=0.0)
 
 
+# the heights lp_caps_witness finds for the caps of volume 1e-150 and
+# 5.7e-221; their volumes are 3.3e-4 and 3.9e-7 off, against r = 1.6e-3
+# and 1.3e-5
+@pytest.mark.parametrize("x, p, n", [(1.786684754206195, 1.5, 20),
+                                     (1.9058983652537584, 1.92, 49)])
+def test_tail_volume_near_tip_within_omega_rounding(x, p, n):
+    # next to the tip the rounding of omega_n, amplified by x S_n(x) / V_n(x),
+    # adds r to the 3e-12 that holds away from it
+    om = unit_volume_radius("lp", n, p)
+    vol = lp_tail_volume(x, p, n)
+    r = x * lp_section_area(x, p, n) / vol * 2.0**-53 * (7.0 + 3.0 * abs(math.log(om)))
+    assert abs(vol / oracles.lp_tail_mp(x, p, n) - 1.0) <= 3e-12 + r
+
+
 def test_section_curve_matches_pointwise():
     grid = np.linspace(0.0, 1.5, 40)
     curve = section_curve(1.5, 9, grid)

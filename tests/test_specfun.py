@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from isodist import (DomainError, kappa, phi, phi_inv, phi_inv_asymptote,
@@ -100,6 +102,24 @@ def test_phi_p_inv_against_bisection(rng):
         eps = float(rng.uniform(1e-4, 0.999))
         assert phi_p_inv(eps, p) == pytest.approx(
             oracles.phi_p_inv_bisect(eps, p), abs=1e-10)
+
+
+# eps below 1/2 down to 1e-300, then 1/2 + 2^x and 1 - 2^x up to 1 - 2^-53
+_EPS_BOTH_HALVES = st.one_of(
+    st.floats(-300.0, math.log10(0.5), exclude_max=True).map(lambda x: 10.0**x),
+    st.floats(-53.0, -2.0).map(lambda x: 0.5 + 2.0**x),
+    st.floats(-53.0, -2.0).map(lambda x: 1.0 - 2.0**x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.floats(1.0, 2.0), _EPS_BOTH_HALVES)
+@example(1.5, 0.5 + 2.0**-53)
+@example(1.0, 1.0 - 2.0**-53)
+def test_inverses_against_mp_root_property(p, eps):
+    assert phi_p_inv(eps, p) == pytest.approx(
+        oracles.phi_p_inv_mp(eps, p), rel=1e-13, abs=0.0)
+    assert phi_inv(eps) == pytest.approx(
+        oracles.phi_p_inv_mp(eps, 2.0), rel=1e-13, abs=0.0)
 
 
 def test_psi_p_is_rescaled_phi_p():
