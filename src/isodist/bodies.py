@@ -69,7 +69,7 @@ def validate_epsilon(eps: float) -> float:
 
 
 def validate_n(n, least: int) -> int:
-    """A dimension n >= least, as an int.
+    """A dimension or lattice size n >= least, as an int.
 
     Python and numpy integers pass, and so do integral floats such as
     25.0; a fractional, infinite or NaN n raises DomainError instead of
@@ -80,5 +80,5 @@ def validate_n(n, least: int) -> int:
     except TypeError:
         m = int(n) if isinstance(n, float) and n.is_integer() else None
     if m is None or m < least:
-        raise DomainError(f"need an integer n >= {least}, got {n!r}")
+        raise DomainError(f"need an integer >= {least}, got {n!r}")
     return m

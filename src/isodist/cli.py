@@ -14,7 +14,7 @@ significant digits.  --out FILE writes the same rows to FILE plus a
 sidecar FILE.manifest.json recording the argv, parameters, seed,
 package versions and a timestamp; replaying the recorded argv
 reproduces the data file byte for byte (samplers are deterministic in
-seed and parameters, never thread count).
+seed and parameters).
 
 Exit codes: 0 success; 1 a check suite found a violated inequality;
 2 usage or domain error; 3 exhaustive-search budget exceeded.

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .bodies import validate_epsilon
+from .bodies import validate_epsilon, validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
 
@@ -49,8 +49,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.k < 2 or self.n < 1:
-            raise DomainError(f"grid needs k >= 2 and n >= 1, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "k", validate_n(self.k, 2))
+        object.__setattr__(self, "n", validate_n(self.n, 1))
 
     @property
     def size(self) -> int:
@@ -275,8 +275,7 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
     fractional s counts the cells with sum <= floor(s); s = +inf counts
     every cell and s = -inf none; NaN raises DomainError.
     """
-    if k < 2 or n < 1:
-        raise DomainError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    k, n = validate_n(k, 2), validate_n(n, 1)
     if s != s:
         raise DomainError("s must be a number, got NaN")
     if s < 0:
@@ -297,8 +296,7 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     value of eps).
     """
     eps = validate_epsilon(eps)
-    if n < 1 or m < 1:
-        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n, m = validate_n(n, 1), validate_n(m, 1)
     k = m + 1
     need = Fraction(eps) * k**n
     lo, hi = 0, n * m  # smallest s with count >= need, by bisection

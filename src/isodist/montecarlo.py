@@ -12,7 +12,7 @@ Samplers produce uniform points in each unit-volume body:
 
 All batches go through the chunked Philox streams in rng.py, whose chunk
 size is fixed, so a batch is a deterministic function of (seed,
-parameters) and thread count never shows up in values.
+parameters).
 
 The check functions make the analytic machinery falsifiable at finite
 samples: the normalization map T(x) = x/||x||_1 with its explicit

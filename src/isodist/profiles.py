@@ -116,7 +116,6 @@ class IsoProfile:
     tag: str
     fn: Callable = field(repr=False)
     parametric: bool = False
-    p: float | None = None
 
     def __call__(self, t):
         return self.fn(t)
@@ -131,9 +130,8 @@ def make_profile(family: BodyFamily) -> IsoProfile:
     if family.kind == "simplex":
         return IsoProfile("simplex", "simplex_linear", simplex_profile, True)
     if family.kind == "lp":
-        p = family.p
         return IsoProfile(family.label(), "lp_loglinear",
-                          lambda t, p=p: lp_profile(t, p), True, p)
+                          lambda t, p=family.p: lp_profile(t, p), True)
     raise DomainError(f"no profile for family {family.kind!r}")
 
 

@@ -4,9 +4,8 @@ Every sampler draws through Philox, a counter-based 64-bit generator,
 keyed per chunk by SeedSequence(seed, spawn_key=(tag, chunk_index)).
 Work is split into fixed-size chunks of DEFAULT_CHUNK points; each chunk
 owns an independent stream and the results are assembled in chunk order.
-Outputs are therefore a pure function of (seed, tag, parameters).
-ISODIST_THREADS only sizes the thread pool that fills chunks, so it
-changes wall time, never values.
+The chunks are filled one after another, so outputs are a pure
+function of (seed, tag, parameters).
 
 The tag separates draw purposes (uniform cube points vs exponential
 sums, say); it is derived from a short name by crc32, which is stable
@@ -15,9 +14,7 @@ across platforms and runs.
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -36,15 +33,6 @@ def chunk_generator(seed: int, tag: int, chunk_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(ss))
 
 
-def thread_count() -> int:
-    """Worker cap from ISODIST_THREADS; defaults to 1."""
-    raw = os.environ.get("ISODIST_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def generate(seed: int, name: str, count: int,
              fill: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
     """Assemble fill(generator, m) over DEFAULT_CHUNK chunks, in index order.
@@ -56,15 +44,6 @@ def generate(seed: int, name: str, count: int,
     if count <= 0:
         raise DomainError(f"need count >= 1, got {count}")
     tag = stream_tag(name)
-    sizes = [min(DEFAULT_CHUNK, count - lo) for lo in range(0, count, DEFAULT_CHUNK)]
-
-    def one(i: int) -> np.ndarray:
-        return np.asarray(fill(chunk_generator(seed, tag, i), sizes[i]))
-
-    workers = thread_count()
-    if workers == 1 or len(sizes) == 1:
-        parts = [one(i) for i in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
+    parts = [np.asarray(fill(chunk_generator(seed, tag, i), min(DEFAULT_CHUNK, count - lo)))
+             for i, lo in enumerate(range(0, count, DEFAULT_CHUNK))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)

@@ -38,7 +38,7 @@ from scipy.interpolate import BSpline
 
 from .bodies import BodyFamily, validate_n, validate_p
 from .errors import DomainError
-from .specfun import phi_p, unit_volume_radius
+from .specfun import psi_p, unit_volume_radius
 
 
 def _section_log_prefactor(p: float, n: int, omega: float) -> float:
@@ -156,7 +156,7 @@ def convergence_report(p: float, n_list: Sequence[int],
     p = validate_p(p)
     n_list = tuple(validate_n(n, 2) for n in n_list)
     grid = np.asarray(grid, dtype=float)
-    tail_limit = phi_p(-math.exp(1.0 / p) * grid, p)
+    tail_limit = psi_p(-grid, p)
     area_limit = psi_p_density_limit(grid, p)
     gaps_v, gaps_s = [], []
     for n in n_list:

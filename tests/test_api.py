@@ -1,20 +1,23 @@
 """The public surface: which values a caller can set, and how dimensions
 are taken."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
 
-from isodist import (BodyFamily, DomainError, average_distance_experiment,
-                     ball_caps_witness, convergence_report, cube_diagonal_witness,
-                     cube_sum_cdf, estimate_cap_volume, exp_tail_check,
-                     lp_caps_witness, lp_section_area, lp_tail_volume,
-                     sample_gaussian, sample_uniform, section_curve,
-                     simplex_corner_witness, sphere_projection_cdf,
-                     transfer_map_check, unit_volume_radius)
+import isodist
+from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
+                     ball_caps_witness, convergence_report, count_cells_sum_le,
+                     cube_diagonal_witness, cube_sum_cdf, estimate_cap_volume,
+                     exp_tail_check, lp_caps_witness, lp_section_area,
+                     lp_tail_volume, sample_gaussian, sample_uniform,
+                     scaled_max_distance, section_curve, simplex_corner_witness,
+                     sphere_projection_cdf, transfer_map_check, unit_volume_radius)
 
 MODULES = ("bodies", "cli", "enlargement", "errors", "lattice", "montecarlo",
            "profiles", "rng", "sections", "specfun", "witness")
@@ -27,7 +30,6 @@ SETTABLE = {
     "cli.main(argv)",
     "enlargement.distance_upper_bound(method)",
     "lattice.verify_extremal_pairs(budget)",
-    "profiles.IsoProfile.p",
     "profiles.IsoProfile.parametric",
     "specfun.unit_volume_radius(p)",
     "witness.BoundReport.manhattan_scaled_limit",
@@ -64,9 +66,31 @@ def test_settable_values_are_the_allowlist():
     assert set().union(*map(_settable, MODULES)) == SETTABLE
 
 
+ENVIRON = {"os.environ", "environ"}
+ENV_GETTERS = {"os.environ.get", "environ.get", "os.getenv", "getenv"}
+
+
+def _env_reads(path):
+    """Each os.environ[key], os.environ.get(key, ...) and os.getenv(key, ...)
+    in one file, as "file: key"."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) in ENVIRON:
+            yield f"{path.name}: {ast.unparse(node.slice)}"
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ENV_GETTERS:
+            yield f"{path.name}: {ast.unparse(node.args[0])}"
+
+
+def test_no_environment_variable_is_read():
+    # an environment variable is a setting the allowlist above cannot see
+    files = sorted(pathlib.Path(isodist.__file__).parent.glob("*.py"))
+    assert len(files) == len(MODULES) + 1  # the modules and __init__
+    assert [r for f in files for r in _env_reads(f)] == []
+
+
 GRID = np.array([0.0, 0.5, 1.0])
 
-# every public function taking a dimension n, called with n = 25
+# every public function taking a dimension n, called with n = 25, and the
+# lattice functions once more with 25 as the side k or the scale m
 TAKES_N = {
     "unit_volume_radius": lambda n: unit_volume_radius("lp", n, 1.5),
     "lp_section_area": lambda n: lp_section_area(0.5, 1.5, n),
@@ -85,6 +109,12 @@ TAKES_N = {
     "sample_gaussian": lambda n: sample_gaussian(n, 8, 1),
     "transfer_map_check": lambda n: transfer_map_check(n, 8, 1),
     "average_distance_experiment": lambda n: average_distance_experiment(n, 8, 1),
+    "Grid": lambda n: Grid(3, n),
+    "Grid-k": lambda k: Grid(k, 2),
+    "count_cells_sum_le": lambda n: count_cells_sum_le(3, n, 10),
+    "count_cells_sum_le-k": lambda k: count_cells_sum_le(k, 3, 10),
+    "scaled_max_distance": lambda n: scaled_max_distance(n, 4, 0.1),
+    "scaled_max_distance-m": lambda m: scaled_max_distance(4, m, 0.1),
 }
 
 

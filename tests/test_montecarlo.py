@@ -58,14 +58,6 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
-def test_sampling_thread_invariance(monkeypatch):
-    monkeypatch.setenv("ISODIST_THREADS", "1")
-    a = sample_uniform(BodyFamily.lp(1.5), 6, 40_000, seed=3).points
-    monkeypatch.setenv("ISODIST_THREADS", "4")
-    b = sample_uniform(BodyFamily.lp(1.5), 6, 40_000, seed=3).points
-    assert np.array_equal(a, b)
-
-
 def test_estimate_cap_volume_matches_betainc():
     exact = oracles.lp_tail_betainc(0.2, 2.0, 3)
     est = estimate_cap_volume(BodyFamily.ball(), 3, 0.2, 60_000, seed=21)

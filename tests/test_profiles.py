@@ -97,7 +97,7 @@ def test_make_profile_dispatch():
     assert simplex(0.2) == 0.2
 
     lp = make_profile(BodyFamily.lp(1.5))
-    assert lp.parametric and lp.p == 1.5 and lp.label == "lp(1.5)"
+    assert lp.parametric and lp.label == "lp(1.5)"
     assert lp(0.2) == pytest.approx(lp_profile(0.2, 1.5), rel=1e-15)
 
     tent = make_exp_measure_profile()

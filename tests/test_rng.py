@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isodist import DomainError
-from isodist.rng import DEFAULT_CHUNK, chunk_generator, generate, stream_tag, thread_count
+from isodist.rng import DEFAULT_CHUNK, chunk_generator, generate, stream_tag
 
 
 def unit_fill(g, m):
@@ -40,25 +40,6 @@ def test_prefix_stability_across_counts():
     long = generate(3, "demo", 3 * DEFAULT_CHUNK, unit_fill)
     short = generate(3, "demo", 2 * DEFAULT_CHUNK, unit_fill)
     assert np.array_equal(long[: short.size], short)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("ISODIST_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("ISODIST_THREADS", "6")
-    assert thread_count() == 6
-    monkeypatch.setenv("ISODIST_THREADS", "junk")
-    assert thread_count() == 1
-    monkeypatch.setenv("ISODIST_THREADS", "0")
-    assert thread_count() == 1
-
-
-def test_values_independent_of_thread_count(monkeypatch):
-    monkeypatch.setenv("ISODIST_THREADS", "1")
-    serial = generate(11, "demo", 4 * DEFAULT_CHUNK + 5, unit_fill)
-    monkeypatch.setenv("ISODIST_THREADS", "4")
-    threaded = generate(11, "demo", 4 * DEFAULT_CHUNK + 5, unit_fill)
-    assert np.array_equal(serial, threaded)
 
 
 def test_chunk_generator_keying():
