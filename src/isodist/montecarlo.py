@@ -5,10 +5,17 @@ Samplers produce uniform points in each unit-volume body:
     cube     coordinates straight from the generator
     simplex  normalized exponentials: E/||E||_1 is uniform on the
              standard simplex when the E_i are iid Exp(1)
-    l_p/ball exponent-p direction plus radial correction: with G_i^p
-             iid Gamma(1/p) and random signs, (sign G)/||G||_p follows
-             the cone measure on the l_p sphere and U^{1/n} fixes the
-             radial law, so the product is uniform in the ball
+    l_p/ball one extra exponential: with Y_i iid of density proportional
+             to exp(-|y|^p) and Z ~ Exp(1) independent of them,
+             Y / (||Y||_p^p + Z)^{1/p} is uniform in the l_p ball of
+             radius 1, which omega then scales to volume one (Barthe,
+             Guedon, Mendelson and Naor, "A probabilistic approach to
+             the geometry of the l_p^n-ball", Ann. Probab. 33, 2005,
+             Thm 1).  The Y_i are normals over sqrt(2) at p = 2, and
+             Gamma(1 + 1/p)^{1/p} V with V uniform on [-1, 1) otherwise,
+             since Gamma(1/p) equals Gamma(1 + 1/p) U^p in law.  Each
+             chunk draws the m x n coordinates first, then the m
+             exponentials
 
 All batches go through the chunked Philox streams in rng.py, whose chunk
 size is fixed, so a batch is a deterministic function of (seed,
@@ -89,12 +96,28 @@ def _fill_for(family: BodyFamily, n: int):
     omega = unit_volume_radius("lp", n, p)
 
     def fill(g, m):
-        # draw order is part of the determinism contract: gamma, signs, radius
-        gp = g.standard_gamma(1.0 / p, (m, n)) ** (1.0 / p)
-        signs = np.where(g.random((m, n)) < 0.5, -1.0, 1.0)
-        u = g.random((m, 1))
-        norm = (gp**p).sum(axis=1, keepdims=True) ** (1.0 / p)
-        return omega * u ** (1.0 / n) * signs * gp / norm
+        # draw order is part of the determinism contract: the m x n
+        # coordinates (magnitudes, then the uniforms that sign them, apart
+        # from the normals at p = 2), then one exponential per point
+        if p == 2.0:
+            y = g.standard_normal((m, n))
+            y *= math.sqrt(0.5)
+            s = np.einsum("ij,ij->i", y, y)
+        else:
+            y = g.standard_gamma(1.0 + 1.0 / p, (m, n))
+            y **= 1.0 / p
+            v = g.random((m, n))
+            v *= 2.0
+            v -= 1.0
+            y *= v
+            np.abs(y, out=v)
+            v **= p
+            s = v.sum(axis=1)
+        s += g.standard_exponential(m)
+        s **= -1.0 / p
+        s *= omega
+        y *= s[:, None]
+        return y
     return fill
 
 
@@ -109,6 +132,9 @@ def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleB
 def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
                         seed: int) -> EstimateWithCI:
     """Fraction of sampled points with first coordinate >= a."""
+    a = float(a)
+    if not math.isfinite(a):
+        raise DomainError(f"need a finite cap height a, got {a}")
     batch = sample_uniform(family, n, count, seed)
     hits = int(np.count_nonzero(batch.points[:, 0] >= a))
     return EstimateWithCI.from_proportion(hits, batch.count)

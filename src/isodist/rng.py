@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .bodies import validate_n
 
 DEFAULT_CHUNK = 16384
 
@@ -38,11 +38,12 @@ def generate(seed: int, name: str, count: int,
     """Assemble fill(generator, m) over DEFAULT_CHUNK chunks, in index order.
 
     fill must draw exactly the same variates for a given m regardless of
-    context; it receives the chunk's own generator.
+    context; it receives the chunk's own generator.  count >= 1 and
+    seed >= 0 are read like a dimension n: a fractional, infinite or
+    NaN value raises DomainError instead of being truncated.
     """
-    count = int(count)
-    if count <= 0:
-        raise DomainError(f"need count >= 1, got {count}")
+    count = validate_n(count, 1)
+    seed = validate_n(seed, 0)
     tag = stream_tag(name)
     parts = [np.asarray(fill(chunk_generator(seed, tag, i), min(DEFAULT_CHUNK, count - lo)))
              for i, lo in enumerate(range(0, count, DEFAULT_CHUNK))]

@@ -163,9 +163,12 @@ def psi1_asymptote_ratio(eps: float) -> float:
 def lp_radius_direct(p: float, n: int) -> float:
     """Radius making vol((2 Gamma(1+1/p) r)^n / Gamma(1+n/p)) = 1.
 
-    Plain gamma calls, so only good for n small enough not to overflow.
+    Plain gamma calls; past 1 + n/p = 171, where math.gamma overflows,
+    the n-th root of Gamma(1 + n/p) comes from math.lgamma instead.
     """
-    return math.gamma(1.0 + n / p) ** (1.0 / n) / (2.0 * math.gamma(1.0 + 1.0 / p))
+    x = 1.0 + n / p
+    root = math.gamma(x) ** (1.0 / n) if x < 171.0 else math.exp(math.lgamma(x) / n)
+    return root / (2.0 * math.gamma(1.0 + 1.0 / p))
 
 
 def lp_section_direct(x: float, p: float, n: int) -> float:

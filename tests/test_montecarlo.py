@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
@@ -36,19 +37,41 @@ def test_simplex_sample_support():
 
 @pytest.mark.parametrize("family,p", [(BodyFamily.ball(), 2.0),
                                       (BodyFamily.lp(1.0), 1.0),
-                                      (BodyFamily.lp(1.5), 1.5)])
+                                      (BodyFamily.lp(1.5), 1.5),
+                                      (BodyFamily.lp(1.9), 1.9)])
 def test_lp_sample_support_and_radial_law(family, p):
-    n = 4
-    omega = unit_volume_radius("lp", n, p)
-    pts = sample_uniform(family, n, 40_000, seed=9).points
-    norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
-    assert np.all(norms <= omega * (1.0 + 1e-12))
-    # uniformity in the body means P(||x||_p <= r omega) = r^n
-    for r in (0.5, 0.8):
-        frac = np.mean(norms <= r * omega)
-        assert frac == pytest.approx(r ** n, abs=0.01)
-    # sign symmetry coordinatewise
-    assert np.abs(pts.mean(axis=0)).max() < 0.01
+    for n in (1, 3, 4, 50, 400):
+        count = 40_000 if n < 400 else 10_000
+        omega = unit_volume_radius("lp", n, p)
+        pts = sample_uniform(family, n, count, seed=9).points
+        norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
+        assert np.all(norms <= omega * (1.0 + 1e-12)), n
+        # uniformity in the body means P(||x||_p <= r omega) = r^n
+        for r in (0.5, 0.8):
+            frac = np.mean(norms <= r * omega)
+            assert frac == pytest.approx(r ** n, abs=0.01), n
+
+        def within_5se(frac, want):
+            assert abs(frac - want) <= 5.0 * math.sqrt(want * (1.0 - want) / count), n
+
+        # the same law at radii where r^n is not near 0 or 1
+        for q in (0.25, 0.75):
+            within_5se(np.mean(norms <= q ** (1.0 / n) * omega), q)
+        # caps at heights on the scale omega n^{-1/p} of one coordinate
+        for c in (0.1, 0.3, 0.6):
+            a = c * omega * n ** (-1.0 / p)
+            within_5se(np.mean(pts[:, 0] >= a), oracles.lp_tail_betainc(a, p, n))
+        # sign symmetry coordinatewise
+        assert np.abs(pts.mean(axis=0)).max() < 0.01, n
+        if n == 1:
+            assert omega == pytest.approx(0.5, rel=1e-15)
+            assert stats.kstest(pts[:, 0], "uniform", args=(-0.5, 1.0)).pvalue >= 1e-3
+
+
+def test_estimate_cap_volume_rejects_non_finite_height():
+    for a in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            estimate_cap_volume(BodyFamily.ball(), 3, a, 100, seed=1)
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():

@@ -56,3 +56,14 @@ def test_generate_rejects_empty():
         generate(1, "demo", 0, unit_fill)
     with pytest.raises(DomainError):
         generate(1, "demo", -3, unit_fill)
+
+
+def test_count_and_seed_must_be_integral():
+    want = generate(2, "demo", 3, unit_fill)
+    assert np.array_equal(generate(np.int64(2), "demo", 3.0, unit_fill), want)
+    for count in (2.7, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            generate(1, "demo", count, unit_fill)
+    for seed in (2.5, float("nan"), float("inf"), -1):
+        with pytest.raises(DomainError):
+            generate(seed, "demo", 3, unit_fill)
