@@ -46,8 +46,7 @@ from .specfun import (kappa, phi, phi_inv, phi_inv_asymptote, phi_p,
                       unit_volume_radius)
 from .witness import (BoundReport, RegionDescriptor, RegionPair,
                       ball_caps_witness, bound_report, cube_diagonal_witness,
-                      general_symmetric_lower, lp_caps_witness,
-                      simplex_corner_witness)
+                      lp_caps_witness, simplex_corner_witness)
 
 __version__ = "0.1.0"
 

@@ -111,14 +111,6 @@ def _write_manifest(args, parameters: dict) -> None:
         fh.write("\n")
 
 
-def _family(args) -> BodyFamily:
-    if args.family == "lp":
-        if args.p is None:
-            raise DomainError("--family lp needs --p")
-        return BodyFamily.lp(args.p)
-    return BodyFamily(args.family)
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
@@ -132,7 +124,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ------------------------------------------------------------- commands
 
 def cmd_bounds(args) -> int:
-    family = _family(args)
+    family = BodyFamily(args.family, args.p)
     rows = []
     for eps in args.eps:
         rep = bound_report(family, eps)
@@ -151,7 +143,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    family = _family(args)
+    family = BodyFamily(args.family, args.p)
     rows = []
     for eps in args.eps:
         if family.kind == "ball":

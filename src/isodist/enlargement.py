@@ -53,6 +53,7 @@ class EnlargementResult:
     delta_m: float
     distance_upper: float
     method: str
+    parametric: bool
 
 
 def time_to_half(profile: IsoProfile, eps: float) -> float:
@@ -139,13 +140,16 @@ def distance_upper_bound(family: BodyFamily, eps: float,
     """Upper bound 2 delta_M on the distance between two eps-volume sets.
 
     method selects the closed form or the direct quadrature of the
-    profile; the two agree to at least 1e-8 relative.
+    profile; the two agree to at least 1e-8 relative.  parametric is the
+    profile's flag, set for the simplex and every l_p member, p = 2 too.
     """
     eps = validate_epsilon(eps)
+    profile = make_profile(family)
     if method == "closed_form":
         delta = delta_closed_form(family, eps)
     elif method == "quadrature":
-        delta = time_to_half(make_profile(family), eps)
+        delta = time_to_half(profile, eps)
     else:
         raise DomainError(f"unknown method {method!r}")
-    return EnlargementResult(family.label(), eps, delta, 2.0 * delta, method)
+    return EnlargementResult(family.label(), eps, delta, 2.0 * delta, method,
+                             profile.parametric)

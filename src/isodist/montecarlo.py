@@ -327,8 +327,8 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     3/count when the tail sees no hits).
     """
     n = validate_n(n, 1)
-    if not alpha > 0.0:
-        raise DomainError(f"need alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"need a finite alpha > 0, got {alpha}")
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))

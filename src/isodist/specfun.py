@@ -145,8 +145,8 @@ def psi_p_inv_asymptote(eps: float, p: float) -> float:
 def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None) -> float:
     """Scaling factor omega_n that gives the family's body volume one.
 
-    ball:    Gamma(n/2+1)^{1/n} / sqrt(pi)      (euclidean radius)
     lp:      Gamma(1+n/p)^{1/n} / (2 Gamma(1+1/p))
+    ball:    the lp formula at p = 2, Gamma(n/2+1)^{1/n} / sqrt(pi)
     simplex: (n! / (n sqrt(n)))^{1/(n-1)}, n >= 2; the regular simplex
              omega_n * Delta_n then has side sqrt(2) * omega_n
     cube:    1 (the side of (0,1)^n)
@@ -159,10 +159,8 @@ def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None)
     n = validate_n(n, 1)
     if family.kind == "cube":
         return 1.0
-    if family.kind == "ball":
-        return math.exp(sp.gammaln(n / 2.0 + 1.0) / n) / SQRT_PI
-    if family.kind == "lp":
-        q = family.p
+    if family.kind in ("ball", "lp"):
+        q = family.p or 2.0
         return math.exp(sp.gammaln(1.0 + n / q) / n) / (2.0 * math.gamma(1.0 + 1.0 / q))
     # simplex: the exponent 1/(n-1) needs n >= 2
     if n < 2:

@@ -15,12 +15,12 @@ n -> inf limit of that distance:
                  vertex; distance sqrt(2) omega_n (1 - alpha), limit
                  -(sqrt(2)/e) ln(2 eps)
 
-bound_report collects, per family, the best lower bound a witness gives
-in the limit and the enlargement upper bound in its theorem-statement
-form.  For the ball the two coincide: the distance is exactly
--2 phi_inv(eps)/sqrt(e) in the limit.  The simplex and l_p upper bounds
-rest on the unpinned constants c_lambda and c_iso, which are fixed at the
-placeholder 1 (see profiles); those rows are flagged parametric.
+Each limit is written once, in _limit_distance; bound_report reads it as
+its lower bound, next to the enlargement upper bound in its
+theorem-statement form, and for the ball the two coincide.  The simplex
+and l_p upper bounds rest on the unpinned constants c_lambda and c_iso,
+which are fixed at the placeholder 1 (see profiles); those rows are
+flagged parametric.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from typing import Mapping
 from scipy import special as sp
 
 from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
+from .enlargement import delta_closed_form
 from .errors import DomainError
 from .sections import _irwin_hall_lower, _lp_cap_volume, _section_log_prefactor
-from .specfun import SQRT_E, phi_inv, psi_p_inv, unit_volume_radius
+from .specfun import phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
+_BALL, _CUBE, _SIMPLEX = BodyFamily.ball(), BodyFamily.cube(), BodyFamily.simplex()
 _VOLUME_REL_TOL = 1e-6
 _NEWTON_STEPS = 30
 
@@ -115,7 +117,7 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         RegionDescriptor("halfspace_cap", {"axis": 0, "threshold": a, "side": "+"}),
         RegionDescriptor("halfspace_cap", {"axis": 0, "threshold": -a, "side": "-"}),
         2.0 * a,
-        -2.0 * psi_p_inv(eps, p),
+        _limit_distance(BodyFamily.lp(p), eps),
     )
 
 
@@ -173,7 +175,7 @@ def cube_diagonal_witness(n: int, eps: float) -> RegionPair:
         RegionDescriptor("diagonal_slab", {"side": "low", "threshold": s}),
         RegionDescriptor("diagonal_slab", {"side": "high", "threshold": n - s}),
         2.0 * a,
-        -2.0 * _SQRT_PI_6 * phi_inv(eps),
+        _limit_distance(_CUBE, eps),
     )
 
 
@@ -196,49 +198,51 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
         RegionDescriptor("corner_homothety", {"vertex": 0, "alpha": alpha}),
         RegionDescriptor("corner_homothety", {"vertex": 1, "alpha": alpha}),
         distance,
-        -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
+        _limit_distance(_SIMPLEX, eps),
     )
 
 
-def general_symmetric_lower(eps: float) -> float:
-    """Lower bound -2 phi_inv(eps)/sqrt(e) valid for every symmetric
-    log-concave direction law; the ball attains it."""
-    eps = validate_epsilon(eps)
-    return -2.0 * phi_inv(eps) / SQRT_E
+def _limit_distance(family: BodyFamily, eps: float) -> float:
+    """The n -> inf distance of the family's witness at volume eps."""
+    if family.kind == "ball" or family.p == 2.0:
+        return 2.0 * delta_closed_form(_BALL, eps)
+    if family.kind == "cube":
+        return -2.0 * _SQRT_PI_6 * phi_inv(eps)
+    if family.kind == "simplex":
+        return -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps)
+    return -2.0 * psi_p_inv(eps, family.p)
 
 
 def bound_report(family: BodyFamily, eps: float) -> BoundReport:
     """Two-sided dimension-free bounds for one family at volume eps.
 
+    lower is the family witness's limit_value, its n -> inf distance:
+
     ball     lower = upper = exact limit = -2 phi_inv(eps)/sqrt(e)
     cube     lower = -2 sqrt(pi/6) phi_inv(eps), upper = -2 phi_inv(eps);
-             the scaled-Manhattan limit -2 sqrt(pi/6) phi_inv(eps) rides
-             along for the lattice comparison
+             lower rides along as the scaled-Manhattan limit for the
+             lattice comparison
     simplex  lower = -(sqrt(2)/e) ln(2 eps), upper = -(2/c_lambda) ln eps
     l_p      lower = -2 psi_p_inv(eps), upper = (2p/c_iso)(-ln eps)^{1/p}
 
-    The simplex and l_p uppers are evaluated at the placeholder constants
-    c_lambda = c_iso = 1 and flagged parametric.  p = 2 is the euclidean
-    ball, so that member returns the exact ball row rather than the loose
-    parametric form.
+    The ball's and the cube's uppers are twice the enlargement closed
+    forms.  The ball's row is the n -> inf value, not a bound at each n:
+    at eps = 1e-3 the caps are 1.49951 apart at n = 100, against 1.49549.
+    The limit is a lower bound for every symmetric log-concave direction
+    law, and the ball attains it.  The simplex and l_p uppers use the
+    placeholder constants c_lambda = c_iso = 1 and are flagged
+    parametric.  p = 2 is the euclidean ball, so that member returns the
+    exact ball row rather than the loose parametric form.
     """
     eps = validate_epsilon(eps)
-    if family.kind == "ball" or (family.kind == "lp" and family.p == 2.0):
-        exact = -2.0 * phi_inv(eps) / SQRT_E
-        return BoundReport("ball", eps, exact, exact, exact, False)
+    lower = _limit_distance(family, eps)
+    if family.kind == "ball" or family.p == 2.0:
+        return BoundReport("ball", eps, lower, lower, lower, False)
     if family.kind == "cube":
-        manhattan = -2.0 * _SQRT_PI_6 * phi_inv(eps)
-        return BoundReport("cube", eps, manhattan, -2.0 * phi_inv(eps),
-                           None, False, manhattan_scaled_limit=manhattan)
+        return BoundReport("cube", eps, lower, 2.0 * delta_closed_form(family, eps),
+                           None, False, manhattan_scaled_limit=lower)
     if family.kind == "simplex":
-        return BoundReport("simplex", eps,
-                           -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
-                           -2.0 * math.log(eps),
-                           None, True)
-    if family.kind == "lp":
-        p = family.p
-        return BoundReport(family.label(), eps,
-                           -2.0 * psi_p_inv(eps, p),
-                           2.0 * p * (-math.log(eps)) ** (1.0 / p),
-                           None, True)
-    raise DomainError(f"no bound report for family {family.kind!r}")
+        return BoundReport("simplex", eps, lower, -2.0 * math.log(eps), None, True)
+    p = family.p
+    return BoundReport(family.label(), eps, lower,
+                       2.0 * p * (-math.log(eps)) ** (1.0 / p), None, True)

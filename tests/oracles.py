@@ -172,13 +172,15 @@ def lp_radius_direct(p: float, n: int) -> float:
 
 
 def lp_section_direct(x: float, p: float, n: int) -> float:
-    """Section area as the volume of an (n-1)-dimensional lp ball."""
+    """Section area as the volume of an (n-1)-dimensional lp ball of
+    radius rho = (omega^p - x^p)^{1/p}, formed in logs through math.lgamma
+    so that large n does not overflow."""
     om = lp_radius_direct(p, n)
     if x >= om:
         return 0.0
-    rho = (om ** p - x ** p) ** (1.0 / p)
-    return (2.0 * math.gamma(1.0 + 1.0 / p) * rho) ** (n - 1) \
-        / math.gamma(1.0 + (n - 1) / p)
+    log_rho = math.log(om ** p - x ** p) / p
+    return math.exp((n - 1) * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p) + log_rho)
+                    - math.lgamma(1.0 + (n - 1) / p))
 
 
 def lp_tail_betainc(x: float, p: float, n: int) -> float:

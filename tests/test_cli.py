@@ -175,6 +175,15 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "witness"])
+@pytest.mark.parametrize("family", [["--family", "cube", "--p", "1.5"],
+                                    ["--family", "lp"]])
+def test_p_must_match_the_family(capsys, command, family):
+    extra = ["--n", "10"] if command == "witness" else []
+    code, out = run(capsys, command, *family, *extra, "--eps", "0.1")
+    assert code == 2 and out == ""
+
+
 def test_out_file_and_manifest_replay(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     argv = ["witness", "--family", "ball", "--n", "25", "--eps", "0.05",

@@ -111,6 +111,13 @@ def test_distance_upper_bound_result():
     assert res_q.distance_upper == pytest.approx(res.distance_upper, rel=1e-9)
 
 
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_distance_upper_bound_parametric_flag(method):
+    for family in FAMILIES:
+        res = distance_upper_bound(family, 0.1, method=method)
+        assert res.parametric is (family.kind in ("simplex", "lp")), family
+
+
 def test_distance_upper_bound_bad_method():
     with pytest.raises(DomainError):
         distance_upper_bound(BodyFamily.ball(), 0.1, method="midpoint")

@@ -286,6 +286,12 @@ def test_exp_tail_erlang_below_bound_wide_sweep():
                 oracles.erlang_cdf_series(n, alpha * n), rel=1e-10, abs=1e-300)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+def test_exp_tail_rejects_bad_alpha(alpha):
+    with pytest.raises(DomainError):
+        exp_tail_check(3, alpha, 100, 1)
+
+
 def test_exp_tail_mc_tracks_erlang():
     for n, alpha in ((1, 0.5), (5, 0.8), (10, 0.9)):
         chk = exp_tail_check(n, alpha, 100_000, seed=3)

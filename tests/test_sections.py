@@ -95,7 +95,8 @@ def test_section_curve_matches_pointwise():
             lp_section_area(float(grid[i]), 1.5, 9), rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("p,n", [(1.5, 100), (1.2, 7), (1.0, 40)])
+@pytest.mark.parametrize("p,n", [(1.5, 100), (1.2, 7), (1.0, 40),
+                                 (1.0, 400), (1.5, 400)])
 def test_section_curve_tails_relative_to_cap_quadrature(p, n):
     # the README grid 0:3:0.01 reaches far into the tail; every cap above
     # 1e-300 must keep its relative accuracy

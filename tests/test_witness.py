@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from isodist import (BodyFamily, DomainError,
                      ball_caps_witness, bound_report, cube_diagonal_witness,
-                     cube_sum_cdf, general_symmetric_lower, lp_caps_witness,
+                     cube_sum_cdf, lp_caps_witness,
                      lp_tail_volume, phi_inv, psi_p_inv, simplex_corner_witness,
                      unit_volume_radius)
 
@@ -130,19 +130,29 @@ def test_witness_distances_close_to_limits_at_moderate_n():
         assert w.distance == pytest.approx(w.limit_value, rel=0.08)
 
 
-def test_general_symmetric_lower_matches_ball_exact():
-    for eps in (0.01, 0.1, 0.25, 0.45):
-        assert general_symmetric_lower(eps) == pytest.approx(
-            -2.0 * phi_inv(eps) / math.sqrt(math.e), rel=1e-14)
-    assert general_symmetric_lower(0.1) == pytest.approx(BALL_EXACT_01, abs=1e-12)
-    assert general_symmetric_lower(0.5 - 1e-12) == pytest.approx(0.0, abs=1e-5)
-
-
 def test_bound_report_ball():
     rep = bound_report(BodyFamily.ball(), 0.1)
     assert rep.lower == rep.upper == rep.exact_limit
     assert rep.lower == pytest.approx(BALL_EXACT_01, abs=1e-12)
     assert not rep.parametric
+    for eps in (0.01, 0.1, 0.25, 0.45):
+        assert bound_report(BodyFamily.ball(), eps).lower == pytest.approx(
+            -2.0 * phi_inv(eps) / math.sqrt(math.e), rel=1e-14)
+    assert bound_report(BodyFamily.ball(), 0.5 - 1e-12).lower == pytest.approx(0.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.1, 1e-3, 1e-8, 1e-20, 1e-50, 1e-100,
+                                 1e-200, 1e-300])
+def test_ball_limit_against_mpmath(eps):
+    want = -2.0 * oracles.phi_p_inv_mp(eps, 2.0) / math.sqrt(math.e)
+    assert bound_report(BodyFamily.ball(), eps).lower == pytest.approx(
+        want, rel=2e-15, abs=0.0)
+    for n in (2, 50, 1000):
+        try:
+            limit = ball_caps_witness(n, eps).limit_value
+        except DomainError:
+            continue
+        assert limit == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 def test_bound_report_cube():
