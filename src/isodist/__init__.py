@@ -15,7 +15,8 @@ their sharpness, and the discrete and Monte Carlo checks around them:
     cli          the `isodist` command
 """
 
-from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
+from .bodies import (BodyFamily, validate_epsilon, validate_n,
+                     validate_open_interval, validate_p)
 from .enlargement import (EnlargementResult, delta_closed_form,
                           distance_upper_bound, time_to_half)
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,

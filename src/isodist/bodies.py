@@ -11,6 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 _KINDS = ("ball", "cube", "simplex", "lp")
@@ -66,6 +68,14 @@ def validate_epsilon(eps: float) -> float:
     if not 0.0 < eps < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {eps}")
     return eps
+
+
+def validate_open_interval(x, lo: float, hi: float, name: str):
+    """x as a float array with every entry in (lo, hi); a NaN entry fails."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > lo) & (x < hi)):
+        raise DomainError(f"{name} must lie in ({lo:g}, {hi:g})")
+    return x
 
 
 def validate_n(n, least: int) -> int:

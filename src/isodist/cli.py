@@ -116,8 +116,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise DomainError(f"grid must be start:stop:step, got {spec!r}") from None
-    if step <= 0 or stop <= start:
-        raise DomainError(f"empty grid {spec!r}")
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop > start):
+        raise DomainError(f"grid needs finite start < stop and step > 0, got {spec!r}")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -197,19 +197,17 @@ def cmd_lattice_scaling(args) -> int:
 
 def cmd_sections(args) -> int:
     grid = _parse_grid(args.grid)
+    heights = grid.tolist()
+    area_limits = psi_p_density_limit(grid, args.p).tolist()
+    tail_limits = psi_p(-grid, args.p).tolist()
     rows = []
     for n in args.n:
         curve = section_curve(args.p, n, grid)
-        tail_limit = psi_p(-grid, args.p)
-        area_limit = psi_p_density_limit(grid, args.p)
-        for i, x in enumerate(grid):
-            rows.append({
-                "p": args.p, "n": n, "x": float(x),
-                "area": float(curve.areas[i]),
-                "tail": float(curve.tails[i]),
-                "area_limit": float(area_limit[i]),
-                "tail_limit": float(tail_limit[i]),
-            })
+        rows.extend({"p": args.p, "n": n, "x": x, "area": area, "tail": tail,
+                     "area_limit": area_limit, "tail_limit": tail_limit}
+                    for x, area, tail, area_limit, tail_limit
+                    in zip(heights, curve.areas.tolist(), curve.tails.tolist(),
+                           area_limits, tail_limits))
     _emit(rows, args, {"p": args.p, "n": args.n, "grid": args.grid})
     return 0
 

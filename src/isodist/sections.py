@@ -38,12 +38,17 @@ from scipy.interpolate import BSpline
 
 from .bodies import BodyFamily, validate_n, validate_p
 from .errors import DomainError
-from .specfun import psi_p, unit_volume_radius
+from .specfun import _lp_radius, psi_p
 
 
-def _section_log_prefactor(p: float, n: int, omega: float) -> float:
-    return (sp.gammaln(1.0 + n / p) - sp.gammaln(1.0 + 1.0 / p)
-            - sp.gammaln(1.0 + (n - 1.0) / p) - math.log(2.0 * omega))
+def _section_area(x, p: float, n: int, omega: float):
+    logpref = (sp.gammaln(1.0 + n / p) - sp.gammaln(1.0 + 1.0 / p)
+               - sp.gammaln(1.0 + (n - 1.0) / p) - math.log(2.0 * omega))
+    ratio = np.minimum((x / omega) ** p, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.where(x < omega,
+                        np.exp(logpref + ((n - 1.0) / p) * np.log1p(-ratio)),
+                        0.0)
 
 
 def lp_section_area(x, p: float, n: int):
@@ -55,15 +60,9 @@ def lp_section_area(x, p: float, n: int):
     p = validate_p(p)
     n = validate_n(n, 2)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise DomainError("section height must be >= 0")
-    omega = unit_volume_radius("lp", n, p)
-    logpref = _section_log_prefactor(p, n, omega)
-    ratio = np.minimum((x / omega) ** p, 1.0)
-    with np.errstate(divide="ignore"):
-        out = np.where(x < omega,
-                       np.exp(logpref + ((n - 1.0) / p) * np.log1p(-ratio)),
-                       0.0)
+    out = _section_area(x, p, n, _lp_radius(n, p))
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,9 +93,9 @@ def lp_tail_volume(x: float, p: float, n: int) -> float:
     p = validate_p(p)
     n = validate_n(n, 2)
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("cap height must be >= 0")
-    return float(_lp_cap_volume(x, p, n, unit_volume_radius("lp", n, p)))
+    return float(_lp_cap_volume(x, p, n, _lp_radius(n, p)))
 
 
 def psi_p_density_limit(x, p: float):
@@ -127,12 +126,13 @@ def section_curve(p: float, n: int, grid: Sequence[float]) -> SectionCurve:
     The tails are the closed-form cap volumes, in one vectorised call.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
+    if not (grid.ndim == 1 and grid.size >= 2 and grid[0] >= 0.0
+            and np.all(np.diff(grid) > 0.0)):
         raise DomainError("grid must be increasing and nonnegative")
     p = validate_p(p)
     n = validate_n(n, 2)
-    omega = unit_volume_radius("lp", n, p)
-    areas = lp_section_area(grid, p, n)
+    omega = _lp_radius(n, p)
+    areas = _section_area(grid, p, n, omega)
     tails = _lp_cap_volume(grid, p, n, omega)
     return SectionCurve(p, n, grid, areas, tails, omega)
 
@@ -188,8 +188,8 @@ class OrthogonalBallGeometry:
 
 def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
     d, omega = float(d), float(omega)
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
+    if not omega > 0.0:
+        raise DomainError(f"omega must be positive, got {omega}")
     if not 0.0 < d < 2.0 * omega:
         raise DomainError(f"need 0 < d < 2*omega for a positive radius, got d={d}")
     r = omega * omega / d - d / 4.0

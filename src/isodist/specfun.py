@@ -31,7 +31,8 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_n, validate_p
+from .bodies import (BodyFamily, validate_epsilon, validate_n,
+                     validate_open_interval, validate_p)
 from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -57,9 +58,7 @@ def phi_inv(eps):
     in floating point on [1/2, 1)), so both tails keep full relative
     accuracy and phi_inv(1 - eps) = -phi_inv(eps) by construction.
     """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-        raise DomainError("phi_inv needs eps in (0, 1)")
+    eps = validate_open_interval(eps, 0.0, 1.0, "phi_inv's eps")
     low = np.minimum(eps, 1.0 - eps)
     sign = np.where(eps <= 0.5, -1.0, 1.0)
     out = sign * sp.erfcinv(2.0 * low) / SQRT_PI
@@ -121,9 +120,7 @@ def phi_inv_asymptote(eps: float) -> float:
     The ratio asymptote/actual tends to 1; the approach is slow because
     the neglected log-correction decays like ln(-ln eps)/(-ln eps).
     """
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"asymptote defined for eps in (0, 1/2), got {eps}")
+    eps = validate_epsilon(eps)
     return -math.sqrt(-math.log(eps)) / SQRT_PI
 
 
@@ -134,12 +131,14 @@ def psi_p_inv_asymptote(eps: float, p: float) -> float:
     ln(2 sqrt(pi L))/(2L) at p = 2 and by exactly ln 2/(L - ln 2) at p = 1.
     """
     p = validate_p(p)
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"asymptote defined for eps in (0, 1/2), got {eps}")
+    eps = validate_epsilon(eps)
     return -((-math.log(eps)) ** (1.0 / p)) / (
         2.0 * math.exp(1.0 / p) * math.gamma(1.0 + 1.0 / p)
     )
+
+
+def _lp_radius(n: int, p: float) -> float:
+    return math.exp(sp.gammaln(1.0 + n / p) / n) / (2.0 * math.gamma(1.0 + 1.0 / p))
 
 
 def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None) -> float:
@@ -155,13 +154,12 @@ def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None)
     simplex factor like n/e.
     """
     if isinstance(family, str):
-        family = BodyFamily(family, p) if family == "lp" else BodyFamily(family)
+        family = BodyFamily(family, p)
     n = validate_n(n, 1)
     if family.kind == "cube":
         return 1.0
     if family.kind in ("ball", "lp"):
-        q = family.p or 2.0
-        return math.exp(sp.gammaln(1.0 + n / q) / n) / (2.0 * math.gamma(1.0 + 1.0 / q))
+        return _lp_radius(n, family.p or 2.0)
     # simplex: the exponent 1/(n-1) needs n >= 2
     if n < 2:
         raise DomainError("simplex radius needs n >= 2")

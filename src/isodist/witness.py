@@ -34,8 +34,8 @@ from scipy import special as sp
 from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
 from .enlargement import delta_closed_form
 from .errors import DomainError
-from .sections import _irwin_hall_lower, _lp_cap_volume, _section_log_prefactor
-from .specfun import phi_inv, psi_p_inv, unit_volume_radius
+from .sections import _irwin_hall_lower, _lp_cap_volume, _section_area
+from .specfun import _lp_radius, phi_inv, psi_p_inv, unit_volume_radius
 
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
 _BALL, _CUBE, _SIMPLEX = BodyFamily.ball(), BodyFamily.cube(), BodyFamily.simplex()
@@ -99,16 +99,13 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         a = 0.5 - eps
         miss = abs((0.5 - a) - eps)  # exact: the cap's true volume error
     else:
-        omega = unit_volume_radius("lp", n, p)
+        omega = _lp_radius(n, p)
         z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
         a = omega * z ** (1.0 / p)
-        # the section area at a, zero from the tip omega_n on
-        ratio = (a / omega) ** p
-        area = math.exp(_section_log_prefactor(p, n, omega)
-                        + ((n - 1.0) / p) * math.log1p(-ratio)) if ratio < 1.0 else 0.0
         # measured float error of omega_n: <= 6.3 + 3 |ln omega_n| half-ulps; of a: 0.5
         miss = abs(_lp_cap_volume(a, p, n, omega) - eps) \
-            + a * area * 2.0**-53 * (7.0 + 3.0 * abs(math.log(omega)))
+            + a * float(_section_area(a, p, n, omega)) * 2.0**-53 \
+            * (7.0 + 3.0 * abs(math.log(omega)))
     if not miss <= _VOLUME_REL_TOL * eps:
         raise DomainError("cap volume solve missed its tolerance")
     fam = "ball" if p == 2.0 else f"lp({p:g})"

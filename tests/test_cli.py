@@ -175,6 +175,14 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:nan:0.5", "nan:1:0.5", "0:inf:0.5"])
+def test_sections_non_finite_grid_is_a_usage_error(capsys, grid):
+    code = main(["sections", "--p", "1.5", "--n", "10", "--grid", grid])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["bounds", "witness"])
 @pytest.mark.parametrize("family", [["--family", "cube", "--p", "1.5"],
                                     ["--family", "lp"]])

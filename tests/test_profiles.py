@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from isodist import (BodyFamily, DomainError,
                      ball_profile_limit, cube_profile, exp_measure_profile,
                      lp_profile, make_exp_measure_profile, make_profile,
@@ -51,13 +52,35 @@ def test_exp_measure_profile_tent():
         exp_measure_profile(1.0)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.5, 0.6, -0.1])
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.6, -0.1, math.nan, [0.1, math.nan]])
 def test_profile_domain(t):
     for fn in (cube_profile, ball_profile_limit, simplex_profile):
         with pytest.raises(DomainError):
             fn(t)
     with pytest.raises(DomainError):
         lp_profile(t, 1.5)
+
+
+# 45 tails from 1e-300 on, then four points closing in on 1/2
+_T_TO_HALF = [*np.geomspace(1e-300, 0.45, 45).tolist(), 0.49, 0.499999,
+              0.5 - 2.0**-30, math.nextafter(0.5, 0.0)]
+
+
+@pytest.mark.parametrize("t", _T_TO_HALF)
+def test_cube_and_ball_profiles_against_mpmath(t):
+    # exp(-x^2) with x = erfcinv(2t) amplifies a relative error in x^2 by
+    # x^2, so allow 8 (1 + x^2) ulps, x^2 read off the oracle's value
+    cube = oracles.cube_profile_mp(t)
+    tol = 8.0 * (1.0 - math.log(cube)) * 2.0**-53
+    assert cube_profile(t) == pytest.approx(cube, rel=tol, abs=0.0)
+    assert ball_profile_limit(t) == pytest.approx(math.sqrt(math.e) * cube,
+                                                  rel=tol, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, math.nan, [0.5, math.nan]])
+def test_xlog_derivative_domain(x):
+    with pytest.raises(DomainError):
+        xlog_power_derivative(x, 1.5)
 
 
 def test_xlog_derivative_positive_up_to_half():

@@ -43,6 +43,14 @@ def test_section_area_domain():
         lp_section_area(0.1, 2.0, 1)
 
 
+def test_section_height_nan_raises():
+    for x in (math.nan, [0.0, 0.5, math.nan]):
+        with pytest.raises(DomainError):
+            lp_section_area(x, 1.5, 10)
+    with pytest.raises(DomainError):
+        lp_tail_volume(math.nan, 1.5, 10)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 5, 12, 40])
 def test_tail_volume_against_betainc(p, n):
@@ -109,7 +117,8 @@ def test_section_curve_tails_relative_to_cap_quadrature(p, n):
 
 
 def test_section_curve_rejects_bad_grid():
-    for grid in ([0.3], [0.1, 0.1], [0.2, 0.1], [-0.1, 0.2]):
+    for grid in ([0.3], [0.1, 0.1], [0.2, 0.1], [-0.1, 0.2], [0.0, 1.0, math.nan],
+                 [math.nan, 1.0]):
         with pytest.raises(DomainError):
             section_curve(2.0, 5, grid)
 
@@ -172,6 +181,8 @@ def test_orthogonal_ball_domain():
         orthogonal_ball_geometry(0.0, 1.0)
     with pytest.raises(DomainError):
         orthogonal_ball_geometry(0.5, -1.0)
+    with pytest.raises(DomainError, match="omega must be positive"):
+        orthogonal_ball_geometry(0.5, math.nan)
 
 
 def test_cube_sum_cdf_small_closed_forms():

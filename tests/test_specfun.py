@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from isodist import (DomainError, kappa, phi, phi_inv, phi_inv_asymptote,
-                     phi_p, phi_p_inv, psi_p, psi_p_inv, psi_p_inv_asymptote,
+from isodist import (DomainError, cube_sum_cdf, kappa, phi, phi_inv,
+                     phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
+                     psi_p_inv_asymptote, sphere_projection_cdf,
                      unit_volume_radius)
 
 # quadrature + Brent reference values, frozen from oracles.py
@@ -60,10 +61,18 @@ def test_phi_inv_frozen_value_and_oracle():
     assert phi_inv(0.01) == pytest.approx(oracles.phi_inv_bisect(0.01), abs=1e-12)
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.7])
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.7, math.nan, [0.3, math.nan]])
 def test_phi_inv_domain(eps):
     with pytest.raises(DomainError):
         phi_inv(eps)
+
+
+def test_whole_line_distribution_functions_return_nan_for_nan():
+    assert math.isnan(phi(math.nan))
+    assert math.isnan(phi_p(math.nan, 1.5))
+    assert math.isnan(psi_p(math.nan, 1.5))
+    assert math.isnan(cube_sum_cdf(10, math.nan))
+    assert math.isnan(sphere_projection_cdf(10, math.nan))
 
 
 def test_kappa_closed_values():
@@ -140,6 +149,12 @@ def test_unit_volume_radius_small_cases():
     assert unit_volume_radius("simplex", 2) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     assert unit_volume_radius("lp", 2, 1.0) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
     assert unit_volume_radius("cube", 7) == 1.0
+
+
+@pytest.mark.parametrize("family", ["ball", "cube", "simplex"])
+def test_unit_volume_radius_rejects_an_exponent_without_lp(family):
+    with pytest.raises(DomainError):
+        unit_volume_radius(family, 7, 1.5)
 
 
 def test_unit_volume_radius_lp2_is_ball():
