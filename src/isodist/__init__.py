@@ -5,8 +5,8 @@ never be too far apart, and the bound does not grow with the dimension.
 This package computes the bounds, the extremal constructions that show
 their sharpness, and the discrete and Monte Carlo checks around them:
 
-    specfun      gaussian-type distribution functions, inverses, radii
-    profiles     isoperimetric profiles of the body families
+    specfun      gaussian-type distribution functions and their inverses
+    profiles     isoperimetric profiles, radii and the per-family formulas
     enlargement  the ODE comparison bound 2 int_eps^{1/2} dt/I(t)
     sections     hyperplane sections and their n -> inf limit laws
     witness      explicit far-apart pairs and two-sided bound reports
@@ -36,15 +36,15 @@ from .montecarlo import (AvgDistanceResult, CutoffCheck, EstimateWithCI,
                          t_map_opnorm_bound, transfer_map_check)
 from .profiles import (IsoProfile, ball_profile_limit, cube_profile,
                        exp_measure_profile, lp_profile, make_exp_measure_profile,
-                       make_profile, simplex_profile, xlog_power_derivative)
+                       make_profile, simplex_profile, unit_volume_radius,
+                       xlog_power_derivative)
 from .sections import (ConvergenceReport, OrthogonalBallGeometry, SectionCurve,
                        convergence_report, cube_sum_cdf, lp_section_area,
                        lp_tail_volume, orthogonal_ball_geometry,
                        psi_p_density_limit, section_curve,
                        sphere_projection_cdf)
 from .specfun import (kappa, phi, phi_inv, phi_inv_asymptote, phi_p,
-                      phi_p_inv, psi_p, psi_p_inv, psi_p_inv_asymptote,
-                      unit_volume_radius)
+                      phi_p_inv, psi_p, psi_p_inv, psi_p_inv_asymptote)
 from .witness import (BoundReport, RegionDescriptor, RegionPair,
                       ball_caps_witness, bound_report, cube_diagonal_witness,
                       lp_caps_witness, simplex_corner_witness)

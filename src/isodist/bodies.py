@@ -2,8 +2,10 @@
 
 A family is a tag plus, for the l_p balls, the exponent p.  All bodies are
 normalized to volume one: the cube is (0,1)^n, the others are scaled by the
-unit-volume radius computed in specfun.  p is restricted to [1, 2]; the
-p = 1 member is the cross-polytope and p = 2 the euclidean ball.
+unit-volume radius computed in profiles.  p is restricted to [1, 2]; the
+p = 1 member is the cross-polytope, and lp(2) is built as the euclidean
+ball itself, so BodyFamily.lp(2.0) == BodyFamily.ball() and every formula
+reads the ball's row for it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class BodyFamily:
             if self.p is None:
                 raise DomainError("lp family needs an exponent p")
             object.__setattr__(self, "p", validate_p(self.p))
+            if self.p == 2.0:
+                object.__setattr__(self, "kind", "ball")
+                object.__setattr__(self, "p", None)
         elif self.p is not None:
             raise DomainError(f"{self.kind} family takes no exponent")
 

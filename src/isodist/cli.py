@@ -45,8 +45,8 @@ from .rng import generate
 from .sections import psi_p_density_limit, section_curve
 from .specfun import (phi_inv, phi_inv_asymptote, psi_p, psi_p_inv,
                       psi_p_inv_asymptote)
-from .witness import (ball_caps_witness, bound_report, cube_diagonal_witness,
-                      lp_caps_witness, simplex_corner_witness)
+from .witness import (bound_report, cube_diagonal_witness, lp_caps_witness,
+                      simplex_corner_witness)
 
 
 def _fmt(value):
@@ -130,7 +130,7 @@ def cmd_bounds(args) -> int:
         rep = bound_report(family, eps)
         rows.append({
             "family": rep.family,
-            "p": family.p,
+            "p": args.p,
             "epsilon": float(eps),
             "lower": rep.lower,
             "upper": rep.upper,
@@ -146,17 +146,15 @@ def cmd_witness(args) -> int:
     family = BodyFamily(args.family, args.p)
     rows = []
     for eps in args.eps:
-        if family.kind == "ball":
-            pair = ball_caps_witness(args.n, eps)
-        elif family.kind == "cube":
+        if family.kind == "cube":
             pair = cube_diagonal_witness(args.n, eps)
         elif family.kind == "simplex":
             pair = simplex_corner_witness(args.n, eps)
         else:
-            pair = lp_caps_witness(args.n, family.p, eps)
+            pair = lp_caps_witness(args.n, family.p or 2.0, eps)
         rows.append({
             "family": pair.family,
-            "p": family.p,
+            "p": args.p,
             "n": pair.n,
             "epsilon": pair.epsilon,
             "distance": pair.distance,

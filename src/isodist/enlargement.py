@@ -9,18 +9,8 @@ so y reaches 1/2 no later than
 Two sets of volume eps therefore meet after each grows by delta_M, which
 bounds their distance by 2 delta_M.  For the profiles in this package the
 integral has closed forms (obtained by the substitution t = phi(u) and
-its relatives):
-
-    cube     delta_M = -phi_inv(eps)
-    ball     delta_M = -phi_inv(eps) / sqrt(e)
-    simplex  delta_M = -(ln eps + ln 2) / c_lambda
-    l_p      delta_M = (p / c_iso) ((-ln eps)^{1/p} - (ln 2)^{1/p})
-
-with the unpinned constants c_lambda and c_iso at their placeholder 1
-(see profiles), so those two rows are parametric.  The simplex/l_p
-closed forms keep the (ln 2)-type terms the integral produces; the
-looser theorem-statement forms that drop them live in the witness
-module's bound reports, so both displays are available.
+its relatives); the family table profiles._Family lists them, and
+delta_closed_form reads them from there.
 
 time_to_half evaluates the integral directly for any profile, by an
 adaptive Gauss-Legendre rule in numpy; it checks the closed forms.
@@ -35,10 +25,8 @@ import numpy as np
 
 from .bodies import BodyFamily, validate_epsilon
 from .errors import DomainError, NonConvergenceError
-from .profiles import IsoProfile, make_profile
-from .specfun import SQRT_E, phi_inv
+from .profiles import _FAMILIES, _LN2, IsoProfile, make_profile
 
-_LN2 = math.log(2.0)
 # 15-point Gauss-Legendre rule on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # nodes within an ulp of u = ln 2 would round to t = 1/2, outside the profiles' domain
@@ -121,18 +109,7 @@ def time_to_half(profile: IsoProfile, eps: float) -> float:
 
 def delta_closed_form(family: BodyFamily, eps: float) -> float:
     """Closed form of the enlargement integral for one family."""
-    eps = validate_epsilon(eps)
-    if family.kind == "cube":
-        return -phi_inv(eps)
-    if family.kind == "ball":
-        return -phi_inv(eps) / SQRT_E
-    d = -math.log(2.0 * eps)
-    if family.kind == "simplex":
-        return d
-    if family.kind == "lp":
-        p = family.p
-        return p * _LN2 ** (1.0 / p) * math.expm1(math.log1p(d / _LN2) / p)
-    raise DomainError(f"no closed form for family {family.kind!r}")
+    return _FAMILIES[family.kind].delta(validate_epsilon(eps), family.p)
 
 
 def distance_upper_bound(family: BodyFamily, eps: float,
@@ -141,7 +118,8 @@ def distance_upper_bound(family: BodyFamily, eps: float,
 
     method selects the closed form or the direct quadrature of the
     profile; the two agree to at least 1e-8 relative.  parametric is the
-    profile's flag, set for the simplex and every l_p member, p = 2 too.
+    profile's flag, set for the simplex and every l_p member but lp(2),
+    which is the ball.
     """
     eps = validate_epsilon(eps)
     profile = make_profile(family)

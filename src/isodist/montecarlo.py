@@ -44,8 +44,9 @@ from scipy import special as sp
 
 from .bodies import BodyFamily, validate_n
 from .errors import DomainError
+from .profiles import _FAMILIES, unit_volume_radius
 from .rng import generate
-from .specfun import phi, unit_volume_radius
+from .specfun import phi
 
 FD_STEP = 1e-6
 KINK_RADIUS = 1e-4
@@ -86,14 +87,14 @@ def _fill_for(family: BodyFamily, n: int):
     if family.kind == "cube":
         return lambda g, m: g.random((m, n))
     if family.kind == "simplex":
-        omega = unit_volume_radius("simplex", n)
+        omega = unit_volume_radius(family, n)
 
         def fill(g, m):
             e = g.standard_exponential((m, n))
             return omega * e / e.sum(axis=1, keepdims=True)
         return fill
-    p = 2.0 if family.kind == "ball" else family.p
-    omega = unit_volume_radius("lp", n, p)
+    p = family.p or 2.0
+    omega = unit_volume_radius(family, n)
 
     def fill(g, m):
         # draw order is part of the determinism contract: the m x n
@@ -123,7 +124,7 @@ def _fill_for(family: BodyFamily, n: int):
 
 def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleBatch:
     """Uniform points in the unit-volume body of the family."""
-    n = validate_n(n, 2 if family.kind == "simplex" else 1)
+    n = validate_n(n, _FAMILIES[family.kind].least_n)
     pts = generate(seed, f"uniform-{family.label()}-{n}", count,
                    _fill_for(family, n))
     return SampleBatch(family.label(), n, int(count), int(seed), pts)
@@ -146,10 +147,11 @@ def t_map(points: np.ndarray) -> np.ndarray:
     """Row-wise normalization x -> x/||x||_1 on the positive orthant."""
     points = np.asarray(points, dtype=float)
     x = np.atleast_2d(points)
-    if np.any(x < 0.0):
+    # positive forms, so a NaN coordinate fails too
+    if not np.all(x >= 0.0):
         raise DomainError("t_map takes points in the positive orthant")
     s = x.sum(axis=1, keepdims=True)
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):
         raise DomainError("t_map undefined at the origin")
     out = x / s
     return out[0] if points.ndim == 1 else out
@@ -160,8 +162,7 @@ def t_map_jacobian(x: np.ndarray) -> np.ndarray:
     stacked to (m, n, n) for an (m, n) array of points."""
     x = np.asarray(x, dtype=float)
     s = x.sum(axis=-1, keepdims=True)
-    t = x / s
-    return (np.eye(x.shape[-1]) - t[..., None, :]) / s[..., None]
+    return (np.eye(x.shape[-1]) - t_map(x)[..., None, :]) / s[..., None]
 
 
 def t_map_opnorm_bound(x: np.ndarray):

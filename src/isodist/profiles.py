@@ -1,26 +1,24 @@
-"""Isoperimetric profiles of the normalized body families.
+"""Isoperimetric profiles of the normalized body families, and the table
+of every per-family formula.
 
 For a unit-volume body with uniform measure mu, the profile I(t) is the
 smallest boundary measure a subset of volume t in (0, 1/2) can have.  The
-closed forms collected here are the lower envelopes used by the
-enlargement bound:
+closed forms here are the lower envelopes used by the enlargement bound;
+the _Family table below lists each family's profile next to the closed
+form, witness limit, upper bound and radius built from it.  One profile
+belongs to no body:
 
-    cube     I(t) =  exp(-pi phi_inv(t)^2)  =  exp(-erfcinv(2t)^2)
-    ball     I(t) =  sqrt(e) exp(-pi e (phi_inv(t)/sqrt(e))^2)   (n -> inf limit)
-    simplex  I(t) =  c_lambda * t
-    l_p      I(t) =  c_iso * t * (-ln t)^{1-1/p}
     exp law  I(t) =  min(t, 1-t)   on (0, 1), the one-sided exponential measure
 
-The ball limit equals sqrt(e) times the cube profile identically.  The
-profile values are treated directly as the isoperimetric lower envelope
-fed into the enlargement integral; no separate boundary-content object
-is kept.
+The profile values are treated directly as the isoperimetric lower
+envelope fed into the enlargement integral; no separate boundary-content
+object is kept.
 
 The linear and l_p profiles hold up to dimension-free constants c_lambda
 and c_iso that the underlying estimates do not pin down.  Both are fixed
-at the placeholder 1, so the profiles above are evaluated with the
-constant dropped; every profile and bound built from them is flagged
-parametric, so no output presents a placeholder as a proved constant.
+at the placeholder 1, so the profiles are evaluated with the constant
+dropped; every profile and bound built from them is flagged parametric,
+so no output presents a placeholder as a proved constant.
 """
 
 from __future__ import annotations
@@ -32,9 +30,12 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_open_interval, validate_p
-from .errors import DomainError
-from .specfun import SQRT_E, SQRT_PI
+from .bodies import BodyFamily, validate_n, validate_open_interval, validate_p
+from .specfun import (SQRT_E, SQRT_PI, _lp_radius, _simplex_radius, phi_inv,
+                      psi_p_inv)
+
+_LN2 = math.log(2.0)
+_SQRT_PI_6 = math.sqrt(math.pi / 6.0)
 
 
 def cube_profile(t):
@@ -114,19 +115,103 @@ class IsoProfile:
         return self.fn(t)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One body family's formulas, at volume eps, dimension n and exponent p.
+
+    profile  I(t) on (0, 1/2), the isoperimetric lower envelope
+    delta    delta_M = int_eps^{1/2} dt / I(t) in closed form (enlargement)
+    limit    the n -> inf distance of the family's witness (witness)
+    upper    the theorem-statement upper bound, None where limit is exact
+    radius   omega_n, the scale that gives the body volume one, n >= least_n
+
+    cube     I(t) = exp(-pi phi_inv(t)^2) = exp(-erfcinv(2t)^2)
+             delta = -phi_inv(eps), upper = 2 delta
+             limit = -2 sqrt(pi/6) phi_inv(eps), of the diagonal slabs
+             omega_n = 1, the side of (0,1)^n
+    ball     I(t) = sqrt(e) exp(-pi e (phi_inv(t)/sqrt(e))^2), the n -> inf
+             limit, identically sqrt(e) times the cube profile
+             delta = -phi_inv(eps)/sqrt(e)
+             limit = 2 delta = -2 psi_2_inv(eps), of the opposite caps; it
+             is also the upper, so upper is None
+             omega_n = Gamma(n/2+1)^{1/n}/sqrt(pi) ~ sqrt(n/(2 pi e))
+    simplex  I(t) = c_lambda t
+             delta = -(ln eps + ln 2)/c_lambda
+             limit = -(sqrt(2)/e) ln(2 eps), of the corner homotheties
+             upper = -(2/c_lambda) ln eps
+             omega_n = (n!/(n sqrt(n)))^{1/(n-1)} ~ n/e, n >= 2; the
+             regular simplex omega_n Delta_n has side sqrt(2) omega_n
+    l_p      I(t) = c_iso t (-ln t)^{1-1/p}
+             delta = (p/c_iso)((-ln eps)^{1/p} - (ln 2)^{1/p})
+             limit = -2 psi_p_inv(eps), of the opposite caps
+             upper = (2p/c_iso)(-ln eps)^{1/p}
+             omega_n = Gamma(1+n/p)^{1/n}/(2 Gamma(1+1/p))
+
+    The ball's limit is the n -> inf value, not a bound at each n: at
+    eps = 1e-3 the caps are 1.49951 apart at n = 100, against 1.49549.
+    It is a lower bound for every symmetric log-concave direction law,
+    and the ball attains it.  c_lambda and c_iso sit at the placeholder 1
+    (parametric rows).  The simplex and l_p deltas keep the (ln 2)-type
+    terms the integral produces; their uppers are the looser
+    theorem-statement forms that drop them.  Every callable takes p,
+    None outside l_p.
+    """
+
+    tag: str
+    profile: Callable
+    parametric: bool
+    delta: Callable
+    limit: Callable
+    upper: Callable | None
+    radius: Callable
+    least_n: int
+
+
+def _ball_delta(eps, p):
+    return -phi_inv(eps) / SQRT_E
+
+
+def _lp_delta(eps, p):
+    # (-ln eps)^{1/p} - (ln 2)^{1/p} through expm1/log1p: the difference
+    # of powers cancels next to eps = 1/2
+    d = -math.log(2.0 * eps)
+    return p * _LN2 ** (1.0 / p) * math.expm1(math.log1p(d / _LN2) / p)
+
+
+_FAMILIES = {
+    "cube": _Family("cube", lambda t, p: cube_profile(t), False,
+                    lambda eps, p: -phi_inv(eps),
+                    lambda eps, p: -2.0 * _SQRT_PI_6 * phi_inv(eps),
+                    lambda eps, p: -2.0 * phi_inv(eps), lambda n, p: 1.0, 1),
+    "ball": _Family("ball_limit", lambda t, p: ball_profile_limit(t), False, _ball_delta,
+                    lambda eps, p: 2.0 * _ball_delta(eps, p), None,
+                    lambda n, p: _lp_radius(n, 2.0), 1),
+    "simplex": _Family("simplex_linear", lambda t, p: simplex_profile(t), True,
+                       lambda eps, p: -math.log(2.0 * eps),
+                       lambda eps, p: -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
+                       lambda eps, p: -2.0 * math.log(eps),
+                       lambda n, p: _simplex_radius(n), 2),
+    "lp": _Family("lp_loglinear", lp_profile, True, _lp_delta,
+                  lambda eps, p: -2.0 * psi_p_inv(eps, p),
+                  lambda eps, p: 2.0 * p * (-math.log(eps)) ** (1.0 / p), _lp_radius, 1),
+}
+
+
 def make_profile(family: BodyFamily) -> IsoProfile:
     """Profile for a body family; the simplex and l_p ones are parametric."""
-    if family.kind == "cube":
-        return IsoProfile("cube", "cube", cube_profile)
-    if family.kind == "ball":
-        return IsoProfile("ball", "ball_limit", ball_profile_limit)
-    if family.kind == "simplex":
-        return IsoProfile("simplex", "simplex_linear", simplex_profile, True)
-    if family.kind == "lp":
-        return IsoProfile(family.label(), "lp_loglinear",
-                          lambda t, p=family.p: lp_profile(t, p), True)
-    raise DomainError(f"no profile for family {family.kind!r}")
+    rec = _FAMILIES[family.kind]
+    return IsoProfile(family.label(), rec.tag, lambda t, p=family.p: rec.profile(t, p),
+                      rec.parametric)
 
 
 def make_exp_measure_profile() -> IsoProfile:
     return IsoProfile("exp_measure", "exp_measure", exp_measure_profile)
+
+
+def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None) -> float:
+    """Scaling factor omega_n that gives the family's body volume one (see
+    _Family), through log-gamma so large n does not overflow."""
+    if isinstance(family, str):
+        family = BodyFamily(family, p)
+    rec = _FAMILIES[family.kind]
+    return rec.radius(validate_n(n, rec.least_n), family.p)

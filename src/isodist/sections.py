@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.interpolate import BSpline
 
-from .bodies import BodyFamily, validate_n, validate_p
+from .bodies import validate_n, validate_p
 from .errors import DomainError
 from .specfun import _lp_radius, psi_p
 
@@ -188,8 +188,8 @@ class OrthogonalBallGeometry:
 
 def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
     d, omega = float(d), float(omega)
-    if not omega > 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
     if not 0.0 < d < 2.0 * omega:
         raise DomainError(f"need 0 < d < 2*omega for a positive radius, got d={d}")
     r = omega * omega / d - d / 4.0

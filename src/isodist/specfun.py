@@ -1,4 +1,4 @@
-"""Gaussian-type distribution functions and unit-volume radii.
+"""Gaussian-type distribution functions and the gamma-function radii.
 
 The bounds in this package are phrased through the one-dimensional
 distribution function of the density exp(-pi x^2),
@@ -19,9 +19,9 @@ functions, which stay accurate deep in the tails; the inverses use the
 corresponding inverse special functions.  A quadrature-plus-bisection
 route lives in the test suite as an independent cross-check.
 
-unit_volume_radius gives the scaling factor omega_n that normalizes each
-body family to volume one; everything is evaluated through log-gamma so
-large n does not overflow.
+_lp_radius and _simplex_radius are the unit-volume scales omega_n of the
+l_p ball and of the regular simplex (see profiles._Family), through
+log-gamma so large n does not overflow.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import (BodyFamily, validate_epsilon, validate_n,
-                     validate_open_interval, validate_p)
+from .bodies import validate_epsilon, validate_open_interval, validate_p
 from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -141,26 +140,6 @@ def _lp_radius(n: int, p: float) -> float:
     return math.exp(sp.gammaln(1.0 + n / p) / n) / (2.0 * math.gamma(1.0 + 1.0 / p))
 
 
-def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None) -> float:
-    """Scaling factor omega_n that gives the family's body volume one.
-
-    lp:      Gamma(1+n/p)^{1/n} / (2 Gamma(1+1/p))
-    ball:    the lp formula at p = 2, Gamma(n/2+1)^{1/n} / sqrt(pi)
-    simplex: (n! / (n sqrt(n)))^{1/(n-1)}, n >= 2; the regular simplex
-             omega_n * Delta_n then has side sqrt(2) * omega_n
-    cube:    1 (the side of (0,1)^n)
-
-    Asymptotically the ball radius grows like sqrt(n/(2 pi e)) and the
-    simplex factor like n/e.
-    """
-    if isinstance(family, str):
-        family = BodyFamily(family, p)
-    n = validate_n(n, 1)
-    if family.kind == "cube":
-        return 1.0
-    if family.kind in ("ball", "lp"):
-        return _lp_radius(n, family.p or 2.0)
-    # simplex: the exponent 1/(n-1) needs n >= 2
-    if n < 2:
-        raise DomainError("simplex radius needs n >= 2")
+def _simplex_radius(n: int) -> float:
+    # the exponent 1/(n-1) needs n >= 2
     return math.exp((sp.gammaln(n + 1.0) - 1.5 * math.log(n)) / (n - 1.0))

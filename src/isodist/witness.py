@@ -5,22 +5,17 @@ and reports the exact euclidean distance between them, together with the
 n -> inf limit of that distance:
 
     ball / l_p   opposite caps  +-{x_1 >= a}  with cap volume eps;
-                 distance 2a, limit -2 psi_p_inv(eps)
+                 distance 2a
     cube         diagonal slabs sum(x) <= n/2 - a sqrt(n) and
                  sum(x) >= n/2 + a sqrt(n); the hyperplanes sum(x) = c1,
                  sum(x) = c2 are |c2 - c1|/sqrt(n) apart, so the distance
-                 is exactly 2a; limit -2 sqrt(pi/6) phi_inv(eps)
+                 is exactly 2a
     simplex      the two halves cut by an edge's perpendicular bisector,
                  each scaled by alpha = (2 eps)^{1/(n-1)} toward its
-                 vertex; distance sqrt(2) omega_n (1 - alpha), limit
-                 -(sqrt(2)/e) ln(2 eps)
+                 vertex; distance sqrt(2) omega_n (1 - alpha)
 
-Each limit is written once, in _limit_distance; bound_report reads it as
-its lower bound, next to the enlargement upper bound in its
-theorem-statement form, and for the ball the two coincide.  The simplex
-and l_p upper bounds rest on the unpinned constants c_lambda and c_iso,
-which are fixed at the placeholder 1 (see profiles); those rows are
-flagged parametric.
+The limits, and the upper bounds bound_report sets beside them, are
+written once, in the family table profiles._Family.
 """
 
 from __future__ import annotations
@@ -32,13 +27,11 @@ from typing import Mapping
 from scipy import special as sp
 
 from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
-from .enlargement import delta_closed_form
 from .errors import DomainError
+from .profiles import _FAMILIES, unit_volume_radius
 from .sections import _irwin_hall_lower, _lp_cap_volume, _section_area
-from .specfun import _lp_radius, phi_inv, psi_p_inv, unit_volume_radius
+from .specfun import _lp_radius
 
-_SQRT_PI_6 = math.sqrt(math.pi / 6.0)
-_BALL, _CUBE, _SIMPLEX = BodyFamily.ball(), BodyFamily.cube(), BodyFamily.simplex()
 _VOLUME_REL_TOL = 1e-6
 _NEWTON_STEPS = 30
 
@@ -108,13 +101,13 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
             * (7.0 + 3.0 * abs(math.log(omega)))
     if not miss <= _VOLUME_REL_TOL * eps:
         raise DomainError("cap volume solve missed its tolerance")
-    fam = "ball" if p == 2.0 else f"lp({p:g})"
+    family = BodyFamily.lp(p)
     return RegionPair(
-        fam, n, eps,
+        family.label(), n, eps,
         RegionDescriptor("halfspace_cap", {"axis": 0, "threshold": a, "side": "+"}),
         RegionDescriptor("halfspace_cap", {"axis": 0, "threshold": -a, "side": "-"}),
         2.0 * a,
-        _limit_distance(BodyFamily.lp(p), eps),
+        _FAMILIES[family.kind].limit(eps, family.p),
     )
 
 
@@ -172,7 +165,7 @@ def cube_diagonal_witness(n: int, eps: float) -> RegionPair:
         RegionDescriptor("diagonal_slab", {"side": "low", "threshold": s}),
         RegionDescriptor("diagonal_slab", {"side": "high", "threshold": n - s}),
         2.0 * a,
-        _limit_distance(_CUBE, eps),
+        _FAMILIES["cube"].limit(eps, None),
     )
 
 
@@ -195,51 +188,26 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
         RegionDescriptor("corner_homothety", {"vertex": 0, "alpha": alpha}),
         RegionDescriptor("corner_homothety", {"vertex": 1, "alpha": alpha}),
         distance,
-        _limit_distance(_SIMPLEX, eps),
+        _FAMILIES["simplex"].limit(eps, None),
     )
-
-
-def _limit_distance(family: BodyFamily, eps: float) -> float:
-    """The n -> inf distance of the family's witness at volume eps."""
-    if family.kind == "ball" or family.p == 2.0:
-        return 2.0 * delta_closed_form(_BALL, eps)
-    if family.kind == "cube":
-        return -2.0 * _SQRT_PI_6 * phi_inv(eps)
-    if family.kind == "simplex":
-        return -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps)
-    return -2.0 * psi_p_inv(eps, family.p)
 
 
 def bound_report(family: BodyFamily, eps: float) -> BoundReport:
     """Two-sided dimension-free bounds for one family at volume eps.
 
-    lower is the family witness's limit_value, its n -> inf distance:
-
-    ball     lower = upper = exact limit = -2 phi_inv(eps)/sqrt(e)
-    cube     lower = -2 sqrt(pi/6) phi_inv(eps), upper = -2 phi_inv(eps);
-             lower rides along as the scaled-Manhattan limit for the
-             lattice comparison
-    simplex  lower = -(sqrt(2)/e) ln(2 eps), upper = -(2/c_lambda) ln eps
-    l_p      lower = -2 psi_p_inv(eps), upper = (2p/c_iso)(-ln eps)^{1/p}
-
-    The ball's and the cube's uppers are twice the enlargement closed
-    forms.  The ball's row is the n -> inf value, not a bound at each n:
-    at eps = 1e-3 the caps are 1.49951 apart at n = 100, against 1.49549.
-    The limit is a lower bound for every symmetric log-concave direction
-    law, and the ball attains it.  The simplex and l_p uppers use the
-    placeholder constants c_lambda = c_iso = 1 and are flagged
-    parametric.  p = 2 is the euclidean ball, so that member returns the
-    exact ball row rather than the loose parametric form.
+    lower is the family witness's limit_value, its n -> inf distance, and
+    upper the theorem-statement bound, both read from profiles._Family.
+    The ball's limit is exact and stands as lower, upper and exact_limit
+    alike; lp(2) is the ball.  The cube's lower rides along as the
+    scaled-Manhattan limit for the lattice comparison.  The simplex and
+    l_p rows use the placeholder constants c_lambda = c_iso = 1 and are
+    flagged parametric.
     """
     eps = validate_epsilon(eps)
-    lower = _limit_distance(family, eps)
-    if family.kind == "ball" or family.p == 2.0:
-        return BoundReport("ball", eps, lower, lower, lower, False)
-    if family.kind == "cube":
-        return BoundReport("cube", eps, lower, 2.0 * delta_closed_form(family, eps),
-                           None, False, manhattan_scaled_limit=lower)
-    if family.kind == "simplex":
-        return BoundReport("simplex", eps, lower, -2.0 * math.log(eps), None, True)
-    p = family.p
-    return BoundReport(family.label(), eps, lower,
-                       2.0 * p * (-math.log(eps)) ** (1.0 / p), None, True)
+    rec = _FAMILIES[family.kind]
+    lower = rec.limit(eps, family.p)
+    if rec.upper is None:
+        return BoundReport(family.label(), eps, lower, lower, lower, rec.parametric)
+    return BoundReport(family.label(), eps, lower, rec.upper(eps, family.p), None,
+                       rec.parametric,
+                       manhattan_scaled_limit=lower if family.kind == "cube" else None)

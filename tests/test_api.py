@@ -31,7 +31,7 @@ SETTABLE = {
     "enlargement.distance_upper_bound(method)",
     "lattice.verify_extremal_pairs(budget)",
     "profiles.IsoProfile.parametric",
-    "specfun.unit_volume_radius(p)",
+    "profiles.unit_volume_radius(p)",
     "witness.BoundReport.manhattan_scaled_limit",
 }
 
@@ -85,6 +85,41 @@ def test_no_environment_variable_is_read():
     files = sorted(pathlib.Path(isodist.__file__).parent.glob("*.py"))
     assert len(files) == len(MODULES) + 1  # the modules and __init__
     assert [r for f in files for r in _env_reads(f)] == []
+
+
+# Each family's formulas live in one record of profiles._FAMILIES, and lp(2)
+# becomes the ball once, in bodies.BodyFamily.  What is left to branch on a
+# family is the choice of algorithm, listed here; a new branch on a family
+# belongs in the table instead.
+FAMILY_TESTS = [
+    "cli.cmd_witness: family.kind == 'cube'",
+    "cli.cmd_witness: family.kind == 'simplex'",
+    "montecarlo._fill_for: family.kind == 'cube'",
+    "montecarlo._fill_for: family.kind == 'simplex'",
+    "witness.bound_report: family.kind == 'cube'",
+]
+
+
+def _family_tests(path):
+    """Each comparison of a .kind attribute with strings, or of a .p
+    attribute with 2, in one file, as "module.function: source"."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            attrs = {side.attr for side in sides if isinstance(side, ast.Attribute)}
+            consts = [c.value for side in sides
+                      for c in getattr(side, "elts", [side]) if isinstance(c, ast.Constant)]
+            if ("kind" in attrs and any(isinstance(c, str) for c in consts)) \
+                    or ("p" in attrs and 2 in consts):
+                yield f"{path.stem}.{getattr(top, 'name', '<module>')}: {ast.unparse(node)}"
+
+
+def test_family_decisions_stay_in_the_table():
+    files = sorted(pathlib.Path(isodist.__file__).parent.glob("*.py"))
+    assert sorted(r for f in files if f.name != "bodies.py"
+                  for r in _family_tests(f)) == FAMILY_TESTS
 
 
 GRID = np.array([0.0, 0.5, 1.0])

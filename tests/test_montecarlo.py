@@ -134,6 +134,16 @@ def test_t_map_lipschitz_check_rejects_points_off_the_orthant():
         t_map_lipschitz_check(np.zeros(3))
 
 
+def test_t_map_rejects_nan_negative_and_zero_sum_rows():
+    # a NaN compares false both ways, so only the positive-form checks catch it
+    good = [1.0, 2.0, 3.0]
+    for bad in ([math.nan, 1.0, 2.0], [-1.0, 2.0, 3.0], [0.0, 0.0, 0.0]):
+        for points in (np.array(bad), np.array([good, bad])):
+            for fn in (t_map, t_map_jacobian, t_map_lipschitz_check):
+                with pytest.raises(DomainError):
+                    fn(points)
+
+
 def test_cutoff_plateau_values():
     # c1 = 1, n = 4: h1 = clip(2 - 2 ||x||_2, 0, 1)
     inside = np.full(4, 0.2)     # norm 0.4 < 1/2

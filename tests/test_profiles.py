@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from isodist import (BodyFamily, DomainError,
-                     ball_profile_limit, cube_profile, exp_measure_profile,
+from isodist import (BodyFamily, DomainError, ball_caps_witness,
+                     ball_profile_limit, bound_report, cube_profile,
+                     delta_closed_form, distance_upper_bound,
+                     estimate_cap_volume, exp_measure_profile, lp_caps_witness,
                      lp_profile, make_exp_measure_profile, make_profile,
-                     simplex_profile, xlog_power_derivative)
+                     sample_uniform, simplex_profile, unit_volume_radius,
+                     xlog_power_derivative)
 
 CUBE_PROFILE_01 = 0.439909080972548  # exp(-pi phi_inv(0.1)^2), quadrature oracle
 
@@ -125,6 +128,30 @@ def test_make_profile_dispatch():
 
     tent = make_exp_measure_profile()
     assert tent.tag == "exp_measure" and tent(0.7) == pytest.approx(0.3)
+
+
+def test_lp2_is_the_ball_everywhere():
+    ball, lp2 = BodyFamily.ball(), BodyFamily.lp(2.0)
+    assert lp2 == ball
+    t = np.linspace(1e-6, 0.4999, 101)
+    prof_ball, prof_lp2 = make_profile(ball), make_profile(lp2)
+    assert (prof_lp2.label, prof_lp2.tag, prof_lp2.parametric) == ("ball", "ball_limit", False)
+    assert (prof_ball.label, prof_ball.tag, prof_ball.parametric) == ("ball", "ball_limit", False)
+    assert np.array_equal(prof_lp2(t), prof_ball(t))
+    for eps in (1e-9, 0.1, 0.3):
+        assert delta_closed_form(lp2, eps) == delta_closed_form(ball, eps)
+        for method in ("closed_form", "quadrature"):
+            assert distance_upper_bound(lp2, eps, method) == \
+                distance_upper_bound(ball, eps, method)
+        assert bound_report(lp2, eps) == bound_report(ball, eps)
+        for n in (1, 2, 10, 200):
+            assert lp_caps_witness(n, 2.0, eps) == ball_caps_witness(n, eps)
+    for n in (1, 7, 400):
+        assert unit_volume_radius("lp", n, 2.0) == unit_volume_radius("ball", n)
+    a, b = sample_uniform(lp2, 3, 500, 4), sample_uniform(ball, 3, 500, 4)
+    assert a.family == b.family == "ball" and np.array_equal(a.points, b.points)
+    assert estimate_cap_volume(lp2, 5, 0.1, 2000, 3) == \
+        estimate_cap_volume(ball, 5, 0.1, 2000, 3)
 
 
 def test_profiles_accept_arrays():

@@ -181,8 +181,9 @@ def test_orthogonal_ball_domain():
         orthogonal_ball_geometry(0.0, 1.0)
     with pytest.raises(DomainError):
         orthogonal_ball_geometry(0.5, -1.0)
-    with pytest.raises(DomainError, match="omega must be positive"):
-        orthogonal_ball_geometry(0.5, math.nan)
+    for omega in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="omega must be positive and finite"):
+            orthogonal_ball_geometry(0.5, omega)
 
 
 def test_cube_sum_cdf_small_closed_forms():
