@@ -78,6 +78,7 @@ class Grid:
     def cell(self, index: int) -> Cell:
         if not 0 <= index < self.size:
             raise RangeError(f"index {index} outside grid of size {self.size}")
+        index = validate_n(index, 0)
         out = []
         for _ in range(self.n):
             index, c = divmod(index, self.k)
@@ -145,6 +146,7 @@ class SubsetHandle:
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
+    count = validate_n(count, 0)
     c = np.indices((grid.k,) * grid.n).reshape(grid.n, -1)
     # lexsort's last key is the primary one: coordinate sum, then -c_0, -c_1, ...
     order = np.lexsort(np.vstack((-c[::-1], c.sum(axis=0))))
@@ -185,8 +187,7 @@ def t_boundary(handle: SubsetHandle, t: int) -> SubsetHandle:
     Thresholds the axis-sweep distance transform at t; t = 0 returns the
     set itself.
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    t = validate_n(t, 0)
     if handle.mask == 0:
         raise EmptySetError("t-boundary of an empty set")
     return SubsetHandle(handle.grid, _bits_mask(_distance_to(handle) <= t))
@@ -257,6 +258,7 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")
     if not (1 <= r <= grid.size and 1 <= s <= grid.size):
         raise RangeError(f"need 1 <= r, s <= {grid.size}")
+    r, s = validate_n(r, 1), validate_n(s, 1)
     space = math.comb(grid.size, r) * math.comb(grid.size, s)
     if space > budget:
         raise BudgetExceededError(

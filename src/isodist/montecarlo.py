@@ -29,9 +29,19 @@ inequality, the Erlang small-sum tail against its closed bound, the
 coordinatewise gaussian-to-cube transfer (1-Lipschitz, uniform output),
 and the mean-distance lower bound sqrt(n/(2 pi e)) in high dimension.
 
+Every function that takes points reads them through one intake,
+_cloud: an (n,) point or an (m, n) cloud of finite coordinates, n >= 1,
+and for T also coordinates >= 0 with row sums finite and positive, so a
+NaN, an infinite coordinate or an overflowing sum raises DomainError.
+Each check validates its cloud and its constants c1, c2 once; T, h1 and
+h2 are each written once as unchecked array kernels, which the public
+maps, the plateau check and the finite differences all call.
+
 Finite differences use central steps of h = 1e-6 over a whole cloud at
-once, looping over coordinates only, and skip points within 1e-4 of a
-cutoff kink, where one-sided slopes would lie.
+once, looping over coordinates only, and run on the unchecked kernels,
+since a shifted row may leave the domain (a coordinate below h); they
+skip points within 1e-4 of a cutoff kink, where one-sided slopes would
+lie.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_n
+from .bodies import BodyFamily, validate_n, validate_open_interval
 from .errors import DomainError
 from .profiles import _FAMILIES, unit_volume_radius
 from .rng import generate
@@ -133,46 +143,67 @@ def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleB
 def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
                         seed: int) -> EstimateWithCI:
     """Fraction of sampled points with first coordinate >= a."""
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"need a finite cap height a, got {a}")
+    a = validate_open_interval(a, -math.inf, math.inf, "cap height a").tolist()
     batch = sample_uniform(family, n, count, seed)
     hits = int(np.count_nonzero(batch.points[:, 0] >= a))
     return EstimateWithCI.from_proportion(hits, batch.count)
 
 
+# ---------------------------------------------------------------- clouds
+
+def _cloud(points, orthant=False):
+    """points as an (m, n) float array, and whether one (n,) point came in.
+
+    The one intake of every function here that takes points: at most two
+    axes, n >= 1 and finite coordinates; with orthant, T's domain too,
+    every coordinate >= 0 and every row sum finite and > 0.  An empty
+    cloud of m = 0 points passes.
+    """
+    points = np.asarray(points, dtype=float)
+    x = np.atleast_2d(points)
+    if x.ndim > 2 or x.shape[1] == 0 or not np.all(np.isfinite(x)):
+        raise DomainError("points need shape (n,) or (m, n) with n >= 1, all finite")
+    if orthant:
+        with np.errstate(over="ignore"):
+            s = x.sum(axis=1)
+        if not (np.all(x >= 0.0) and np.all((s > 0.0) & (s < math.inf))):
+            raise DomainError("T takes points of the positive orthant, row sums in (0, inf)")
+    return x, points.ndim == 1
+
+
 # ---------------------------------------------------------------- T map
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """T(x) = x/||x||_1 for each row of an (m, n) array."""
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _t_jacobian(x: np.ndarray) -> np.ndarray:
+    return (np.eye(x.shape[1]) - _t(x)[:, None, :]) / x.sum(axis=1)[:, None, None]
+
+
+def _t_bound(x: np.ndarray) -> np.ndarray:
+    return (1.0 + math.sqrt(x.shape[1]) * np.linalg.norm(_t(x), axis=1)) / x.sum(axis=1)
+
 
 def t_map(points: np.ndarray) -> np.ndarray:
     """Row-wise normalization x -> x/||x||_1 on the positive orthant."""
-    points = np.asarray(points, dtype=float)
-    x = np.atleast_2d(points)
-    # positive forms, so a NaN coordinate fails too
-    if not np.all(x >= 0.0):
-        raise DomainError("t_map takes points in the positive orthant")
-    s = x.sum(axis=1, keepdims=True)
-    if not np.all(s > 0.0):
-        raise DomainError("t_map undefined at the origin")
-    out = x / s
-    return out[0] if points.ndim == 1 else out
+    x, one = _cloud(points, orthant=True)
+    return _t(x)[0] if one else _t(x)
 
 
-def t_map_jacobian(x: np.ndarray) -> np.ndarray:
+def t_map_jacobian(points: np.ndarray) -> np.ndarray:
     """Exact Jacobian (d T_j / d x_i) = (delta_ij - T_j(x)) / ||x||_1,
     stacked to (m, n, n) for an (m, n) array of points."""
-    x = np.asarray(x, dtype=float)
-    s = x.sum(axis=-1, keepdims=True)
-    return (np.eye(x.shape[-1]) - t_map(x)[..., None, :]) / s[..., None]
+    x, one = _cloud(points, orthant=True)
+    return _t_jacobian(x)[0] if one else _t_jacobian(x)
 
 
-def t_map_opnorm_bound(x: np.ndarray):
+def t_map_opnorm_bound(points: np.ndarray):
     """Operator-norm bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1: a float
     for a point, an array of m bounds for an (m, n) array of points."""
-    x = np.asarray(x, dtype=float)
-    s = x.sum(axis=-1)
-    t = x / s[..., None]
-    bound = (1.0 + math.sqrt(x.shape[-1]) * np.linalg.norm(t, axis=-1)) / s
-    return float(bound) if x.ndim == 1 else bound
+    x, one = _cloud(points, orthant=True)
+    return float(_t_bound(x)[0]) if one else _t_bound(x)
 
 
 def _central_diff(f, x: np.ndarray) -> np.ndarray:
@@ -202,54 +233,59 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
     For each point: central-difference Jacobian, cross-checked against
     the exact one, its 2-norm compared with t_map_opnorm_bound; ok means
     no norm exceeds the bound by more than 1e-6 relative.  Points must
-    lie in t_map's domain; the differences are taken of x / sum(x), which
-    is smooth wherever the sum is positive, so coordinates below FD_STEP
-    are fine.
+    lie in t_map's domain; the differences are taken of the unchecked
+    x / sum(x), which is smooth wherever the sum is positive, so
+    coordinates below FD_STEP are fine.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    t_map(points)
+    points, _ = _cloud(points, orthant=True)
     m, n = points.shape
     rows = max(1, 2**16 // (n * n))  # blocks of about 2^16 Jacobian entries
     worst, fd_err = 0.0, 0.0
-    for lo in range(0, m, rows):
-        x = points[lo:lo + rows]
-        jfd = _central_diff(lambda y: y / y.sum(axis=1, keepdims=True), x)
+    for x in (points[lo:lo + rows] for lo in range(0, m, rows)):
+        jfd = _central_diff(_t, x)
         fd_err = max(fd_err, float(np.max(
-            np.linalg.norm(jfd - t_map_jacobian(x), 2, axis=(1, 2)))))
-        ratio = np.linalg.norm(jfd, 2, axis=(1, 2)) / t_map_opnorm_bound(x)
+            np.linalg.norm(jfd - _t_jacobian(x), 2, axis=(1, 2)))))
+        ratio = np.linalg.norm(jfd, 2, axis=(1, 2)) / _t_bound(x)
         worst = max(worst, float(np.max(ratio)) - 1.0)
     return TMapCheck(m, worst, fd_err, worst <= 1e-6)
 
 
 # ---------------------------------------------------------------- cutoffs
 
+def _h1(x: np.ndarray, c1: float):
+    """h1 = clip(2 - a, 0, 1) for each row, and its level a = c1 sqrt(n) ||x||_2."""
+    a = c1 * math.sqrt(x.shape[1]) * np.linalg.norm(x, axis=1)
+    return np.clip(2.0 - a, 0.0, 1.0), a
+
+
+def _h2(x: np.ndarray, c2: float):
+    """h2 = clip(b - 1, 0, 1) for each row, and its level b = c2 ||x||_1 / n."""
+    b = c2 * np.abs(x).sum(axis=1) / x.shape[1]
+    return np.clip(b - 1.0, 0.0, 1.0), b
+
+
 def cutoff_h1(points: np.ndarray, c1: float):
     """Radial cutoff clip(2 - c1 sqrt(n) ||x||_2, 0, 1)."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n = x.shape[1]
-    vals = np.clip(2.0 - c1 * math.sqrt(n) * np.linalg.norm(x, axis=1), 0.0, 1.0)
-    return float(vals[0]) if np.asarray(points).ndim == 1 else vals
+    x, one = _cloud(points)
+    vals, _ = _h1(x, validate_open_interval(c1, 0.0, math.inf, "c1").tolist())
+    return float(vals[0]) if one else vals
 
 
 def cutoff_h2(points: np.ndarray, c2: float):
     """Mass cutoff clip(c2 ||x||_1 / n - 1, 0, 1) on the positive orthant."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n = x.shape[1]
-    vals = np.clip(c2 * np.abs(x).sum(axis=1) / n - 1.0, 0.0, 1.0)
-    return float(vals[0]) if np.asarray(points).ndim == 1 else vals
+    x, one = _cloud(points)
+    vals, _ = _h2(x, validate_open_interval(c2, 0.0, math.inf, "c2").tolist())
+    return float(vals[0]) if one else vals
 
 
 def _cutoff_gradients(x: np.ndarray, c1: float, c2: float):
     """Rows within KINK_RADIUS of a kink sphere of h1 or h2 and, off them,
     the gradient norms of h1, h2 and h1 h2 from one pass over all three."""
-    n = x.shape[1]
-    a = c1 * math.sqrt(n) * np.linalg.norm(x, axis=1)
-    b = c2 * np.abs(x).sum(axis=1) / n
-    near = ((np.minimum(np.abs(a - 1.0), np.abs(a - 2.0)) < KINK_RADIUS)
-            | (np.minimum(np.abs(b - 1.0), np.abs(b - 2.0)) < KINK_RADIUS))
+    lv = np.stack([_h1(x, c1)[1], _h2(x, c2)[1]])
+    near = np.any(np.minimum(np.abs(lv - 1.0), np.abs(lv - 2.0)) < KINK_RADIUS, axis=0)
 
     def stacked(y):
-        v1, v2 = cutoff_h1(y, c1), cutoff_h2(y, c2)
+        v1, v2 = _h1(y, c1)[0], _h2(y, c2)[0]
         return np.stack([v1, v2, v1 * v2], axis=1)
 
     grads = _central_diff(stacked, x[~near])
@@ -276,13 +312,12 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     and, away from the four kink spheres, ||grad h1|| <= c1 sqrt(n) and
     ||grad h2|| <= c2/sqrt(n) by central differences.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts, _ = _cloud(points)
+    c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     n = pts.shape[1]
     sq = math.sqrt(n)
-    r2 = np.linalg.norm(pts, axis=1)
-    r1 = np.abs(pts).sum(axis=1)
-    v1 = cutoff_h1(pts, c1)
-    v2 = cutoff_h2(pts, c2)
+    r2, r1 = np.linalg.norm(pts, axis=1), np.abs(pts).sum(axis=1)
+    v1, v2 = _h1(pts, c1)[0], _h2(pts, c2)[0]
     plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / (c1 * sq)))
                       + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / (c1 * sq)))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
@@ -300,7 +335,8 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     Both factors take values in [0, 1], so the product of cutoffs cannot
     steepen; checked by central differences away from kinks, to 1e-5.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts, _ = _cloud(points)
+    c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     near, g1, g2, gp = _cutoff_gradients(pts, c1, c2)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
@@ -328,8 +364,7 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     3/count when the tail sees no hits).
     """
     n = validate_n(n, 1)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"need a finite alpha > 0, got {alpha}")
+    alpha = validate_open_interval(alpha, 0.0, math.inf, "alpha").tolist()
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))
@@ -338,7 +373,7 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     bound = (alpha * math.e) ** n / math.sqrt(2.0 * math.pi * n)
     ok = erlang <= bound * (1.0 + 1e-12) and \
         abs(mc.estimate - erlang) <= max(mc.half_width_95, 3.0 / count)
-    return ExpTailCheck(n, float(alpha), mc, erlang, bound, ok)
+    return ExpTailCheck(n, alpha, mc, erlang, bound, ok)
 
 
 # ---------------------------------------------------------------- transfer

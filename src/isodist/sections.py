@@ -193,6 +193,8 @@ def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
     if not 0.0 < d < 2.0 * omega:
         raise DomainError(f"need 0 < d < 2*omega for a positive radius, got d={d}")
     r = omega * omega / d - d / 4.0
+    if not r < math.inf:
+        raise DomainError(f"the radius omega^2/d - d/4 overflows at d={d}, omega={omega}")
     oa = math.hypot(omega, r)
     oh = d / (1.0 + d * d / (4.0 * omega * omega))
     return OrthogonalBallGeometry(d, omega, r, oa, oh)

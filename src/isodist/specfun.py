@@ -93,14 +93,9 @@ def phi_p_inv(eps: float, p: float) -> float:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"phi_p_inv needs eps in (0, 1), got {eps}")
-    if eps == 0.5:
-        return 0.0
-    k = kappa(p)
-    if eps < 0.5:
-        z = sp.gammainccinv(1.0 / p, 2.0 * eps)
-        return float(-((z / k) ** (1.0 / p)))
-    z = sp.gammaincinv(1.0 / p, 2.0 * eps - 1.0)
-    return float((z / k) ** (1.0 / p))
+    # one branch, reflected as in phi_inv, so that phi_p_inv(1 - e) = -phi_p_inv(e)
+    z = sp.gammainccinv(1.0 / p, 2.0 * min(eps, 1.0 - eps))
+    return math.copysign((z / kappa(p)) ** (1.0 / p), eps - 0.5)
 
 
 def psi_p(a, p: float):

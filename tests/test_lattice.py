@@ -122,6 +122,29 @@ def test_segments():
         final_segment(g, -1)
 
 
+# every lattice count and index, called with 2: sizes r and s of a
+# segment or extremal pair, the cell index, and the boundary distance t
+COUNTS = {
+    "Grid.cell": lambda i: Grid(3, 2).cell(i),
+    "initial_segment": lambda r: initial_segment(Grid(3, 2), r),
+    "final_segment": lambda s: final_segment(Grid(3, 2), s),
+    "t_boundary": lambda t: t_boundary(SubsetHandle.from_cells(Grid(3, 2), [(0, 0)]), t),
+    "verify_extremal_pairs-r": lambda r: verify_extremal_pairs(Grid(3, 2), r, 2),
+    "verify_extremal_pairs-s": lambda s: verify_extremal_pairs(Grid(3, 2), 2, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_must_be_integral(name):
+    call = COUNTS[name]
+    want = repr(call(2))
+    assert repr(call(np.int64(2))) == want
+    assert repr(call(2.0)) == want
+    for bad in (2.5, math.nan):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
 def test_final_segment_is_reflected_initial_segment():
     for g in (Grid(3, 2), Grid(2, 3)):
         for s in range(g.size + 1):

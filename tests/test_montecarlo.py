@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
+import isodist.montecarlo
 from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
                      cutoff_gradient_check, cutoff_h1, cutoff_h2,
                      cutoff_product_check, estimate_cap_volume, exp_tail_check,
@@ -135,13 +138,74 @@ def test_t_map_lipschitz_check_rejects_points_off_the_orthant():
 
 
 def test_t_map_rejects_nan_negative_and_zero_sum_rows():
-    # a NaN compares false both ways, so only the positive-form checks catch it
+    # a NaN compares false both ways, so only the positive-form checks catch
+    # it; the last row's sum overflows to inf although each coordinate is finite
     good = [1.0, 2.0, 3.0]
-    for bad in ([math.nan, 1.0, 2.0], [-1.0, 2.0, 3.0], [0.0, 0.0, 0.0]):
+    for bad in ([math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0], [-math.inf, 1.0, 2.0],
+                [-1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e308, 1e308, 1.0]):
         for points in (np.array(bad), np.array([good, bad])):
-            for fn in (t_map, t_map_jacobian, t_map_lipschitz_check):
+            for fn in (t_map, t_map_jacobian, t_map_opnorm_bound, t_map_lipschitz_check):
                 with pytest.raises(DomainError):
                     fn(points)
+
+
+# every function that takes a point cloud, with valid constants where it takes any
+CLOUD_FUNCTIONS = {
+    "t_map": t_map,
+    "t_map_jacobian": t_map_jacobian,
+    "t_map_opnorm_bound": t_map_opnorm_bound,
+    "t_map_lipschitz_check": t_map_lipschitz_check,
+    "cutoff_h1": lambda x: cutoff_h1(x, 1.0),
+    "cutoff_h2": lambda x: cutoff_h2(x, 1.0),
+    "cutoff_gradient_check": lambda x: cutoff_gradient_check(x, 1.0, 1.0),
+    "cutoff_product_check": lambda x: cutoff_product_check(x, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOUD_FUNCTIONS))
+def test_cloud_functions_reject_non_finite_and_misshapen_clouds(name):
+    fn = CLOUD_FUNCTIONS[name]
+    good = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 0.125]])
+    fn(good)
+    for v in (math.nan, math.inf, -math.inf):
+        bad = good.copy()
+        bad[1, 2] = v
+        for points in (bad, bad[1]):
+            with pytest.raises(DomainError):
+                fn(points)
+    for points in (np.ones((2, 2, 3)), np.ones((3, 0)), np.ones(0)):
+        with pytest.raises(DomainError):
+            fn(points)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+def test_cutoffs_reject_bad_constants(c):
+    pts = np.array([[0.1, 0.2], [1.0, 2.0]])
+    for call in (lambda: cutoff_h1(pts, c), lambda: cutoff_h2(pts, c),
+                 lambda: cutoff_gradient_check(pts, c, 1.0),
+                 lambda: cutoff_gradient_check(pts, 1.0, c),
+                 lambda: cutoff_product_check(pts, c, 1.0),
+                 lambda: cutoff_product_check(pts, 1.0, c)):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_clouds_are_read_in_one_place():
+    """montecarlo._cloud is the only code that shapes a cloud (the only
+    np.atleast_2d), and every function of CLOUD_FUNCTIONS calls it."""
+    path = pathlib.Path(isodist.montecarlo.__file__)
+    shaping, intake = [], []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                owner = getattr(top, "name", "<module>")
+                if name == "np.atleast_2d":
+                    shaping.append(owner)
+                elif name == "_cloud":
+                    intake.append(owner)
+    assert shaping == ["_cloud"]
+    assert sorted(intake) == sorted(CLOUD_FUNCTIONS)
 
 
 def test_cutoff_plateau_values():

@@ -184,6 +184,9 @@ def test_orthogonal_ball_domain():
     for omega in (math.nan, math.inf):
         with pytest.raises(DomainError, match="omega must be positive and finite"):
             orthogonal_ball_geometry(0.5, omega)
+    # a finite omega whose radius omega^2/d overflows
+    with pytest.raises(DomainError):
+        orthogonal_ball_geometry(0.5, 1e200)
 
 
 def test_cube_sum_cdf_small_closed_forms():

@@ -103,6 +103,9 @@ def test_phi_p_inv_round_trip(p):
     for eps in (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.499):
         assert phi_p(phi_p_inv(eps, p), p) == pytest.approx(eps, abs=1e-10)
     assert phi_p_inv(0.5, p) == 0.0
+    # exact antisymmetry: 1 - u is exact for u in [1/2, 1], and so is 1 - (1 - u)
+    for u in np.linspace(0.5, 1.0, 401)[1:-1].tolist():
+        assert phi_p_inv(u, p) == -phi_p_inv(1.0 - u, p)
 
 
 def test_phi_p_inv_against_bisection(rng):
