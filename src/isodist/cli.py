@@ -29,7 +29,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -83,31 +83,21 @@ def _emit(rows: list[dict], args, parameters: dict) -> None:
         sys.stdout.write(text)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: list
-    parameters: dict
-    seed: int | None
-    versions: dict
-    timestamp_utc: str
-    output_path: str
-
-
 def _write_manifest(args, parameters: dict) -> None:
     import scipy
 
-    manifest = RunManifest(
-        command=list(args._argv),
-        parameters=parameters,
-        seed=parameters.get("seed"),
-        versions={"isodist": __version__, "numpy": np.__version__,
-                  "scipy": scipy.__version__,
-                  "python": ".".join(map(str, sys.version_info[:3]))},
-        timestamp_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        output_path=args.out,
-    )
+    manifest = {
+        "command": list(args._argv),
+        "parameters": parameters,
+        "seed": parameters.get("seed"),
+        "versions": {"isodist": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "output_path": args.out,
+    }
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
@@ -169,14 +159,8 @@ def cmd_witness(args) -> int:
 def cmd_lattice_verify(args) -> int:
     check = verify_extremal_pairs(Grid(args.k, args.n), args.r, args.s,
                                   budget=args.budget)
-    _emit([{
-        "k": check.k, "n": check.n, "r": check.r, "s": check.s,
-        "brute_max": check.brute_max,
-        "segment_distance": check.segment_distance,
-        "agree": check.agree,
-        "search_space": check.search_space,
-    }], args, {"k": args.k, "n": args.n, "r": args.r, "s": args.s,
-               "budget": args.budget})
+    _emit([asdict(check)], args,
+          {"k": args.k, "n": args.n, "r": args.r, "s": args.s, "budget": args.budget})
     return 0
 
 
@@ -282,20 +266,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_asympt(args) -> int:
+    if args.which == "phi-inv" and args.p is not None:
+        raise DomainError("--which phi-inv takes no --p")
+    if args.which == "psi-inv" and args.p is None:
+        raise DomainError("--which psi-inv needs --p")
     rows = []
     for eps in args.eps:
         if args.which == "phi-inv":
-            actual = phi_inv(eps)
-            asym = phi_inv_asymptote(eps)
-            p = None
+            actual, asym = phi_inv(eps), phi_inv_asymptote(eps)
         else:
-            if args.p is None:
-                raise DomainError("--which psi-inv needs --p")
-            actual = psi_p_inv(eps, args.p)
-            asym = psi_p_inv_asymptote(eps, args.p)
-            p = args.p
+            actual, asym = psi_p_inv(eps, args.p), psi_p_inv_asymptote(eps, args.p)
         rows.append({
-            "which": args.which, "p": p, "epsilon": float(eps),
+            "which": args.which, "p": args.p, "epsilon": float(eps),
             "actual": float(actual), "asymptote": asym,
             "ratio": asym / actual,
         })

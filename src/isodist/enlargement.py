@@ -58,7 +58,10 @@ def time_to_half(profile: IsoProfile, eps: float) -> float:
     does).  Raises NonConvergenceError if more than 200 subintervals
     would be needed or the integrand is not finite.
     """
-    eps = validate_epsilon(eps)
+    return _time_to_half(profile, validate_epsilon(eps))
+
+
+def _time_to_half(profile, eps):
     a, b = _LN2, -math.log(eps)
 
     def rule(lo, hi):
@@ -122,12 +125,12 @@ def distance_upper_bound(family: BodyFamily, eps: float,
     which is the ball.
     """
     eps = validate_epsilon(eps)
-    profile = make_profile(family)
+    rec = _FAMILIES[family.kind]
     if method == "closed_form":
-        delta = delta_closed_form(family, eps)
+        delta = rec.delta(eps, family.p)
     elif method == "quadrature":
-        delta = time_to_half(profile, eps)
+        delta = _time_to_half(make_profile(family), eps)
     else:
         raise DomainError(f"unknown method {method!r}")
     return EnlargementResult(family.label(), eps, delta, 2.0 * delta, method,
-                             profile.parametric)
+                             rec.parametric)

@@ -121,9 +121,12 @@ class SubsetHandle:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.grid.size:
-            raise RangeError(f"mask {self.mask} has bits outside a grid of "
+        # a negative mask is out of range, a fractional or NaN one malformed
+        mask = self.mask if self.mask < 0 else validate_n(self.mask, 0)
+        if mask < 0 or mask >> self.grid.size:
+            raise RangeError(f"mask {mask} has bits outside a grid of "
                              f"{self.grid.size} cells")
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -258,7 +261,7 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")
     if not (1 <= r <= grid.size and 1 <= s <= grid.size):
         raise RangeError(f"need 1 <= r, s <= {grid.size}")
-    r, s = validate_n(r, 1), validate_n(s, 1)
+    r, s, budget = validate_n(r, 1), validate_n(s, 1), validate_n(budget, 0)
     space = math.comb(grid.size, r) * math.comb(grid.size, s)
     if space > budget:
         raise BudgetExceededError(

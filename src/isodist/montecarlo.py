@@ -54,7 +54,7 @@ from scipy import special as sp
 
 from .bodies import BodyFamily, validate_n, validate_open_interval
 from .errors import DomainError
-from .profiles import _FAMILIES, unit_volume_radius
+from .profiles import _FAMILIES
 from .rng import generate
 from .specfun import phi
 
@@ -96,15 +96,13 @@ class EstimateWithCI:
 def _fill_for(family: BodyFamily, n: int):
     if family.kind == "cube":
         return lambda g, m: g.random((m, n))
+    omega = _FAMILIES[family.kind].radius(n, family.p)
     if family.kind == "simplex":
-        omega = unit_volume_radius(family, n)
-
         def fill(g, m):
             e = g.standard_exponential((m, n))
             return omega * e / e.sum(axis=1, keepdims=True)
         return fill
     p = family.p or 2.0
-    omega = unit_volume_radius(family, n)
 
     def fill(g, m):
         # draw order is part of the determinism contract: the m x n

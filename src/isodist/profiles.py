@@ -19,6 +19,10 @@ and c_iso that the underlying estimates do not pin down.  Both are fixed
 at the placeholder 1, so the profiles are evaluated with the constant
 dropped; every profile and bound built from them is flagged parametric,
 so no output presents a placeholder as a proved constant.
+
+Public functions check each input once; the table's formulas call only
+unchecked kernels: specfun's _gauss_tail_inv, _psi_p_inv, _lp_radius and
+_simplex_radius, and _lp_profile here, which checks t but not p.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 from scipy import special as sp
 
 from .bodies import BodyFamily, validate_n, validate_open_interval, validate_p
-from .specfun import (SQRT_E, SQRT_PI, _lp_radius, _simplex_radius, phi_inv,
-                      psi_p_inv)
+from .specfun import (SQRT_E, _gauss_tail_inv, _lp_radius, _psi_p_inv,
+                      _simplex_radius)
 
 _LN2 = math.log(2.0)
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
@@ -53,7 +57,7 @@ def ball_profile_limit(t):
     derivation produces so the identity stays a testable fact.
     """
     t = validate_open_interval(t, 0.0, 0.5, "profile argument")
-    psi_inv = sp.erfcinv(2.0 * t) / SQRT_PI / SQRT_E
+    psi_inv = _gauss_tail_inv(t) / SQRT_E
     out = SQRT_E * np.exp(-math.pi * math.e * psi_inv**2)
     return float(out) if out.ndim == 0 else out
 
@@ -68,7 +72,10 @@ def simplex_profile(t):
 def lp_profile(t, p: float):
     """c_iso * t * (-ln t)^{1-1/p} on (0, 1/2), at the placeholder c_iso = 1;
     reduces to linear at p = 1."""
-    p = validate_p(p)
+    return _lp_profile(t, validate_p(p))
+
+
+def _lp_profile(t, p):
     t = validate_open_interval(t, 0.0, 0.5, "profile argument")
     out = t * (-np.log(t)) ** (1.0 - 1.0 / p)
     return float(out) if out.ndim == 0 else out
@@ -109,7 +116,7 @@ class IsoProfile:
     label: str
     tag: str
     fn: Callable = field(repr=False)
-    parametric: bool = False
+    parametric: bool
 
     def __call__(self, t):
         return self.fn(t)
@@ -167,8 +174,12 @@ class _Family:
     least_n: int
 
 
+def _cube_delta(eps, p):
+    return float(_gauss_tail_inv(eps))
+
+
 def _ball_delta(eps, p):
-    return -phi_inv(eps) / SQRT_E
+    return _cube_delta(eps, p) / SQRT_E
 
 
 def _lp_delta(eps, p):
@@ -179,10 +190,9 @@ def _lp_delta(eps, p):
 
 
 _FAMILIES = {
-    "cube": _Family("cube", lambda t, p: cube_profile(t), False,
-                    lambda eps, p: -phi_inv(eps),
-                    lambda eps, p: -2.0 * _SQRT_PI_6 * phi_inv(eps),
-                    lambda eps, p: -2.0 * phi_inv(eps), lambda n, p: 1.0, 1),
+    "cube": _Family("cube", lambda t, p: cube_profile(t), False, _cube_delta,
+                    lambda eps, p: 2.0 * _SQRT_PI_6 * _cube_delta(eps, p),
+                    lambda eps, p: 2.0 * _cube_delta(eps, p), lambda n, p: 1.0, 1),
     "ball": _Family("ball_limit", lambda t, p: ball_profile_limit(t), False, _ball_delta,
                     lambda eps, p: 2.0 * _ball_delta(eps, p), None,
                     lambda n, p: _lp_radius(n, 2.0), 1),
@@ -191,8 +201,8 @@ _FAMILIES = {
                        lambda eps, p: -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
                        lambda eps, p: -2.0 * math.log(eps),
                        lambda n, p: _simplex_radius(n), 2),
-    "lp": _Family("lp_loglinear", lp_profile, True, _lp_delta,
-                  lambda eps, p: -2.0 * psi_p_inv(eps, p),
+    "lp": _Family("lp_loglinear", _lp_profile, True, _lp_delta,
+                  lambda eps, p: -2.0 * _psi_p_inv(eps, p),
                   lambda eps, p: 2.0 * p * (-math.log(eps)) ** (1.0 / p), _lp_radius, 1),
 }
 
@@ -205,13 +215,11 @@ def make_profile(family: BodyFamily) -> IsoProfile:
 
 
 def make_exp_measure_profile() -> IsoProfile:
-    return IsoProfile("exp_measure", "exp_measure", exp_measure_profile)
+    return IsoProfile("exp_measure", "exp_measure", exp_measure_profile, False)
 
 
-def unit_volume_radius(family: BodyFamily | str, n: int, p: float | None = None) -> float:
+def unit_volume_radius(family: BodyFamily, n: int) -> float:
     """Scaling factor omega_n that gives the family's body volume one (see
     _Family), through log-gamma so large n does not overflow."""
-    if isinstance(family, str):
-        family = BodyFamily(family, p)
     rec = _FAMILIES[family.kind]
     return rec.radius(validate_n(n, rec.least_n), family.p)

@@ -192,11 +192,19 @@ def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
         raise DomainError(f"omega must be positive and finite, got {omega}")
     if not 0.0 < d < 2.0 * omega:
         raise DomainError(f"need 0 < d < 2*omega for a positive radius, got d={d}")
-    r = omega * omega / d - d / 4.0
-    if not r < math.inf:
+    # every length scales with d and omega: work exactly at d 2^-k and
+    # omega 2^-k in [1/2, 1), so omega^2 neither overflows nor underflows.
+    # Past omega/d = 2^1019 the scaled d could lose bits; there k = 0, and
+    # the plain formulas are accurate or r truly overflows.
+    e = math.frexp(omega)[1]
+    k = e if e - math.frexp(d)[1] <= 1019 else 0
+    ds, ws = math.ldexp(d, -k), math.ldexp(omega, -k)
+    rs = ws * ws / ds - ds / 4.0
+    oas = math.hypot(ws, rs)  # OA >= r, so this also catches r past the float range
+    if not (oas < math.inf and math.frexp(oas)[1] + k <= 1024):
         raise DomainError(f"the radius omega^2/d - d/4 overflows at d={d}, omega={omega}")
-    oa = math.hypot(omega, r)
-    oh = d / (1.0 + d * d / (4.0 * omega * omega))
+    r, oa, oh = (math.ldexp(v, k) for v in
+                 (rs, oas, ds / (1.0 + ds * ds / (4.0 * ws * ws))))
     return OrthogonalBallGeometry(d, omega, r, oa, oh)
 
 

@@ -19,9 +19,13 @@ functions, which stay accurate deep in the tails; the inverses use the
 corresponding inverse special functions.  A quadrature-plus-bisection
 route lives in the test suite as an independent cross-check.
 
-_lp_radius and _simplex_radius are the unit-volume scales omega_n of the
-l_p ball and of the regular simplex (see profiles._Family), through
-log-gamma so large n does not overflow.
+Each public function checks each of its inputs once and then calls
+unchecked private kernels, which the family table profiles._Family and
+the witnesses call directly: _gauss_tail_inv(e) = -phi_inv(e) for
+e <= 1/2, _kappa, _phi_p, _phi_p_inv and _psi_p_inv.  _lp_radius and
+_simplex_radius are the unit-volume scales omega_n of the l_p ball and
+of the regular simplex (see profiles._Family), through log-gamma so
+large n does not overflow.
 """
 
 from __future__ import annotations
@@ -58,15 +62,21 @@ def phi_inv(eps):
     accuracy and phi_inv(1 - eps) = -phi_inv(eps) by construction.
     """
     eps = validate_open_interval(eps, 0.0, 1.0, "phi_inv's eps")
-    low = np.minimum(eps, 1.0 - eps)
-    sign = np.where(eps <= 0.5, -1.0, 1.0)
-    out = sign * sp.erfcinv(2.0 * low) / SQRT_PI
+    out = np.where(eps <= 0.5, -1.0, 1.0) * _gauss_tail_inv(np.minimum(eps, 1.0 - eps))
     return float(out) if out.ndim == 0 else out
+
+
+def _gauss_tail_inv(e):
+    # -phi_inv(e) for 0 < e <= 1/2, unchecked; a sign flip is exact
+    return sp.erfcinv(2.0 * e) / SQRT_PI
 
 
 def kappa(p: float) -> float:
     """Normalizing constant 2^p Gamma(1+1/p)^p of the exponent-p density."""
-    p = validate_p(p)
+    return _kappa(validate_p(p))
+
+
+def _kappa(p):
     return 2.0**p * math.gamma(1.0 + 1.0 / p) ** p
 
 
@@ -78,34 +88,51 @@ def phi_p(a, p: float):
     1/2 + P(1/p, kappa_p a^p)/2, with P, Q the regularized pair.
     phi_p(0, p) = 1/2 exactly and phi_2 coincides with phi.
     """
-    p = validate_p(p)
+    return _phi_p(a, validate_p(p))
+
+
+def _phi_p(a, p):
     a = np.asarray(a, dtype=float)
-    z = kappa(p) * np.abs(a) ** p
+    z = _kappa(p) * np.abs(a) ** p
     with np.errstate(invalid="ignore"):
         out = np.where(a < 0.0, 0.5 * sp.gammaincc(1.0 / p, z),
                        0.5 + 0.5 * sp.gammainc(1.0 / p, z))
     return float(out) if out.ndim == 0 else out
 
 
-def phi_p_inv(eps: float, p: float) -> float:
-    """Inverse of phi_p(., p) on (0, 1)."""
+def _inverse_args(eps, p, name):
+    # the one check of phi_p_inv's and psi_p_inv's inputs
     p = validate_p(p)
     eps = float(eps)
     if not 0.0 < eps < 1.0:
-        raise DomainError(f"phi_p_inv needs eps in (0, 1), got {eps}")
+        raise DomainError(f"{name} needs eps in (0, 1), got {eps}")
+    return eps, p
+
+
+def phi_p_inv(eps: float, p: float) -> float:
+    """Inverse of phi_p(., p) on (0, 1)."""
+    return _phi_p_inv(*_inverse_args(eps, p, "phi_p_inv"))
+
+
+def _phi_p_inv(eps, p):
     # one branch, reflected as in phi_inv, so that phi_p_inv(1 - e) = -phi_p_inv(e)
     z = sp.gammainccinv(1.0 / p, 2.0 * min(eps, 1.0 - eps))
-    return math.copysign((z / kappa(p)) ** (1.0 / p), eps - 0.5)
+    return math.copysign((z / _kappa(p)) ** (1.0 / p), eps - 0.5)
 
 
 def psi_p(a, p: float):
     """Section-limit distribution function phi_p(e^{1/p} a)."""
-    return phi_p(math.exp(1.0 / p) * np.asarray(a, dtype=float), p)
+    p = validate_p(p)
+    return _phi_p(math.exp(1.0 / p) * np.asarray(a, dtype=float), p)
 
 
 def psi_p_inv(eps: float, p: float) -> float:
     """Inverse of psi_p(., p); equals phi_p_inv(eps, p) / e^{1/p}."""
-    return phi_p_inv(eps, p) / math.exp(1.0 / validate_p(p))
+    return _psi_p_inv(*_inverse_args(eps, p, "psi_p_inv"))
+
+
+def _psi_p_inv(eps, p):
+    return _phi_p_inv(eps, p) / math.exp(1.0 / p)
 
 
 def phi_inv_asymptote(eps: float) -> float:

@@ -26,11 +26,11 @@ from typing import Mapping
 
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_epsilon, validate_n, validate_p
+from .bodies import BodyFamily, validate_epsilon, validate_n
 from .errors import DomainError
-from .profiles import _FAMILIES, unit_volume_radius
+from .profiles import _FAMILIES
 from .sections import _irwin_hall_lower, _lp_cap_volume, _section_area
-from .specfun import _lp_radius
+from .specfun import _lp_radius, _simplex_radius
 
 _VOLUME_REL_TOL = 1e-6
 _NEWTON_STEPS = 30
@@ -85,7 +85,8 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     below about 3.5e-14 at n = 2 and 1e-45 at n = 10 (p = 2), and 2e-11
     at n = 1, the unit segment for every p, where a = 1/2 - eps directly.
     """
-    p = validate_p(p)
+    family = BodyFamily.lp(p)  # checks p; lp(2) is the ball, with p None
+    p = family.p or 2.0
     eps = validate_epsilon(eps)
     n = validate_n(n, 1)
     if n == 1:
@@ -101,7 +102,6 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
             * (7.0 + 3.0 * abs(math.log(omega)))
     if not miss <= _VOLUME_REL_TOL * eps:
         raise DomainError("cap volume solve missed its tolerance")
-    family = BodyFamily.lp(p)
     return RegionPair(
         family.label(), n, eps,
         RegionDescriptor("halfspace_cap", {"axis": 0, "threshold": a, "side": "+"}),
@@ -181,7 +181,7 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
     eps = validate_epsilon(eps)
     n = validate_n(n, 2)
     alpha = (2.0 * eps) ** (1.0 / (n - 1.0))
-    omega = unit_volume_radius("simplex", n)
+    omega = _simplex_radius(n)
     distance = -math.sqrt(2.0) * omega * math.expm1(math.log(2.0 * eps) / (n - 1.0))
     return RegionPair(
         "simplex", n, eps,

@@ -43,6 +43,15 @@ from scipy import integrate, optimize
 from scipy import special as sp
 
 
+def orthogonal_ball_mp(d: float, omega: float) -> tuple[float, float, float]:
+    """r = omega^2/d - d/4, OA = r + d/2 and OH = d/(1 + d^2/(4 omega^2))
+    at 50 digits, where no float range limits the squares."""
+    with mpmath.workdps(50):
+        d, omega = mpmath.mpf(d), mpmath.mpf(omega)
+        r = omega**2 / d - d / 4
+        return float(r), float(r + d / 2), float(d / (1 + d**2 / (4 * omega**2)))
+
+
 def phi_quad(a: float) -> float:
     """Distribution function of the density e^{-pi x^2} by quadrature."""
     if a <= 0.0:

@@ -12,10 +12,12 @@ import pytest
 
 import isodist
 from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
-                     ball_caps_witness, convergence_report, count_cells_sum_le,
-                     cube_diagonal_witness, cube_sum_cdf, estimate_cap_volume,
-                     exp_tail_check, lp_caps_witness, lp_section_area,
-                     lp_tail_volume, sample_gaussian, sample_uniform,
+                     ball_caps_witness, bodies, bound_report, convergence_report,
+                     count_cells_sum_le, cube_diagonal_witness, cube_sum_cdf,
+                     delta_closed_form, distance_upper_bound, estimate_cap_volume,
+                     exp_tail_check, kappa, lp_caps_witness, lp_section_area,
+                     lp_tail_volume, make_profile, phi_p, phi_p_inv, psi_p,
+                     psi_p_inv, sample_gaussian, sample_uniform,
                      scaled_max_distance, section_curve, simplex_corner_witness,
                      sphere_projection_cdf, transfer_map_check, unit_volume_radius)
 
@@ -30,8 +32,6 @@ SETTABLE = {
     "cli.main(argv)",
     "enlargement.distance_upper_bound(method)",
     "lattice.verify_extremal_pairs(budget)",
-    "profiles.IsoProfile.parametric",
-    "profiles.unit_volume_radius(p)",
     "witness.BoundReport.manhattan_scaled_limit",
 }
 
@@ -127,7 +127,7 @@ GRID = np.array([0.0, 0.5, 1.0])
 # every public function taking a dimension n, called with n = 25, and the
 # lattice functions once more with 25 as the side k or the scale m
 TAKES_N = {
-    "unit_volume_radius": lambda n: unit_volume_radius("lp", n, 1.5),
+    "unit_volume_radius": lambda n: unit_volume_radius(BodyFamily.lp(1.5), n),
     "lp_section_area": lambda n: lp_section_area(0.5, 1.5, n),
     "lp_tail_volume": lambda n: lp_tail_volume(0.5, 1.5, n),
     "section_curve": lambda n: section_curve(2.0, n, GRID),
@@ -162,3 +162,55 @@ def test_dimension_must_be_integral(name):
     for bad in (25.7, float("nan"), float("inf"), 0):
         with pytest.raises(DomainError):
             call(bad)
+
+
+FAMILIES = {f.label(): f for f in (BodyFamily.ball(), BodyFamily.cube(),
+                                    BodyFamily.simplex(), BodyFamily.lp(1.5))}
+PROFILES = {label: make_profile(f) for label, f in FAMILIES.items()}
+
+# each public call with the number of inputs it takes that a bodies.validate_*
+# function checks; the families are built beforehand and not counted
+CHECKS_ONCE = {
+    **{f"bound_report({k})": (lambda f=f: bound_report(f, 0.1), 1)
+       for k, f in FAMILIES.items()},
+    **{f"delta_closed_form({k})": (lambda f=f: delta_closed_form(f, 0.1), 1)
+       for k, f in FAMILIES.items()},
+    **{f"distance_upper_bound({k})": (lambda f=f: distance_upper_bound(f, 0.1), 1)
+       for k, f in FAMILIES.items()},
+    **{f"make_profile({k})(t)": (lambda f=f: f(0.1), 1) for k, f in PROFILES.items()},
+    **{f"sample_uniform({k})": (lambda f=f: sample_uniform(f, 7, 8, 1), 3)
+       for k, f in FAMILIES.items()},
+    "lp_caps_witness": (lambda: lp_caps_witness(10, 1.5, 0.1), 3),
+    "ball_caps_witness": (lambda: ball_caps_witness(10, 0.1), 3),
+    "cube_diagonal_witness": (lambda: cube_diagonal_witness(10, 0.1), 2),
+    "simplex_corner_witness": (lambda: simplex_corner_witness(10, 0.1), 2),
+    "kappa": (lambda: kappa(1.5), 1),
+    "phi_p": (lambda: phi_p(0.3, 1.5), 1),
+    "psi_p": (lambda: psi_p(0.3, 1.5), 1),
+    "phi_p_inv": (lambda: phi_p_inv(0.1, 1.5), 1),
+    "psi_p_inv": (lambda: psi_p_inv(0.1, 1.5), 1),
+    "section_curve": (lambda: section_curve(1.5, 10, GRID), 2),
+}
+VALIDATORS = ("validate_epsilon", "validate_n", "validate_open_interval", "validate_p")
+
+
+def test_each_input_is_checked_once(monkeypatch):
+    # public functions check their inputs and then call unchecked kernels,
+    # so nothing below them checks the same value again
+    calls = []
+    for name in VALIDATORS:
+        check = getattr(bodies, name)
+
+        def counted(*args, _check=check, **kwargs):
+            calls.append(args)
+            return _check(*args, **kwargs)
+        for mod in MODULES:
+            module = importlib.import_module(f"isodist.{mod}")
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted)
+    counts = {}
+    for label, (call, _) in CHECKS_ONCE.items():
+        calls.clear()
+        call()
+        counts[label] = len(calls)
+    assert counts == {label: want for label, (_, want) in CHECKS_ONCE.items()}

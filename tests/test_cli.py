@@ -192,6 +192,13 @@ def test_p_must_match_the_family(capsys, command, family):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("which", [["--which", "phi-inv", "--p", "7"],
+                                   ["--which", "psi-inv"]])
+def test_p_must_match_the_asymptote(capsys, which):
+    code, out = run(capsys, "asympt", *which, "--eps", "0.1")
+    assert code == 2 and out == ""
+
+
 def test_out_file_and_manifest_replay(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     argv = ["witness", "--family", "ball", "--n", "25", "--eps", "0.05",

@@ -54,7 +54,7 @@ def test_quadrature_subinterval_limit(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_quadrature_rejects_a_non_finite_integrand():
-    zero = IsoProfile("zero", "zero", lambda t: 0.0 * t)
+    zero = IsoProfile("zero", "zero", lambda t: 0.0 * t, False)
     with pytest.raises(NonConvergenceError):
         time_to_half(zero, 0.1)
 

@@ -131,6 +131,9 @@ COUNTS = {
     "t_boundary": lambda t: t_boundary(SubsetHandle.from_cells(Grid(3, 2), [(0, 0)]), t),
     "verify_extremal_pairs-r": lambda r: verify_extremal_pairs(Grid(3, 2), r, 2),
     "verify_extremal_pairs-s": lambda s: verify_extremal_pairs(Grid(3, 2), 2, s),
+    "verify_extremal_pairs-budget":
+        lambda b: verify_extremal_pairs(Grid(2, 2), 4, 4, budget=b),
+    "SubsetHandle-mask": lambda m: SubsetHandle(Grid(3, 2), m),
 }
 
 

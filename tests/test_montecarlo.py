@@ -30,7 +30,7 @@ def test_cube_sample_moments():
 
 
 def test_simplex_sample_support():
-    omega = unit_volume_radius("simplex", 5)
+    omega = unit_volume_radius(BodyFamily.simplex(), 5)
     pts = sample_uniform(BodyFamily.simplex(), 5, 20_000, seed=5).points
     assert np.all(pts >= 0.0)
     assert np.allclose(pts.sum(axis=1), omega, atol=1e-9)
@@ -45,7 +45,7 @@ def test_simplex_sample_support():
 def test_lp_sample_support_and_radial_law(family, p):
     for n in (1, 3, 4, 50, 400):
         count = 40_000 if n < 400 else 10_000
-        omega = unit_volume_radius("lp", n, p)
+        omega = unit_volume_radius(BodyFamily.lp(p), n)
         pts = sample_uniform(family, n, count, seed=9).points
         norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
         assert np.all(norms <= omega * (1.0 + 1e-12)), n

@@ -147,7 +147,7 @@ def test_lp2_is_the_ball_everywhere():
         for n in (1, 2, 10, 200):
             assert lp_caps_witness(n, 2.0, eps) == ball_caps_witness(n, eps)
     for n in (1, 7, 400):
-        assert unit_volume_radius("lp", n, 2.0) == unit_volume_radius("ball", n)
+        assert unit_volume_radius(lp2, n) == unit_volume_radius(ball, n)
     a, b = sample_uniform(lp2, 3, 500, 4), sample_uniform(ball, 3, 500, 4)
     assert a.family == b.family == "ball" and np.array_equal(a.points, b.points)
     assert estimate_cap_volume(lp2, 5, 0.1, 2000, 3) == \

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from isodist import (DomainError, convergence_report, cube_diagonal_witness,
+from isodist import (BodyFamily, DomainError, convergence_report, cube_diagonal_witness,
                      cube_sum_cdf, lp_section_area, lp_tail_volume,
                      orthogonal_ball_geometry, phi_p, psi_p,
                      psi_p_density_limit, section_curve, sphere_projection_cdf,
@@ -17,14 +17,14 @@ from isodist import (DomainError, convergence_report, cube_diagonal_witness,
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_section_area_matches_direct_formula(p, n):
-    om = unit_volume_radius("lp", n, p)
+    om = unit_volume_radius(BodyFamily.lp(p), n)
     for x in np.linspace(0.0, 1.2 * om, 15):
         assert lp_section_area(float(x), p, n) == pytest.approx(
             oracles.lp_section_direct(float(x), p, n), rel=1e-11, abs=1e-13)
 
 
 def test_section_area_zero_past_radius():
-    om = unit_volume_radius("lp", 5, 1.5)
+    om = unit_volume_radius(BodyFamily.lp(1.5), 5)
     assert lp_section_area(om, 1.5, 5) == 0.0
     assert lp_section_area(om + 1.0, 1.5, 5) == 0.0
 
@@ -54,14 +54,14 @@ def test_section_height_nan_raises():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 5, 12, 40])
 def test_tail_volume_against_betainc(p, n):
-    om = unit_volume_radius("lp", n, p)
+    om = unit_volume_radius(BodyFamily.lp(p), n)
     for x in np.linspace(0.0, 0.999 * om, 12):
         assert lp_tail_volume(float(x), p, n) == pytest.approx(
             oracles.lp_tail_betainc(float(x), p, n), abs=1e-10)
 
 
 def test_tail_volume_endpoints_and_monotone():
-    om = unit_volume_radius("lp", 7, 1.3)
+    om = unit_volume_radius(BodyFamily.lp(1.3), 7)
     assert lp_tail_volume(0.0, 1.3, 7) == pytest.approx(0.5, abs=1e-12)
     assert lp_tail_volume(om, 1.3, 7) == 0.0
     xs = np.linspace(0.0, om, 30)
@@ -86,7 +86,7 @@ def test_tiny_cap_against_mpmath_lower_form():
 def test_tail_volume_near_tip_within_omega_rounding(x, p, n):
     # next to the tip the rounding of omega_n, amplified by x S_n(x) / V_n(x),
     # adds r to the 3e-12 that holds away from it
-    om = unit_volume_radius("lp", n, p)
+    om = unit_volume_radius(BodyFamily.lp(p), n)
     vol = lp_tail_volume(x, p, n)
     r = x * lp_section_area(x, p, n) / vol * 2.0**-53 * (7.0 + 3.0 * abs(math.log(om)))
     assert abs(vol / oracles.lp_tail_mp(x, p, n) - 1.0) <= 3e-12 + r
@@ -95,7 +95,7 @@ def test_tail_volume_near_tip_within_omega_rounding(x, p, n):
 def test_section_curve_matches_pointwise():
     grid = np.linspace(0.0, 1.5, 40)
     curve = section_curve(1.5, 9, grid)
-    assert curve.omega == pytest.approx(unit_volume_radius("lp", 9, 1.5), rel=1e-14)
+    assert curve.omega == pytest.approx(unit_volume_radius(BodyFamily.lp(1.5), 9), rel=1e-14)
     for i in (0, 7, 20, 39):
         assert curve.tails[i] == pytest.approx(
             lp_tail_volume(float(grid[i]), 1.5, 9), abs=1e-9)
@@ -172,6 +172,21 @@ def test_orthogonal_ball_invariants(rng):
         assert geo.oa == pytest.approx(math.hypot(om, geo.r), rel=1e-12)
         assert geo.oa == pytest.approx(geo.r + d / 2.0, rel=1e-12)
         assert 0.0 < geo.oh <= d
+
+
+@pytest.mark.parametrize("d,omega", [
+    (1.9e200, 1e200), (1e-320, 1e-10),
+    *((ratio * omega, omega) for omega in (1e-300, 1e-160, 1.0, 1e150, 1e300)
+      for ratio in (1e-6, 0.5, 1.9)),
+])
+def test_orthogonal_ball_matches_mpmath(d, omega):
+    # omega^2 and d^2 leave the float range at these ends; r, OA and OH do not
+    geo = orthogonal_ball_geometry(d, omega)
+    r, oa, oh = oracles.orthogonal_ball_mp(d, omega)
+    # omega^2/d - d/4 cancels as d nears 2 omega, so r is good to the scale of OA
+    assert abs(geo.r - r) <= 1e-15 * oa
+    assert geo.oa == pytest.approx(oa, rel=1e-15)
+    assert geo.oh == pytest.approx(oh, rel=1e-15)
 
 
 def test_orthogonal_ball_domain():

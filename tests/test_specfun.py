@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from isodist import (DomainError, cube_sum_cdf, kappa, phi, phi_inv,
+from isodist import (BodyFamily, DomainError, cube_sum_cdf, kappa, phi, phi_inv,
                      phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
                      psi_p_inv_asymptote, sphere_projection_cdf,
                      unit_volume_radius)
@@ -65,6 +65,23 @@ def test_phi_inv_frozen_value_and_oracle():
 def test_phi_inv_domain(eps):
     with pytest.raises(DomainError):
         phi_inv(eps)
+
+
+TAKES_P = {
+    "kappa": kappa,
+    "phi_p": lambda p: phi_p(0.1, p),
+    "psi_p": lambda p: psi_p(0.1, p),
+    "phi_p_inv": lambda p: phi_p_inv(0.1, p),
+    "psi_p_inv": lambda p: psi_p_inv(0.1, p),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 2.5, math.nan])
+@pytest.mark.parametrize("name", sorted(TAKES_P))
+def test_exponent_domain(name, p):
+    # p is checked before any formula divides by it or raises e to 1/p
+    with pytest.raises(DomainError):
+        TAKES_P[name](p)
 
 
 def test_whole_line_distribution_functions_return_nan_for_nan():
@@ -148,42 +165,39 @@ def test_psi_p_inv_round_trip():
 
 
 def test_unit_volume_radius_small_cases():
-    assert unit_volume_radius("ball", 2) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
-    assert unit_volume_radius("simplex", 2) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-    assert unit_volume_radius("lp", 2, 1.0) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-    assert unit_volume_radius("cube", 7) == 1.0
-
-
-@pytest.mark.parametrize("family", ["ball", "cube", "simplex"])
-def test_unit_volume_radius_rejects_an_exponent_without_lp(family):
-    with pytest.raises(DomainError):
-        unit_volume_radius(family, 7, 1.5)
+    assert unit_volume_radius(BodyFamily.ball(), 2) == pytest.approx(
+        1.0 / math.sqrt(math.pi), rel=1e-12)
+    assert unit_volume_radius(BodyFamily.simplex(), 2) == pytest.approx(
+        1.0 / math.sqrt(2.0), rel=1e-12)
+    assert unit_volume_radius(BodyFamily.lp(1.0), 2) == pytest.approx(
+        math.sqrt(2.0) / 2.0, rel=1e-12)
+    assert unit_volume_radius(BodyFamily.cube(), 7) == 1.0
 
 
 def test_unit_volume_radius_lp2_is_ball():
     for n in (1, 2, 3, 10, 50):
-        assert unit_volume_radius("lp", n, 2.0) == pytest.approx(
-            unit_volume_radius("ball", n), rel=1e-12)
+        assert unit_volume_radius(BodyFamily.lp(2.0), n) == pytest.approx(
+            unit_volume_radius(BodyFamily.ball(), n), rel=1e-12)
 
 
 def test_unit_volume_radius_matches_direct_formula():
     for p in (1.0, 1.5, 2.0):
         for n in (2, 5, 20, 80):
-            assert unit_volume_radius("lp", n, p) == pytest.approx(
+            assert unit_volume_radius(BodyFamily.lp(p), n) == pytest.approx(
                 oracles.lp_radius_direct(p, n), rel=1e-11)
 
 
 def test_unit_volume_radius_large_n_finite():
     # log-gamma path: way past where factorials overflow
     for n in (500, 2000):
-        for fam in ("ball", "simplex"):
+        for fam in (BodyFamily.ball(), BodyFamily.simplex()):
             r = unit_volume_radius(fam, n)
             assert math.isfinite(r) and r > 0.0
 
 
 def test_unit_volume_radius_simplex_needs_n2():
     with pytest.raises(DomainError):
-        unit_volume_radius("simplex", 1)
+        unit_volume_radius(BodyFamily.simplex(), 1)
 
 
 def test_simplex_radius_volume_identity():
@@ -191,7 +205,7 @@ def test_simplex_radius_volume_identity():
     # directly: n-volume of omega * standard corner simplex embedded form is
     # omega^{n-1} sqrt(n) / (n-1)! for the face {sum x = omega} piece.
     for n in (3, 6, 11):
-        om = unit_volume_radius("simplex", n)
+        om = unit_volume_radius(BodyFamily.simplex(), n)
         vol = om ** (n - 1) * math.sqrt(n) / math.factorial(n - 1)
         assert vol == pytest.approx(1.0, rel=1e-10)
 

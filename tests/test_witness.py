@@ -95,7 +95,7 @@ def test_cube_witness_converges_to_scaled_limit():
 def test_simplex_witness_geometry():
     w = simplex_corner_witness(5, 0.1)
     alpha = (0.2) ** 0.25
-    omega = unit_volume_radius("simplex", 5)
+    omega = unit_volume_radius(BodyFamily.simplex(), 5)
     assert w.region_a.params["alpha"] == pytest.approx(alpha, rel=1e-14)
     assert w.distance == pytest.approx(math.sqrt(2.0) * omega * (1.0 - alpha), rel=1e-14)
     assert w.limit_value == pytest.approx(SIMPLEX_LIMIT_01, abs=1e-12)
