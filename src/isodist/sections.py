@@ -176,7 +176,9 @@ class OrthogonalBallGeometry:
     orthogonally through the rim of the slice at depth d of a ball of
     radius omega.  r = omega^2/d - d/4 needs 0 < d < 2 omega; then
     OA = sqrt(omega^2 + r^2) = r + d/2 and the foot of O on the slice
-    axis sits at OH = d/(1 + d^2/(4 omega^2)) <= d.
+    axis sits at OH = d/(1 + d^2/(4 omega^2)) <= d.  r is computed as
+    (2 omega - d)(2 omega + d)/(4 d), which keeps its relative accuracy
+    as d nears 2 omega.
     """
 
     d: float
@@ -199,7 +201,9 @@ def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
     e = math.frexp(omega)[1]
     k = e if e - math.frexp(d)[1] <= 1019 else 0
     ds, ws = math.ldexp(d, -k), math.ldexp(omega, -k)
-    rs = ws * ws / ds - ds / 4.0
+    # (2 omega - d)(2 omega + d)/(4 d) is omega^2/d - d/4 without its
+    # cancellation as d nears 2 omega
+    rs = (2.0 * ws - ds) * (2.0 * ws + ds) / (4.0 * ds)
     oas = math.hypot(ws, rs)  # OA >= r, so this also catches r past the float range
     if not (oas < math.inf and math.frexp(oas)[1] + k <= 1024):
         raise DomainError(f"the radius omega^2/d - d/4 overflows at d={d}, omega={omega}")

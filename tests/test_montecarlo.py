@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,9 @@ def test_cutoff_checks_skip_every_kink_sphere():
     cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
     assert cut.skipped_near_kink == prod.skipped_near_kink == 4
     assert cut.ok and prod.ok
+    # no point is differenced, and the gradient norms still come out empty
+    _, *grads = isodist.montecarlo._cutoff_gradients(pts, 1.0, 1.0)
+    assert [g.shape for g in grads] == [(0,)] * 3
 
 
 def test_cutoff_checks_on_both_plateaus(rng):
@@ -419,3 +423,96 @@ def test_average_distance_bound_high_dimension():
     assert res.lower_bound == pytest.approx(math.sqrt(50.0 / (2 * math.pi * math.e)), rel=1e-14)
     assert res.ok
     assert res.mean_distance.estimate > res.lower_bound
+
+
+# ---------------------------------------------------------------- batched kernels
+
+def _fd_kernels(c1, c2):
+    """T, h1, h2 and h1 h2 as maps of a (k, n) array, each paired with the
+    same map of one point for oracles._fd_rows (T as the oracle writes it)."""
+    mc = isodist.montecarlo
+
+    def h1(y):
+        return mc._h1(y, c1)[0]
+
+    def h2(y):
+        return mc._h2(y, c2)[0]
+
+    def product(y):
+        return h1(y) * h2(y)
+
+    def one(f):
+        return lambda x: f(x[None])[0]
+
+    return [(mc._t, lambda x: x / x.sum()), (h1, one(h1)), (h2, one(h2)),
+            (product, one(product))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_central_diff_is_the_pointwise_loop(n):
+    mc = isodist.montecarlo
+    rows = max(1, mc._FD_ENTRIES // (n * n))
+    rng = np.random.default_rng(n)
+    for m in (0, 1, rows - 1, rows, rows + 1):
+        x = _spread(rng, m, n)
+        # the rows at each block edge, and the first and last
+        picks = sorted({0, rows - 1, rows, m - 1} & set(range(m)))
+        for f, point in _fd_kernels(0.8, 1.25):
+            sizes = []
+
+            def keep(xb, d):
+                sizes.append(len(xb))
+                return d
+
+            d = mc._central_diff(f, x, keep)
+            assert sizes == [min(rows, m - lo) for lo in range(0, max(m, 1), rows)]
+            assert d.shape == (m, n) + f(x[:1]).shape[1:]
+            for p in picks:
+                assert np.array_equal(d[p], oracles._fd_rows(point, x[p], mc.FD_STEP))
+
+
+def test_opnorm_is_the_spectral_norm():
+    opnorm = isodist.montecarlo._opnorm
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, 50):
+        a = rng.standard_normal((20, n, n))
+        for k in (-1000, 0, 1000):
+            scaled = np.ldexp(a, k)
+            assert np.allclose(opnorm(scaled), np.linalg.norm(scaled, 2, axis=(1, 2)),
+                               rtol=2e-15, atol=0.0)
+        # subnormal entries: the norms lie on the subnormal grid too
+        tiny = a * 1e-310
+        assert np.allclose(opnorm(tiny), np.linalg.norm(tiny, 2, axis=(1, 2)),
+                           rtol=2e-15, atol=1e-322)
+        assert np.array_equal(opnorm(np.zeros((3, n, n))), np.zeros(3))
+    assert opnorm(np.array([[[-3.0]]])).tolist() == [3.0]
+
+
+def test_lemma_checks_on_an_empty_cloud():
+    for n in (1, 5):
+        empty = np.empty((0, n))
+        _assert_tmap_matches_pointwise(empty)
+        _assert_cutoffs_match_pointwise(empty, 0.8, 1.25)
+
+
+def test_lemma_checks_difference_in_small_blocks():
+    # one (m n, n) stack of shifted rows for a 2000 x 50 cloud would take
+    # 40 MB; blocks of 2^16 entries keep each check far below that
+    pts = _spread(np.random.default_rng(3), 2000, 50)
+    for check in (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
+                  lambda x: cutoff_product_check(x, 1.0, 1.0)):
+        tracemalloc.start()
+        try:
+            check(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("count", [2, 3, 8, 137, 141, 5000, 10000, 10001, 16385, 20000])
+def test_transfer_pvalue_is_the_least_column_kstest(count):
+    n, seed = 3, 40 + count
+    mapped = gaussian_to_cube_map(sample_gaussian(n, count, seed))
+    least = min(stats.kstest(mapped[:, i], "uniform").pvalue for i in range(n))
+    assert transfer_map_check(n, count, seed).min_ks_pvalue == least

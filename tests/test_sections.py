@@ -177,16 +177,19 @@ def test_orthogonal_ball_invariants(rng):
 @pytest.mark.parametrize("d,omega", [
     (1.9e200, 1e200), (1e-320, 1e-10),
     *((ratio * omega, omega) for omega in (1e-300, 1e-160, 1.0, 1e150, 1e300)
-      for ratio in (1e-6, 0.5, 1.9)),
+      for ratio in (1e-6, 0.1, 0.5, 1.0, 1.9, 1.999, 1.999999)),
 ])
 def test_orthogonal_ball_matches_mpmath(d, omega):
     # omega^2 and d^2 leave the float range at these ends; r, OA and OH do not
     geo = orthogonal_ball_geometry(d, omega)
     r, oa, oh = oracles.orthogonal_ball_mp(d, omega)
-    # omega^2/d - d/4 cancels as d nears 2 omega, so r is good to the scale of OA
+    # r keeps its relative accuracy as d nears 2 omega, where omega^2/d - d/4
+    # would cancel (8.9e-11 relative at d = 1.999999 omega); abs=0 keeps
+    # pytest's 1e-12 absolute floor from admitting tiny values
     assert abs(geo.r - r) <= 1e-15 * oa
-    assert geo.oa == pytest.approx(oa, rel=1e-15)
-    assert geo.oh == pytest.approx(oh, rel=1e-15)
+    assert geo.r == pytest.approx(r, rel=2 * 2.0**-52, abs=0.0)
+    assert geo.oa == pytest.approx(oa, rel=1e-15, abs=0.0)
+    assert geo.oh == pytest.approx(oh, rel=1e-15, abs=0.0)
 
 
 def test_orthogonal_ball_domain():
