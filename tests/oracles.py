@@ -418,23 +418,30 @@ def _fd_rows(f, x, h):
 
 
 def t_map_check_pointwise(points, h=1e-6):
-    """(count, max_excess, max_fd_error) of the T-map Lipschitz check.
+    """(count, max_excess, max_fd_error, max_fd_spectral, fd_ok) of the
+    T-map Lipschitz check.
 
-    Per point: the central-difference Jacobian of x / sum(x), its 2-norm
-    distance to the exact (delta_ij - T_j) / ||x||_1, and its 2-norm over
-    the bound (1 + sqrt(n) ||T||_2) / ||x||_1, minus 1; the excess is
-    floored at 0.
+    Per point: the central-difference Jacobian of x / sum(x) and its
+    distance to the exact (delta_ij - T_j) / ||x||_1, in the Frobenius
+    norm E (max_fd_error) and in the 2-norm (max_fd_spectral); the exact
+    Jacobian's 2-norm N from an SVD; and the excess (N + E) over the bound
+    (1 + sqrt(n) ||T||_2) / ||x||_1, minus 1, floored at 0.  fd_ok says
+    whether every point has E <= 1e-5 times its bound.
     """
-    worst = fd_err = 0.0
+    worst = fd_err = fd_spectral = 0.0
+    fd_ok = True
     for x in points:
         n, s = x.size, x.sum()
         t = x / s
         jfd = _fd_rows(lambda y: y / y.sum(), x, h)
         jex = (np.eye(n) - t[None, :]) / s
         bound = (1.0 + math.sqrt(n) * float(np.linalg.norm(t))) / s
-        fd_err = max(fd_err, float(np.linalg.norm(jfd - jex, 2)))
-        worst = max(worst, float(np.linalg.norm(jfd, 2)) / bound - 1.0)
-    return len(points), worst, fd_err
+        err = float(np.linalg.norm(jfd - jex, "fro"))
+        fd_err = max(fd_err, err)
+        fd_spectral = max(fd_spectral, float(np.linalg.norm(jfd - jex, 2)))
+        worst = max(worst, (float(np.linalg.norm(jex, 2)) + err) / bound - 1.0)
+        fd_ok = fd_ok and err <= 1e-5 * bound
+    return len(points), worst, fd_err, fd_spectral, fd_ok
 
 
 def _cutoffs(x, c1, c2):

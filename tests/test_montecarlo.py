@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ def test_t_map_jacobian_against_finite_differences(rng):
             jfd[i] = (t_map(x + e) - t_map(x - e)) / (2.0 * h)
         assert np.max(np.abs(jfd - jex)) < 1e-7
         assert np.linalg.norm(jex, 2) <= t_map_opnorm_bound(x) * (1.0 + 1e-12)
+    # DT(x) = (I - 1 T^T)/||x||_1 is an oblique projection over ||x||_1, so its
+    # 2-norm is sqrt(n) ||T||_2 / ||x||_1 for n >= 2, and exactly 0 at n = 1
+    for n in (1, 2, 7, 50):
+        for k in (-1000, 0, 1000):
+            x = np.ldexp(rng.exponential(1.0, n), k)
+            svd = np.linalg.norm(t_map_jacobian(x), 2)
+            if n == 1:
+                assert svd == 0.0
+            else:
+                closed = math.sqrt(n) * np.linalg.norm(t_map(x)) / x.sum()
+                assert svd == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
 def test_t_map_lipschitz_check_passes(rng):
@@ -129,6 +141,25 @@ def test_t_map_lipschitz_check_coordinate_below_step():
     chk = t_map_lipschitz_check(np.array([1e-9, 0.7, 1.3, 0.2]))
     assert chk.ok and chk.count == 1
     assert chk.max_fd_error < 1e-9
+
+
+def test_t_map_lipschitz_check_fails_where_differences_are_meaningless():
+    # a shifted row's sum drops to or below 0, so the differences are far
+    # from the exact Jacobian, infinite or NaN: FAIL, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e-9, 1e-9], [3e-7, 0.0], [1e-300, 1e-300], [5e-7, 5e-7, 0.0],
+                  [1e-6, 0.0], [1e-310, 1e-310]):
+            assert not t_map_lipschitz_check(np.array(x)).ok
+        # the step is lost against 1e300 and swamps 1e-300, so E is the exact
+        # Jacobian's Frobenius norm 1/||x||_1, whose squares would under- and
+        # overflow unscaled
+        for x, fd_err in (([1e300, 1e300], 5e-301), ([1e-300, 1e-300], 5e299)):
+            chk = t_map_lipschitz_check(np.array(x))
+            assert not chk.ok
+            assert chk.max_fd_error == pytest.approx(fd_err, rel=1e-12, abs=0.0)
+    # at [3e-7, 0] the excess, about 0.23, carries the exact norm as well as E
+    _assert_tmap_matches_pointwise(np.array([3e-7, 0.0]))
 
 
 def test_t_map_lipschitz_check_rejects_points_off_the_orthant():
@@ -258,11 +289,17 @@ def _spread(rng, m, n):
 
 def _assert_tmap_matches_pointwise(pts):
     chk = t_map_lipschitz_check(pts)
-    count, excess, fd_err = oracles.t_map_check_pointwise(np.atleast_2d(pts))
+    rows = np.atleast_2d(pts)
+    count, excess, fd_err, fd_spectral, fd_ok = oracles.t_map_check_pointwise(rows)
     assert chk.count == count
     assert chk.max_excess == pytest.approx(excess, rel=1e-12, abs=0.0)
     assert chk.max_fd_error == pytest.approx(fd_err, rel=1e-12, abs=0.0)
-    assert chk.ok == (excess <= 1e-6)
+    # the Frobenius norm lies between the 2-norm and sqrt(n) times it; the
+    # 1e-12 allows for rounding where the error matrix has rank one
+    n = rows.shape[1]
+    assert fd_spectral * (1.0 - 1e-12) <= chk.max_fd_error
+    assert chk.max_fd_error <= math.sqrt(n) * fd_spectral * (1.0 + 1e-12)
+    assert chk.ok == (excess <= 1e-6 and fd_ok)
 
 
 def _assert_cutoffs_match_pointwise(pts, c1, c2):
@@ -469,23 +506,6 @@ def test_central_diff_is_the_pointwise_loop(n):
             assert d.shape == (m, n) + f(x[:1]).shape[1:]
             for p in picks:
                 assert np.array_equal(d[p], oracles._fd_rows(point, x[p], mc.FD_STEP))
-
-
-def test_opnorm_is_the_spectral_norm():
-    opnorm = isodist.montecarlo._opnorm
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 7, 50):
-        a = rng.standard_normal((20, n, n))
-        for k in (-1000, 0, 1000):
-            scaled = np.ldexp(a, k)
-            assert np.allclose(opnorm(scaled), np.linalg.norm(scaled, 2, axis=(1, 2)),
-                               rtol=2e-15, atol=0.0)
-        # subnormal entries: the norms lie on the subnormal grid too
-        tiny = a * 1e-310
-        assert np.allclose(opnorm(tiny), np.linalg.norm(tiny, 2, axis=(1, 2)),
-                           rtol=2e-15, atol=1e-322)
-        assert np.array_equal(opnorm(np.zeros((3, n, n))), np.zeros(3))
-    assert opnorm(np.array([[[-3.0]]])).tolist() == [3.0]
 
 
 def test_lemma_checks_on_an_empty_cloud():
