@@ -9,12 +9,14 @@ Subcommands
     check     pass/fail suites: sodin, transfer, tails, avgdist, all
     asympt    inverse-distribution asymptote ratios
 
-Rows print to stdout as CSV (default) or JSON lines, floats at 12
-significant digits.  --out FILE writes the same rows to FILE plus a
-sidecar FILE.manifest.json recording the argv, parameters, seed,
-package versions and a timestamp; replaying the recorded argv
-reproduces the data file byte for byte (samplers are deterministic in
-seed and parameters).
+Each command but check builds its rows, and one writer prints them to
+stdout as CSV (default) or JSON lines, floats at 12 significant digits.
+--out FILE writes the same rows to FILE plus a sidecar
+FILE.manifest.json recording the argv, the parsed options (defaults
+included, --format and --out left out), package versions and a
+timestamp; replaying the recorded argv reproduces the data file byte
+for byte.  Options shared by several commands (--family and --p, --eps,
+--format and --out) are declared once, in parent parsers.
 
 Exit codes: 0 success; 1 a check suite found a violated inequality;
 2 usage or domain error; 3 exhaustive-search budget exceeded.
@@ -59,7 +61,12 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(rows: list[dict], args, parameters: dict) -> None:
+# namespace entries that are not options of the computation: the two
+# dispatch functions, the output choice and the recorded argv
+_NOT_PARAMETERS = {"fn", "rows", "format", "out", "_argv"}
+
+
+def _emit(rows: list[dict], args) -> None:
     """Render rows as CSV or JSON lines, to stdout or --out plus manifest."""
     if args.format == "json":
         lines = []
@@ -75,21 +82,16 @@ def _emit(rows: list[dict], args, parameters: dict) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row.values()])
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        _write_manifest(args, parameters)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _write_manifest(args, parameters: dict) -> None:
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     import scipy
 
     manifest = {
         "command": list(args._argv),
-        "parameters": parameters,
-        "seed": parameters.get("seed"),
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         "versions": {"isodist": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
@@ -99,6 +101,11 @@ def _write_manifest(args, parameters: dict) -> None:
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+def _write_rows(args) -> int:
+    _emit(args.rows(args), args)
+    return 0
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -113,7 +120,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 # ------------------------------------------------------------- commands
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[dict]:
     family = BodyFamily(args.family, args.p)
     rows = []
     for eps in args.eps:
@@ -128,11 +135,10 @@ def cmd_bounds(args) -> int:
             "manhattan_scaled_limit": rep.manhattan_scaled_limit,
             "parametric": rep.parametric,
         })
-    _emit(rows, args, {"family": family.label(), "eps": args.eps})
-    return 0
+    return rows
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> list[dict]:
     family = BodyFamily(args.family, args.p)
     rows = []
     for eps in args.eps:
@@ -152,32 +158,27 @@ def cmd_witness(args) -> int:
             "region_a": str(pair.region_a),
             "region_b": str(pair.region_b),
         })
-    _emit(rows, args, {"family": family.label(), "n": args.n, "eps": args.eps})
-    return 0
+    return rows
 
 
-def cmd_lattice_verify(args) -> int:
-    check = verify_extremal_pairs(Grid(args.k, args.n), args.r, args.s,
-                                  budget=args.budget)
-    _emit([asdict(check)], args,
-          {"k": args.k, "n": args.n, "r": args.r, "s": args.s, "budget": args.budget})
-    return 0
+def cmd_lattice_verify(args) -> list[dict]:
+    return [asdict(verify_extremal_pairs(Grid(args.k, args.n), args.r, args.s,
+                                         budget=args.budget))]
 
 
-def cmd_lattice_scaling(args) -> int:
+def cmd_lattice_scaling(args) -> list[dict]:
     rows = []
     for eps in args.eps:
         scaled = scaled_max_distance(args.n, args.m, eps)
         rows.append({
             "n": args.n, "m": args.m, "epsilon": float(eps),
             "scaled_distance": scaled,
-            "limit_value": bound_report(BodyFamily.cube(), eps).manhattan_scaled_limit,
+            "limit_value": bound_report(BodyFamily.cube(), eps).lower,
         })
-    _emit(rows, args, {"n": args.n, "m": args.m, "eps": args.eps})
-    return 0
+    return rows
 
 
-def cmd_sections(args) -> int:
+def cmd_sections(args) -> list[dict]:
     grid = _parse_grid(args.grid)
     heights = grid.tolist()
     area_limits = psi_p_density_limit(grid, args.p).tolist()
@@ -190,8 +191,7 @@ def cmd_sections(args) -> int:
                     for x, area, tail, area_limit, tail_limit
                     in zip(heights, curve.areas.tolist(), curve.tails.tolist(),
                            area_limits, tail_limits))
-    _emit(rows, args, {"p": args.p, "n": args.n, "grid": args.grid})
-    return 0
+    return rows
 
 
 def _spread_cloud(seed: int, name: str, count: int, n: int) -> np.ndarray:
@@ -208,7 +208,9 @@ def _spread_cloud(seed: int, name: str, count: int, n: int) -> np.ndarray:
     return generate(seed, name, count, fill)
 
 
-def _check_lines(args) -> list[tuple[bool, str]]:
+def cmd_check(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
     out = []
     n, samples, seed = args.n, args.samples, args.seed
     suites = ["sodin", "transfer", "tails", "avgdist"] if args.suite == "all" \
@@ -251,21 +253,13 @@ def _check_lines(args) -> list[tuple[bool, str]]:
         res = average_distance_experiment(max(n, 50), samples, seed)
         out.append((res.ok, f"mean pair distance {res.mean_distance.estimate:.4f} "
                     f">= sqrt(n/(2 pi e)) = {res.lower_bound:.4f} at n={max(n, 50)}"))
-    return out
-
-
-def cmd_check(args) -> int:
-    if args.n < 1:
-        raise DomainError(f"--n must be at least 1, got {args.n}")
-    lines = _check_lines(args)
-    failed = False
-    for ok, text in lines:
+    # every suite runs before the first line prints, so bad input prints none
+    for ok, text in out:
         print(("PASS " if ok else "FAIL ") + text)
-        failed |= not ok
-    return 1 if failed else 0
+    return 0 if all(ok for ok, _ in out) else 1
 
 
-def cmd_asympt(args) -> int:
+def cmd_asympt(args) -> list[dict]:
     if args.which == "phi-inv" and args.p is not None:
         raise DomainError("--which phi-inv takes no --p")
     if args.which == "psi-inv" and args.p is None:
@@ -281,8 +275,7 @@ def cmd_asympt(args) -> int:
             "actual": float(actual), "asymptote": asym,
             "ratio": asym / actual,
         })
-    _emit(rows, args, {"which": args.which, "p": args.p, "eps": args.eps})
-    return 0
+    return rows
 
 
 # ------------------------------------------------------------- parser
@@ -293,11 +286,6 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
-def _add_output_args(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, metavar="FILE")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isodist",
@@ -305,47 +293,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "of unit-volume convex bodies.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fam_kw = dict(choices=("ball", "cube", "simplex", "lp"), required=True)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=("ball", "cube", "simplex", "lp"),
+                        required=True)
+    family.add_argument("--p", type=float, default=None)
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=_floats, action="extend", required=True)
+    # a child parser inherits the defaults too: every command that takes
+    # --out runs through _write_rows, which calls its own args.rows
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default=None, metavar="FILE")
+    output.set_defaults(fn=_write_rows)
 
-    b = subs.add_parser("bounds", help="two-sided distance bounds")
-    b.add_argument("--family", **fam_kw)
-    b.add_argument("--p", type=float, default=None)
-    b.add_argument("--eps", type=_floats, action="extend", required=True)
-    _add_output_args(b)
-    b.set_defaults(fn=cmd_bounds)
+    b = subs.add_parser("bounds", help="two-sided distance bounds",
+                        parents=[family, eps, output])
+    b.set_defaults(rows=cmd_bounds)
 
-    w = subs.add_parser("witness", help="explicit far-apart region pairs")
-    w.add_argument("--family", **fam_kw)
-    w.add_argument("--p", type=float, default=None)
+    w = subs.add_parser("witness", help="explicit far-apart region pairs",
+                        parents=[family, eps, output])
     w.add_argument("--n", type=int, required=True)
-    w.add_argument("--eps", type=_floats, action="extend", required=True)
-    _add_output_args(w)
-    w.set_defaults(fn=cmd_witness)
+    w.set_defaults(rows=cmd_witness)
 
     lat = subs.add_parser("lattice", help="discrete grid checks")
     lat_subs = lat.add_subparsers(dest="lattice_command", required=True)
-    lv = lat_subs.add_parser("verify", help="exhaustive extremal-pair check")
+    lv = lat_subs.add_parser("verify", help="exhaustive extremal-pair check",
+                             parents=[output])
     lv.add_argument("--k", type=int, required=True)
     lv.add_argument("--n", type=int, required=True)
     lv.add_argument("--r", type=int, required=True)
     lv.add_argument("--s", type=int, required=True)
     lv.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    _add_output_args(lv)
-    lv.set_defaults(fn=cmd_lattice_verify)
-    ls = lat_subs.add_parser("scaling", help="normalized slab distance")
+    lv.set_defaults(rows=cmd_lattice_verify)
+    ls = lat_subs.add_parser("scaling", help="normalized slab distance",
+                             parents=[eps, output])
     ls.add_argument("--n", type=int, required=True)
     ls.add_argument("--m", type=int, required=True)
-    ls.add_argument("--eps", type=_floats, action="extend", required=True)
-    _add_output_args(ls)
-    ls.set_defaults(fn=cmd_lattice_scaling)
+    ls.set_defaults(rows=cmd_lattice_scaling)
 
-    sec = subs.add_parser("sections", help="section area and cap volume curves")
+    sec = subs.add_parser("sections", help="section area and cap volume curves",
+                          parents=[output])
     sec.add_argument("--p", type=float, required=True)
     sec.add_argument("--n", type=lambda v: [int(x) for x in v.split(",")],
                      required=True, help="comma-separated dimensions")
     sec.add_argument("--grid", default="0:3:0.01", help="start:stop:step")
-    _add_output_args(sec)
-    sec.set_defaults(fn=cmd_sections)
+    sec.set_defaults(rows=cmd_sections)
 
     chk = subs.add_parser("check", help="pass/fail inequality suites")
     chk.add_argument("suite", choices=("sodin", "transfer", "tails",
@@ -355,12 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--seed", type=int, default=7)
     chk.set_defaults(fn=cmd_check)
 
-    asy = subs.add_parser("asympt", help="inverse-distribution asymptotes")
+    asy = subs.add_parser("asympt", help="inverse-distribution asymptotes",
+                          parents=[eps, output])
     asy.add_argument("--which", choices=("phi-inv", "psi-inv"), required=True)
     asy.add_argument("--p", type=float, default=None)
-    asy.add_argument("--eps", type=_floats, action="extend", required=True)
-    _add_output_args(asy)
-    asy.set_defaults(fn=cmd_asympt)
+    asy.set_defaults(rows=cmd_asympt)
 
     return parser
 

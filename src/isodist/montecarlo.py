@@ -195,18 +195,30 @@ def t_map(points: np.ndarray) -> np.ndarray:
     return _t(x)[0] if one else _t(x)
 
 
+def _finite(kernel, x: np.ndarray) -> np.ndarray:
+    """kernel(x), which scales like 1/||x||_1; DomainError where a row sum
+    is so small that the true values lie past the float range."""
+    with np.errstate(over="ignore"):
+        out = kernel(x)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("||x||_1 too small: T's Jacobian and bound exceed the float range")
+    return out
+
+
 def t_map_jacobian(points: np.ndarray) -> np.ndarray:
     """Exact Jacobian (d T_j / d x_i) = (delta_ij - T_j(x)) / ||x||_1,
     stacked to (m, n, n) for an (m, n) array of points."""
     x, one = _cloud(points, orthant=True)
-    return _t_jacobian(x)[0] if one else _t_jacobian(x)
+    jac = _finite(_t_jacobian, x)
+    return jac[0] if one else jac
 
 
 def t_map_opnorm_bound(points: np.ndarray):
     """Operator-norm bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1: a float
     for a point, an array of m bounds for an (m, n) array of points."""
     x, one = _cloud(points, orthant=True)
-    return float(_t_bound(x)[0]) if one else _t_bound(x)
+    bound = _finite(_t_bound, x)
+    return float(bound[0]) if one else bound
 
 
 def _central_diff(f, x: np.ndarray, reduce) -> np.ndarray:
@@ -243,7 +255,8 @@ def _central_diff(f, x: np.ndarray, reduce) -> np.ndarray:
 @dataclass(frozen=True)
 class TMapCheck:
     count: int
-    max_excess: float    # max over points of (exact norm + fd_error)/bound - 1, floored at 0
+    max_excess: float    # max over points of (exact norm + fd_error)/bound - 1, floored at 0;
+                         # inf where some point's ratio is NaN
     max_fd_error: float  # max Frobenius norm of fd - exact Jacobian: at least their
                          # operator-norm distance and at most sqrt(n) times it
     ok: bool
@@ -284,6 +297,7 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
         total, err, bound = _central_diff(_t, points, norms).T
         # the initial values floor the excess at 0 and answer an empty cloud
         worst = float(np.max(total / bound, initial=1.0)) - 1.0
+        worst = math.inf if math.isnan(worst) else worst
         ok = worst <= 1e-6 and bool(np.all(err / bound <= 1e-5))
     return TMapCheck(points.shape[0], worst, float(np.max(err, initial=0.0)), ok)
 

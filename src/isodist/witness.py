@@ -75,15 +75,26 @@ class BoundReport:
     manhattan_scaled_limit: float | None = None
 
 
+def _cap_miss(a: float, p: float, n: int, omega: float, eps: float):
+    """|V(a) - eps| plus the volume the rounding of omega_n and a can move,
+    then V(a) - eps and the section area S(a) = -V'(a)."""
+    gap = float(_lp_cap_volume(a, p, n, omega)) - eps
+    area = float(_section_area(a, p, n, omega))
+    # measured float error of omega_n: <= 6.3 + 3 |ln omega_n| half-ulps; of a: 0.5
+    return abs(gap) + a * area * 2.0**-53 * (7.0 + 3.0 * abs(math.log(omega))), gap, area
+
+
 def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     """Opposite caps of volume eps in the unit-volume l_p ball.
 
     The cap height a inverts the closed-form cap volume of sections
-    (betainccinv), and the caps +-{x_1 >= a} are then exactly 2a apart.
+    (betainccinv), with one Newton step on that volume where the first
+    height misses, and the caps +-{x_1 >= a} are then exactly 2a apart.
     DomainError is raised unless the cap at a holds eps to 1e-6
     relative even with a moved by the rounding of omega_n and a: for eps
-    below about 3.5e-14 at n = 2 and 1e-45 at n = 10 (p = 2), and 2e-11
-    at n = 1, the unit segment for every p, where a = 1/2 - eps directly.
+    below about 3.9e-14 at n = 2 and 1.5e-45 at n = 10 (p = 2, the
+    largest misses on a 20000-point log grid), and 2e-11 at n = 1, the
+    unit segment for every p, where a = 1/2 - eps directly.
     """
     family = BodyFamily.lp(p)  # checks p; lp(2) is the ball, with p None
     p = family.p or 2.0
@@ -96,10 +107,14 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
         omega = _lp_radius(n, p)
         z = float(sp.betainccinv(1.0 / p, (n - 1.0) / p + 1.0, 2.0 * eps))
         a = omega * z ** (1.0 / p)
-        # measured float error of omega_n: <= 6.3 + 3 |ln omega_n| half-ulps; of a: 0.5
-        miss = abs(_lp_cap_volume(a, p, n, omega) - eps) \
-            + a * float(_section_area(a, p, n, omega)) * 2.0**-53 \
-            * (7.0 + 3.0 * abs(math.log(omega)))
+        miss, gap, area = _cap_miss(a, p, n, omega, eps)
+        if not miss <= _VOLUME_REL_TOL * eps and area > 0.0:
+            # betainccinv's own residual (about 1.5e-7 relative at the tip)
+            # can use up the tolerance; one Newton step on V(a) = eps removes
+            # it.  Where V underflows the step is meaningless and leaves
+            # [0, omega_n]; clamped, it fails the check below.
+            a = min(max(a + gap / area, 0.0), omega)
+            miss = _cap_miss(a, p, n, omega, eps)[0]
     if not miss <= _VOLUME_REL_TOL * eps:
         raise DomainError("cap volume solve missed its tolerance")
     return RegionPair(

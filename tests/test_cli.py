@@ -1,13 +1,19 @@
+import argparse
 import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
 from isodist import (bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, BodyFamily)
 from isodist.cli import build_parser, main
+from isodist.lattice import DEFAULT_PAIR_BUDGET
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -232,3 +238,103 @@ def test_check_all_documented_corpus(capsys):
         "PASS cutoff product gradient inequality at n=20 (0 violations)",
     ]
     assert all(line.startswith("PASS ") for line in lines)
+
+
+# Every option of every subcommand, as option strings -> (dest, default,
+# choices, required).  Shared options are declared once in the parser; this
+# table pins what each subcommand ends up with, so a change to an option is
+# made here on purpose.
+FAMILIES = ("ball", "cube", "simplex", "lp")
+FAMILY = {"--family": ("family", None, FAMILIES, True), "--p": ("p", None, None, False)}
+EPS = {"--eps": ("eps", None, None, True)}
+OUTPUT = {"--format": ("format", "csv", ("csv", "json"), False),
+          "--out": ("out", None, None, False)}
+OPTIONS = {
+    ("bounds",): {**FAMILY, **EPS, **OUTPUT},
+    ("witness",): {**FAMILY, "--n": ("n", None, None, True), **EPS, **OUTPUT},
+    ("lattice", "verify"): {
+        "--k": ("k", None, None, True), "--n": ("n", None, None, True),
+        "--r": ("r", None, None, True), "--s": ("s", None, None, True),
+        "--budget": ("budget", DEFAULT_PAIR_BUDGET, None, False), **OUTPUT},
+    ("lattice", "scaling"): {"--n": ("n", None, None, True),
+                             "--m": ("m", None, None, True), **EPS, **OUTPUT},
+    ("sections",): {"--p": ("p", None, None, True), "--n": ("n", None, None, True),
+                    "--grid": ("grid", "0:3:0.01", None, False), **OUTPUT},
+    ("check",): {
+        "suite": ("suite", None, ("sodin", "transfer", "tails", "avgdist", "all"), True),
+        "--n": ("n", 20, None, False), "--samples": ("samples", 100_000, None, False),
+        "--seed": ("seed", 7, None, False)},
+    ("asympt",): {"--which": ("which", None, ("phi-inv", "psi-inv"), True),
+                  "--p": ("p", None, None, False), **EPS, **OUTPUT},
+}
+
+
+def _subcommands(parser, path=()):
+    """(path, parser) for each leaf subcommand below parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, path + (name,))
+
+
+def test_cli_option_surface():
+    surface = {}
+    for path, parser in _subcommands(build_parser()):
+        surface[path] = {
+            "/".join(a.option_strings) or a.dest:
+                (a.dest, a.default, tuple(a.choices) if a.choices else None, a.required)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    assert surface == OPTIONS
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["bounds", "--family", "lp", "--p", "1.5", "--eps", "0.1,0.01"],
+     {"command": "bounds", "family": "lp", "p": 1.5, "eps": [0.1, 0.01]}),
+    (["witness", "--family", "ball", "--n", "25", "--eps", "0.05", "--eps", "0.1"],
+     {"command": "witness", "family": "ball", "p": None, "n": 25, "eps": [0.05, 0.1]}),
+    (["lattice", "verify", "--k", "3", "--n", "2", "--r", "2", "--s", "2"],
+     {"command": "lattice", "lattice_command": "verify", "k": 3, "n": 2, "r": 2,
+      "s": 2, "budget": DEFAULT_PAIR_BUDGET}),
+    (["lattice", "scaling", "--n", "2", "--m", "10", "--eps", "0.1"],
+     {"command": "lattice", "lattice_command": "scaling", "n": 2, "m": 10,
+      "eps": [0.1]}),
+    (["sections", "--p", "2", "--n", "25,100"],
+     {"command": "sections", "p": 2.0, "n": [25, 100], "grid": "0:3:0.01"}),
+    (["asympt", "--which", "phi-inv", "--eps", "1e-4", "--format", "json"],
+     {"command": "asympt", "which": "phi-inv", "p": None, "eps": [1e-4]}),
+], ids=["bounds", "witness", "lattice-verify", "lattice-scaling", "sections", "asympt"])
+def test_manifest_records_the_parsed_options(capsys, tmp_path, argv, parameters):
+    # defaults included; --format and --out choose the output, not the rows
+    target = tmp_path / "rows.out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = json.loads((tmp_path / "rows.out.manifest.json").read_text())
+    assert manifest["parameters"] == parameters
+    assert set(manifest) == {"command", "parameters", "versions", "timestamp_utc",
+                             "output_path"}
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_covers_every_subcommand():
+    paths = {tuple(argv[:2]) if argv[0] == "lattice" else (argv[0],)
+             for argv in _readme_commands()}
+    assert paths == set(OPTIONS)
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_commands() if a[0] != "check"],
+                         ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    # check all runs in test_check_all_documented_corpus
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    if "json" in argv:
+        assert len(lines) >= 1 and all(json.loads(line) for line in lines)
+    else:
+        assert len(csv_rows(out)) >= 1

@@ -151,6 +151,8 @@ def test_t_map_lipschitz_check_fails_where_differences_are_meaningless():
         for x in ([1e-9, 1e-9], [3e-7, 0.0], [1e-300, 1e-300], [5e-7, 5e-7, 0.0],
                   [1e-6, 0.0], [1e-310, 1e-310]):
             assert not t_map_lipschitz_check(np.array(x)).ok
+        # at a subnormal row sum N and B overflow together: an infinite excess, not NaN
+        assert t_map_lipschitz_check(np.array([1e-310, 1e-310])).max_excess == math.inf
         # the step is lost against 1e300 and swamps 1e-300, so E is the exact
         # Jacobian's Frobenius norm 1/||x||_1, whose squares would under- and
         # overflow unscaled
@@ -177,6 +179,16 @@ def test_t_map_rejects_nan_negative_and_zero_sum_rows():
                 [-1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e308, 1e308, 1.0]):
         for points in (np.array(bad), np.array([good, bad])):
             for fn in (t_map, t_map_jacobian, t_map_opnorm_bound, t_map_lipschitz_check):
+                with pytest.raises(DomainError):
+                    fn(points)
+    # T is fine at a subnormal row sum, but its Jacobian and bound (about
+    # 5e309) lie past the float range: DomainError, not an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = np.array([1e-310, 1e-310])
+        assert t_map(tiny).tolist() == [0.5, 0.5]
+        for points in (tiny, np.array([good, tiny.tolist() + [0.0]])):
+            for fn in (t_map_jacobian, t_map_opnorm_bound):
                 with pytest.raises(DomainError):
                     fn(points)
 

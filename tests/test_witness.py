@@ -50,6 +50,14 @@ def test_lp_caps_tiny_eps_against_mpmath(eps):
     assert oracles.lp_tail_mp(a, 1.5, 200) == pytest.approx(eps, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("eps", [4.18e-14, 4.1832021205158474e-14, 4.184176142154806e-14])
+def test_ball_caps_near_the_n2_limit_hold_eps(eps):
+    # at these eps betainccinv's residual alone exceeds the tolerance, and
+    # the Newton step on the cap volume corrects it
+    a = ball_caps_witness(2, eps).distance / 2.0
+    assert oracles.lp_tail_mp(a, 2.0, 2) == pytest.approx(eps, rel=1e-6, abs=0.0)
+
+
 def test_lp_caps_unresolvable_volume_raises():
     # at n = 10 no double-precision cap height has volume within 1e-6 of
     # 1e-200 relative, so the witness refuses rather than return one
@@ -59,6 +67,14 @@ def test_lp_caps_unresolvable_volume_raises():
     # gives 3.6 times the 50-digit volume
     with pytest.raises(DomainError):
         lp_caps_witness(22, 1.741, 3e-197)
+    # at the tip the cap volume underflows to 0 and a Newton step would
+    # leave [0, omega_n]
+    with pytest.raises(DomainError):
+        lp_caps_witness(38, 1.5322629870959146, 9.740250684504883e-277)
+    # at n = 2 and 1e-14 the rounding of omega_n and a alone may move the
+    # cap by 2.2e-6 of its volume, so no Newton step can help
+    with pytest.raises(DomainError):
+        ball_caps_witness(2, 1e-14)
 
 
 def test_caps_n1_degenerates_to_segment():
