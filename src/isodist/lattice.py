@@ -6,18 +6,19 @@ first differing coordinate (larger first coordinate means earlier).  The
 extremal-pair fact checked here: among all pairs of subsets of sizes r
 and s, the initial and final segments of the simplicial order realize
 the largest possible set distance.  verify_extremal_pairs confirms it by
-exhaustive search on small grids, taking the r-subsets in fixed blocks
-of batched numpy work so that memory stays bounded however many there
-are.
+exhaustive search on small grids, unranking the r-subsets block by block
+of colex ranks into batched numpy work so that memory stays bounded
+however many there are.
 
 Subsets are bit masks over the row-major cell index.  The segments come
-from one lexsort of the cell coordinates.  t_boundary and set_distance
-both read one axis-sweep distance transform of a set.
+from one stable sort of the cells' coordinate sums.  t_boundary and
+set_distance both read one axis-sweep distance transform of a set.
 
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
 approaches the continuous diagonal-slab value -2 sqrt(pi/6) phi_inv(eps);
-the count is an exact inclusion-exclusion sum.
+the count is an exact inclusion-exclusion sum, and the slab threshold is
+searched from the normal guess, decided by exact counts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
@@ -35,11 +35,16 @@ import numpy as np
 from .bodies import validate_epsilon, validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
+from .specfun import phi_inv
 
 Cell = Tuple[int, ...]
 
 _EXACT_CELL_LIMIT = 32
-_SWEEP_BLOCK = 512  # r-subsets per block of the exhaustive sweep
+_SWEEP_BLOCK = 4096  # r-subsets per block of the exhaustive sweep
+# _BINOM[i, c] = C(c, i), the colex ranks of the sweep's subsets; every entry
+# is at most C(32, 16) < 2^31
+_BINOM = np.array([[math.comb(c, i) for c in range(_EXACT_CELL_LIMIT + 1)]
+                   for i in range(_EXACT_CELL_LIMIT + 1)], dtype=np.int64)
 DEFAULT_PAIR_BUDGET = 10_000_000
 
 
@@ -150,9 +155,13 @@ def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
     count = validate_n(count, 0)
-    c = np.indices((grid.k,) * grid.n).reshape(grid.n, -1)
-    # lexsort's last key is the primary one: coordinate sum, then -c_0, -c_1, ...
-    order = np.lexsort(np.vstack((-c[::-1], c.sum(axis=0))))
+    # level[i] is the coordinate sum of cell i, in the smallest unsigned dtype
+    # holding n(k-1)
+    dtype = np.min_scalar_type(grid.n * (grid.k - 1))
+    level = np.indices((grid.k,) * grid.n, dtype=dtype).sum(axis=0, dtype=dtype).ravel()
+    # inside a level the order runs down the row-major index, so a stable sort
+    # of the reversed levels, read back from the end, is the simplicial order
+    order = grid.size - 1 - np.argsort(level[::-1], kind="stable")
     bits = np.zeros(grid.size, dtype=bool)
     bits[order[grid.size - count:] if final else order[:count]] = True
     return SubsetHandle(grid, _bits_mask(bits))
@@ -226,25 +235,41 @@ def _distance_matrix(k: int, n: int) -> np.ndarray:
     return np.abs(c[:, :, None] - c[:, None, :]).sum(axis=0).astype(np.uint8)
 
 
+def _colex_members(ranks: np.ndarray, r: int) -> Iterator[np.ndarray]:
+    """The r-subsets with the given colex ranks, one index array per member,
+    largest member first.  In the combinatorial number system the subset
+    c_1 < ... < c_r has rank sum_i C(c_i, i), so c_i is the largest c with
+    C(c, i) at most what is left of the rank."""
+    rank = np.array(ranks, dtype=np.int64)
+    for row in _BINOM[r:0:-1]:
+        c = row.searchsorted(rank, side="right") - 1
+        rank -= row.take(c)
+        yield c
+
+
 @lru_cache(maxsize=None)
 def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     """For each s, the max over all |A| = r of the s-th largest min-distance
     to A.  Picking the s farthest cells is the exact best B for a fixed A,
     so best[s-1] equals the literal max over (A, B) pairs.
 
-    The r-subsets are taken from itertools.combinations in blocks of
-    _SWEEP_BLOCK.  Each block gathers the rows of D for its subsets (D is
-    symmetric), takes their minimum, sorts every row and folds the rows
-    into the running maximum, so memory stays bounded by the block, about
-    half a megabyte at the largest grid, whatever C(k^n, r) is.
+    Every colex rank in [0, C(k^n, r)) is visited once, in blocks of
+    _SWEEP_BLOCK ranks.  A block unranks its subsets member by member and
+    keeps the running minimum of their rows of D (D is symmetric), sorts
+    every row and folds the rows into the running maximum, so memory stays
+    bounded by the block, under half a megabyte at the largest grid,
+    whatever C(k^n, r) is.
     """
     D = _distance_matrix(k, n)
     size = k**n
+    total = math.comb(size, r)
     best = np.zeros(size, dtype=np.uint8)  # ascending: best[-s] is the s-th largest
-    flat = itertools.chain.from_iterable(itertools.combinations(range(size), r))
-    while (idx := np.fromiter(itertools.islice(flat, _SWEEP_BLOCK * r),
-                              dtype=np.intp)).size:
-        d = np.sort(D[idx.reshape(-1, r)].min(axis=1), axis=1)
+    for lo in range(0, total, _SWEEP_BLOCK):
+        members = _colex_members(np.arange(lo, min(lo + _SWEEP_BLOCK, total)), r)
+        d = D.take(next(members), axis=0)
+        for c in members:
+            np.minimum(d, D.take(c, axis=0), out=d)
+        d.sort(axis=1, kind="stable")  # radix sort on uint8
         np.maximum(best, d.max(axis=0), out=best)
     return tuple(int(v) for v in best[::-1])
 
@@ -297,20 +322,42 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     coordinate-sum slabs each holding at least eps * (m+1)^n cells; their
     Manhattan distance is (s_hi - s_lo) lattice steps, reported here in
     cube units and normalized by sqrt(n):  (s_hi - s_lo) / (m sqrt(n)).
-    The threshold comparison is exact (integer counts against the binary
-    value of eps).
+
+    s_lo is the least s with count_cells_sum_le(m+1, n, s) >= eps (m+1)^n,
+    an exact comparison of integers with the binary value of eps.  The
+    search starts at the normal guess for the level sum (mean nm/2,
+    variance nm(m+2)/12), gallops out by 1, 2, 4, ... until two counts
+    bracket the threshold and bisects between them; the guess only decides
+    where the counting starts.
     """
     eps = validate_epsilon(eps)
     n, m = validate_n(n, 1), validate_n(m, 1)
     k = m + 1
-    need = Fraction(eps) * k**n
-    lo, hi = 0, n * m  # smallest s with count >= need, by bisection
-    while lo < hi:
+    p, q = eps.as_integer_ratio()
+    need = -(-p * k**n // q)  # ceil(eps k^n): counts are integers
+
+    def enough(s):
+        return count_cells_sum_le(k, n, s) >= need
+
+    z = math.sqrt(2.0 * math.pi) * phi_inv(eps)  # standard normal quantile
+    guess = max(0, round(n * m / 2 + z * math.sqrt(n * m * (m + 2) / 12)))
+    # lo fails and hi holds; s = -1 fails (no cells) and s = nm holds (all)
+    step = 1
+    if enough(guess):
+        lo, hi = -1, guess
+        while hi - step > lo and enough(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    else:
+        lo, hi = guess, n * m
+        while lo + step < hi and not enough(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(hi, lo + step)
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if count_cells_sum_le(k, n, mid) >= need:
+        if enough(mid):
             hi = mid
         else:
-            lo = mid + 1
-    s_lo = lo
-    steps = max(0, n * m - 2 * s_lo)
+            lo = mid
+    steps = max(0, n * m - 2 * hi)
     return steps / (m * math.sqrt(n))

@@ -258,7 +258,8 @@ class TMapCheck:
     max_excess: float    # max over points of (exact norm + fd_error)/bound - 1, floored at 0;
                          # inf where some point's ratio is NaN
     max_fd_error: float  # max Frobenius norm of fd - exact Jacobian: at least their
-                         # operator-norm distance and at most sqrt(n) times it
+                         # operator-norm distance and at most sqrt(n) times it;
+                         # inf where some point's norm is NaN
     ok: bool
 
 
@@ -297,9 +298,11 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
         total, err, bound = _central_diff(_t, points, norms).T
         # the initial values floor the excess at 0 and answer an empty cloud
         worst = float(np.max(total / bound, initial=1.0)) - 1.0
-        worst = math.inf if math.isnan(worst) else worst
+        fd_err = float(np.max(err, initial=0.0))
         ok = worst <= 1e-6 and bool(np.all(err / bound <= 1e-5))
-    return TMapCheck(points.shape[0], worst, float(np.max(err, initial=0.0)), ok)
+    # a NaN ratio or error reads inf
+    worst, fd_err = (math.inf if math.isnan(v) else v for v in (worst, fd_err))
+    return TMapCheck(points.shape[0], worst, fd_err, ok)
 
 
 # ---------------------------------------------------------------- cutoffs

@@ -148,6 +148,20 @@ def test_counts_must_be_integral(name):
             call(bad)
 
 
+@pytest.mark.parametrize("k, n, counts", [
+    # level sums up to 518, past what uint8 holds; 32896 cells have sum <= 255
+    (260, 2, (0, 1, 32895, 32896, 32897, 60000, 67599, 67600)),
+    # 70000 cells, indices past what uint16 holds; the order is 0, 1, ...
+    (70000, 1, (0, 1, 65535, 65536, 65537, 69999, 70000)),
+])
+def test_segments_match_sorted_cells_on_wide_grids(k, n, counts):
+    g = Grid(k, n)
+    for count in counts:
+        for final, segment in ((False, initial_segment), (True, final_segment)):
+            expect = sorted(oracles.simplicial_segment_sorted(k, n, count, final))
+            assert segment(g, count).cells() == expect
+
+
 def test_final_segment_is_reflected_initial_segment():
     for g in (Grid(3, 2), Grid(2, 3)):
         for s in range(g.size + 1):
@@ -326,6 +340,19 @@ def test_brute_max_across_block_boundaries(monkeypatch, k, n, r):
         assert_brute_max_matches_loop(k, n, r)
 
 
+@pytest.mark.parametrize("size", range(1, 13))
+def test_colex_members_yield_every_subset_once(size):
+    for r in range(1, size + 1):
+        ranks = np.arange(math.comb(size, r))
+        members = np.stack(list(lattice._colex_members(ranks, r)), axis=1)
+        rows = [tuple(row) for row in members.tolist()]
+        # largest member first, and rank order is colex order
+        assert all(list(row) == sorted(row, reverse=True) for row in rows)
+        assert rows == sorted(rows)
+        subsets = sorted(tuple(sorted(row)) for row in rows)
+        assert subsets == list(itertools.combinations(range(size), r))
+
+
 def test_verify_extremal_pairs_partition_cases():
     # r + s covering the grid forces adjacent or overlapping sets
     for g in (Grid(2, 2), Grid(2, 3)):
@@ -424,3 +451,32 @@ def test_scaled_max_distance_domain():
         scaled_max_distance(0, 8, 0.1)
     with pytest.raises(DomainError):
         scaled_max_distance(3, 8, 0.6)
+
+
+def scaled_max_distance_by_scan(n, m, eps):
+    """scaled_max_distance from a linear scan for the least s whose count,
+    from the dimension recurrence, reaches eps (m+1)^n."""
+    need = Fraction(eps) * (m + 1) ** n
+    s = next(s for s in range(n * m + 1)
+             if oracles.count_cells_recurrence(m + 1, n, s) >= need)
+    return max(0, n * m - 2 * s) / (m * math.sqrt(n))
+
+
+# n = 1 or 2 at eps = 1e-15 puts the normal guess below 0, where it is
+# clamped; eps < 1/2 keeps it at or below nm/2, so it never reaches nm
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_scaled_max_distance_matches_a_scan_in_few_counts(monkeypatch, n):
+    counted = lattice.count_cells_sum_le
+    calls = []
+
+    def count(k, n, s):
+        calls.append(s)
+        return counted(k, n, s)
+
+    monkeypatch.setattr(lattice, "count_cells_sum_le", count)
+    for m in (1, 2, 16, 64):
+        for eps in (1e-15, 1e-4, 0.1, 0.3, 0.4999):
+            calls.clear()
+            assert scaled_max_distance(n, m, eps) == scaled_max_distance_by_scan(n, m, eps)
+            # a gallop and a bisection of about log2(nm) counts each, not a scan
+            assert len(calls) <= 2 * math.log2(n * m) + 4

@@ -153,6 +153,10 @@ def test_t_map_lipschitz_check_fails_where_differences_are_meaningless():
             assert not t_map_lipschitz_check(np.array(x)).ok
         # at a subnormal row sum N and B overflow together: an infinite excess, not NaN
         assert t_map_lipschitz_check(np.array([1e-310, 1e-310])).max_excess == math.inf
+        # a shifted row's sum of 0 makes E NaN: both fields read inf, not NaN
+        for x in ([1e-6, 0.0], [5e-7, 5e-7, 0.0]):
+            chk = t_map_lipschitz_check(np.array(x))
+            assert chk.max_excess == chk.max_fd_error == math.inf
         # the step is lost against 1e300 and swamps 1e-300, so E is the exact
         # Jacobian's Frobenius norm 1/||x||_1, whose squares would under- and
         # overflow unscaled
