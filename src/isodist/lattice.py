@@ -6,13 +6,21 @@ first differing coordinate (larger first coordinate means earlier).  The
 extremal-pair fact checked here: among all pairs of subsets of sizes r
 and s, the initial and final segments of the simplicial order realize
 the largest possible set distance.  verify_extremal_pairs confirms it by
-exhaustive search on small grids, unranking the r-subsets block by block
+exhaustive search on small grids, unranking the subsets block by block
 of colex ranks into batched numpy work so that memory stays bounded
-however many there are.
+however many there are.  It needs only the sizes |N_t(A)| of the
+t-neighbourhoods, which it counts as popcounts of ORed ball masks.
 
 Subsets are bit masks over the row-major cell index.  The segments come
 from one stable sort of the cells' coordinate sums.  t_boundary and
-set_distance both read one axis-sweep distance transform of a set.
+set_distance grow a mask one step of N_1 at a time: a shift by the
+axis stride and an OR per axis, with the cells on the axis's first or
+last layer masked off so that no bit wraps into the next row.  A step
+costs O(n k^n / 64) word operations and a distance takes as many steps
+as its value, against O(n k^n) for a distance transform, so dilation
+wins at small diameters and loses at large ones: corner to corner on
+[200]^2, diameter 398, it took 3.3 ms against 2.1 ms for the transform
+(one core of a 2-vCPU Xeon VM).
 
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
@@ -40,7 +48,7 @@ from .specfun import phi_inv
 Cell = Tuple[int, ...]
 
 _EXACT_CELL_LIMIT = 32
-_SWEEP_BLOCK = 4096  # r-subsets per block of the exhaustive sweep
+_SWEEP_BLOCK = 1024  # subsets per block of the exhaustive sweep
 # _BINOM[i, c] = C(c, i), the colex ranks of the sweep's subsets; every entry
 # is at most C(32, 16) < 2^31
 _BINOM = np.array([[math.comb(c, i) for c in range(_EXACT_CELL_LIMIT + 1)]
@@ -177,42 +185,59 @@ def final_segment(grid: Grid, s: int) -> SubsetHandle:
     return _segment(grid, s, final=True)
 
 
-def _distance_to(handle: SubsetHandle) -> np.ndarray:
-    """Manhattan distance from every cell to the nearest cell of the set,
-    shaped (k,)*n.  L1 splits by coordinate, so a forward sweep
-    d[i] = min(d[i], d[i-1] + 1), i.e. min_{j<=i}(d[j] - j) + i, and the
-    mirrored backward sweep along each axis give the exact distance."""
-    grid = handle.grid
-    d = np.where(_mask_bits(handle), 0, grid.n * (grid.k - 1) + 1)
-    step = np.arange(grid.k)
-    for axis in range(grid.n):
-        v = np.moveaxis(d, axis, -1)
-        v = np.minimum.accumulate(v - step, axis=-1) + step
-        v = np.minimum.accumulate((v + step)[..., ::-1], axis=-1)[..., ::-1] - step
-        d = np.moveaxis(v, -1, axis)
-    return d
+@lru_cache(maxsize=None)
+def _axis_masks(k: int, n: int) -> tuple:
+    """(stride, not_first, not_last) per axis: stride k^(n-1-axis) moves one
+    step along the axis, and the masks clear the cells whose coordinate on
+    it is 0 or k-1, where a shifted bit would wrap into the next row."""
+    size = k**n
+    full = (1 << size) - 1
+    out = []
+    for axis in range(n):
+        stride = k ** (n - 1 - axis)
+        # the first `stride` bits of every run of k * stride: coordinate 0
+        first = ((1 << stride) - 1) * (full // ((1 << k * stride) - 1))
+        out.append((stride, full ^ first, full ^ (first << stride * (k - 1))))
+    return tuple(out)
+
+
+def _dilate(mask: int, axes: tuple) -> int:
+    """One step of N_1: the mask grown by one cell along every axis."""
+    grown = mask
+    for stride, not_first, not_last in axes:
+        grown |= (mask << stride) & not_first | (mask >> stride) & not_last
+    return grown
 
 
 def t_boundary(handle: SubsetHandle, t: int) -> SubsetHandle:
     """Closed t-neighborhood: cells within lattice distance t of the set.
 
-    Thresholds the axis-sweep distance transform at t; t = 0 returns the
-    set itself.
+    Grows the bit mask by min(t, n(k-1)) dilations, each a shift and OR
+    per axis; t = 0 returns the set itself.
     """
     t = validate_n(t, 0)
     if handle.mask == 0:
         raise EmptySetError("t-boundary of an empty set")
-    return SubsetHandle(handle.grid, _bits_mask(_distance_to(handle) <= t))
+    grid = handle.grid
+    axes = _axis_masks(grid.k, grid.n)
+    mask = handle.mask
+    for _ in range(min(t, grid.n * (grid.k - 1))):
+        mask = _dilate(mask, axes)
+    return SubsetHandle(grid, mask)
 
 
 def set_distance(a: SubsetHandle, b: SubsetHandle) -> int:
-    """Smallest Manhattan distance over pairs (x, y) in A x B: the axis-sweep
-    distance transform of A, minimized over the cells of B."""
+    """Smallest Manhattan distance over pairs (x, y) in A x B: the number of
+    dilations of A's mask until it meets B's."""
     if a.grid != b.grid:
         raise DimensionMismatchError("subsets live on different grids")
     if a.mask == 0 or b.mask == 0:
         raise EmptySetError("distance needs two nonempty sets")
-    return int(_distance_to(a)[_mask_bits(b)].min())
+    axes = _axis_masks(a.grid.k, a.grid.n)
+    mask, steps = a.mask, 0
+    while not mask & b.mask:
+        mask, steps = _dilate(mask, axes), steps + 1
+    return steps
 
 
 @dataclass(frozen=True)
@@ -228,11 +253,18 @@ class ExtremalCheck:
 
 
 @lru_cache(maxsize=None)
-def _distance_matrix(k: int, n: int) -> np.ndarray:
-    """Pairwise Manhattan distances of [k]^n in row-major cell order, as
-    uint8: the exhaustive search only runs where n(k-1) <= 31."""
+def _balls(k: int, n: int) -> np.ndarray:
+    """ball[y, t], the uint32 mask of the cells within distance t of cell y,
+    for t = 0, ..., n(k-1): the exhaustive search only runs where
+    k^n <= 32.  Each cell's bit goes into y's shell at its distance, and a
+    running OR along t turns the shells into balls."""
+    size = k**n
     c = np.indices((k,) * n).reshape(n, -1)
-    return np.abs(c[:, :, None] - c[:, None, :]).sum(axis=0).astype(np.uint8)
+    dist = np.abs(c[:, :, None] - c[:, None, :]).sum(axis=0)
+    ball = np.zeros((size, n * (k - 1) + 1), dtype=np.uint32)
+    np.bitwise_or.at(ball, (np.arange(size)[:, None], dist),
+                     np.uint32(1) << np.arange(size, dtype=np.uint32))
+    return np.bitwise_or.accumulate(ball, axis=1)
 
 
 def _colex_members(ranks: np.ndarray, r: int) -> Iterator[np.ndarray]:
@@ -247,31 +279,60 @@ def _colex_members(ranks: np.ndarray, r: int) -> Iterator[np.ndarray]:
         yield c
 
 
+def _least_neighbourhood(ball: np.ndarray, members: list) -> np.ndarray:
+    """Per t, the least |N_t(A)| over the block's subsets A: the OR of the
+    members' rows of the ball table, popcounted."""
+    cover = ball.take(members[0], axis=0)
+    for y in members[1:]:
+        np.bitwise_or(cover, ball.take(y, axis=0), out=cover)
+    return np.bitwise_count(cover).min(axis=0)
+
+
+def _least_neighbourhood_of_complements(ball: np.ndarray, members: list) -> np.ndarray:
+    """The same over the complements A of the block's subsets C: |N_t(A)|
+    is k^n less the cells y of C whose t-ball lies inside C.  ball holds
+    the columns t = 0, 1, ... up to the last where that can happen."""
+    inner = np.bitwise_or.reduce([ball[:, 0].take(y) for y in members])
+    outside = ~inner[:, None]
+    inside = np.zeros((len(inner), ball.shape[1]), dtype=np.uint8)
+    for y in members:
+        inside += (ball.take(y, axis=0) & outside) == 0
+    return ball.shape[0] - inside.max(axis=0)
+
+
 @lru_cache(maxsize=None)
 def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     """For each s, the max over all |A| = r of the s-th largest min-distance
     to A.  Picking the s farthest cells is the exact best B for a fixed A,
-    so best[s-1] equals the literal max over (A, B) pairs.
+    so entry s-1 equals the literal max over (A, B) pairs.
 
-    Every colex rank in [0, C(k^n, r)) is visited once, in blocks of
-    _SWEEP_BLOCK ranks.  A block unranks its subsets member by member and
-    keeps the running minimum of their rows of D (D is symmetric), sorts
-    every row and folds the rows into the running maximum, so memory stays
-    bounded by the block, under half a megabyte at the largest grid,
-    whatever C(k^n, r) is.
+    The s-th largest distance to A exceeds t exactly when
+    |N_t(A)| <= k^n - s, and |N_t(A)| never decreases in t.  So with
+    mu_t = min over |A| = r of |N_t(A)|, entry s-1 is the least t with
+    mu_t > k^n - s, one searchsorted over mu.
+
+    Every subset is visited once, in blocks of _SWEEP_BLOCK colex ranks
+    unranked member by member.  Up to r = k^n / 2 a block ORs its members'
+    rows of the ball table.  Past that it enumerates the k^n - r
+    complements instead, as many subsets with fewer members; a t-ball
+    inside C has at most |C| cells, which bounds the t that need counting.
+    Memory stays bounded by the block, whatever C(k^n, r) is: a
+    (_SWEEP_BLOCK, n(k-1) + 1) array of uint32 masks, at most 128 KB, and
+    about 0.3 MB at the peak with the gathered rows and popcounts.
     """
-    D = _distance_matrix(k, n)
+    ball = _balls(k, n)
     size = k**n
-    total = math.comb(size, r)
-    best = np.zeros(size, dtype=np.uint8)  # ascending: best[-s] is the s-th largest
+    mu = np.full(ball.shape[1], size, dtype=np.uint8)
+    fold, c = _least_neighbourhood, r
+    if r < size < 2 * r:  # the full grid (r = k^n) has no complement members
+        fold, c = _least_neighbourhood_of_complements, size - r
+        ball = ball[:, :np.count_nonzero(np.bitwise_count(ball).min(axis=0) <= c)]
+    total = math.comb(size, c)
     for lo in range(0, total, _SWEEP_BLOCK):
-        members = _colex_members(np.arange(lo, min(lo + _SWEEP_BLOCK, total)), r)
-        d = D.take(next(members), axis=0)
-        for c in members:
-            np.minimum(d, D.take(c, axis=0), out=d)
-        d.sort(axis=1, kind="stable")  # radix sort on uint8
-        np.maximum(best, d.max(axis=0), out=best)
-    return tuple(int(v) for v in best[::-1])
+        ranks = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
+        least = fold(ball, list(_colex_members(ranks, c)))
+        np.minimum(mu[:len(least)], least, out=mu[:len(least)])
+    return tuple(mu.searchsorted(size - np.arange(1, size + 1), side="right").tolist())
 
 
 def verify_extremal_pairs(grid: Grid, r: int, s: int,

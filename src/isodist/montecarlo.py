@@ -28,6 +28,8 @@ plateau characterizations and gradient bounds, the product-rule gradient
 inequality, the Erlang small-sum tail against its closed bound, the
 coordinatewise gaussian-to-cube transfer (1-Lipschitz, uniform output),
 and the mean-distance lower bound sqrt(n/(2 pi e)) in high dimension.
+The tail and transfer checks report their exact part and their Monte
+Carlo part apart; the latter is judged at 5 standard errors.
 
 Every function that takes points reads them through one intake,
 _cloud: an (n,) point or an (m, n) cloud of finite coordinates, n >= 1,
@@ -64,6 +66,11 @@ from .specfun import phi
 
 FD_STEP = 1e-6
 KINK_RADIUS = 1e-4
+# Monte Carlo verdicts are taken at 5 standard errors, a two-sided normal
+# tail of 5.7e-7 per comparison, so a correct program fails a check suite
+# about once in 10^5 runs, not at a fixed share of seeds
+_MC_SIGMAS = 5.0
+_MC_TAIL = 5.7e-7
 _FD_ENTRIES = 2**16  # entries of one block's (b n, n) stack of shifted rows
 
 
@@ -408,6 +415,8 @@ class ExpTailCheck:
     mc: EstimateWithCI
     erlang: float
     bound: float
+    bound_ok: bool  # the exact part: erlang <= bound
+    mc_ok: bool     # the Monte Carlo part, at 5 standard errors
     ok: bool
 
 
@@ -415,10 +424,11 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     """P(E_1 + ... + E_n <= alpha n) for iid Exp(1), three ways.
 
     Monte Carlo proportion, the exact Erlang distribution function
-    P(n, alpha n), and the closed bound (alpha e)^n / sqrt(2 pi n); ok
-    means the exact value respects the bound and the MC estimate lands
-    within its own 95% interval of the exact value (rule-of-three floor
-    3/count when the tail sees no hits).
+    P(n, alpha n), and the closed bound (alpha e)^n / sqrt(2 pi n).
+    bound_ok says the exact value respects the bound (up to 1e-12
+    relative, the rounding of gammainc); mc_ok says the estimate lies
+    within 5 standard errors sqrt(max(p(1-p), 1/count)/count) of the
+    exact value p; ok says both.
     """
     n = validate_n(n, 1)
     alpha = validate_open_interval(alpha, 0.0, math.inf, "alpha").tolist()
@@ -428,9 +438,10 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     mc = EstimateWithCI.from_proportion(hits, int(count))
     erlang = float(sp.gammainc(n, alpha * n))
     bound = (alpha * math.e) ** n / math.sqrt(2.0 * math.pi * n)
-    ok = erlang <= bound * (1.0 + 1e-12) and \
-        abs(mc.estimate - erlang) <= max(mc.half_width_95, 3.0 / count)
-    return ExpTailCheck(n, alpha, mc, erlang, bound, ok)
+    bound_ok = erlang <= bound * (1.0 + 1e-12)
+    se = math.sqrt(max(erlang * (1.0 - erlang), 1.0 / count) / count)
+    mc_ok = abs(mc.estimate - erlang) <= _MC_SIGMAS * se
+    return ExpTailCheck(n, alpha, mc, erlang, bound, bound_ok, mc_ok, bound_ok and mc_ok)
 
 
 # ---------------------------------------------------------------- transfer
@@ -456,6 +467,8 @@ class TransferCheck:
     count: int
     min_ks_pvalue: float
     max_direction_ratio: float
+    uniform_ok: bool      # the Monte Carlo part, at 5 standard errors
+    contraction_ok: bool  # every sampled difference quotient <= 1 + 1e-6
     ok: bool
 
 
@@ -463,8 +476,11 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     """Uniformity and contraction of the gaussian-to-cube transfer.
 
     Kolmogorov-Smirnov per coordinate on the mapped sample against
-    uniform(0,1), each p-value above 0.01, plus difference quotients
-    ||phi(x)-phi(y)|| / ||x-y|| over sampled pairs, below 1 + 1e-6.
+    uniform(0,1), plus difference quotients ||phi(x)-phi(y)|| / ||x-y||
+    over sampled pairs.  uniform_ok says the smallest of the n p-values is
+    at least 1 - (1 - P)^{1/n}, where P = 5.7e-7 is the two-sided normal
+    tail beyond 5 standard errors, so a uniform sample fails with chance P;
+    contraction_ok says every quotient is at most 1 + 1e-6; ok says both.
 
     One sort gives every column's two-sided statistic D, written as
     scipy's kstest writes it (the mapped values lie in [0, 1], where the
@@ -486,8 +502,10 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     num = np.linalg.norm(gaussian_to_cube_map(other) - mapped, axis=1)
     den = np.linalg.norm(other - pts, axis=1)
     ratio = float(np.max(num / den))
-    return TransferCheck(int(count), min_p, ratio,
-                         min_p > 0.01 and ratio <= 1.0 + 1e-6)
+    uniform_ok = min_p >= 1.0 - (1.0 - _MC_TAIL) ** (1.0 / n)
+    contraction_ok = ratio <= 1.0 + 1e-6
+    return TransferCheck(int(count), min_p, ratio, uniform_ok, contraction_ok,
+                         uniform_ok and contraction_ok)
 
 
 # ---------------------------------------------------------------- distance

@@ -23,12 +23,13 @@ and one coordinate at a time, with the cutoffs and the T-map Jacobian
 written out.
 
 The lattice counts cells by inclusion-exclusion and measures distances
-with an axis-sweep distance transform; count_cells_recurrence convolves
-the coordinate-sum counts one dimension at a time, and t_boundary_bfs
-grows a neighborhood by breadth-first search over cell tuples.  The
-extremal-pair search runs over blocks of r-subsets and the segments come
-from one lexsort; sweep_max_by_s_loop walks the r-subsets one at a time
-and simplicial_segment_sorted sorts cell tuples by (sum, -c).
+by dilating bit masks; count_cells_recurrence convolves the
+coordinate-sum counts one dimension at a time, and t_boundary_bfs grows
+a neighborhood by breadth-first search over cell tuples.  The
+extremal-pair search counts neighbourhood sizes over blocks of subsets
+and the segments come from one stable sort; sweep_max_by_s_loop walks
+the r-subsets one at a time and sorts distances, and
+simplicial_segment_sorted sorts cell tuples by (sum, -c).
 """
 
 import itertools

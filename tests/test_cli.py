@@ -6,8 +6,10 @@ import math
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
+from isodist import montecarlo
 from isodist import (bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, BodyFamily)
 from isodist.cli import build_parser, main
@@ -155,6 +157,37 @@ def test_check_avgdist_passes(capsys):
                     "--samples", "20000", "--seed", "7")
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_check_tails_and_transfer_pass_at_every_seed(capsys):
+    # the Monte Carlo parts are judged at 5 standard errors; at a 95% level
+    # per case, tails failed at about half of all seeds on a correct program
+    for seed in range(1, 41):
+        for suite in ("tails", "transfer"):
+            code, out = run(capsys, "check", suite, "--n", "20", "--samples", "2000",
+                            "--seed", str(seed))
+            assert code == 0, (seed, out)
+            assert len(out.splitlines()) == 2
+
+
+def test_check_names_the_part_that_failed(capsys, monkeypatch):
+    # every sum at 0 puts each tail estimate at 1, and a map into (0, 1/2) is
+    # not uniform; the exact bound and the contraction still hold, so only
+    # the Monte Carlo lines fail
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "generate", lambda seed, name, count, fill: np.zeros(count))
+        code, out = run(capsys, "check", "tails", "--n", "3", "--samples", "1000")
+    assert code == 1
+    bound, sampled = out.splitlines()
+    assert bound.startswith("PASS exponential-sum tail below")
+    assert sampled.startswith("FAIL Monte Carlo tails") and "off at n=3 alpha=0.1" in sampled
+    patch_map = lambda x: montecarlo.phi(x) / 2  # noqa: E731
+    monkeypatch.setattr(montecarlo, "gaussian_to_cube_map", patch_map)
+    code, out = run(capsys, "check", "transfer", "--n", "3", "--samples", "1000")
+    assert code == 1
+    uniform, contraction = out.splitlines()
+    assert uniform.startswith("FAIL gaussian-to-cube transfer: uniform coordinates")
+    assert contraction.startswith("PASS gaussian-to-cube transfer: contraction")
 
 
 def test_check_unknown_suite_usage_error(capsys):

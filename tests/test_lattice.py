@@ -221,6 +221,48 @@ def test_t_boundary_monotone_contains(rng):
             assert inner.mask & outer.mask == inner.mask
 
 
+def test_t_boundary_stops_at_the_diameter(monkeypatch):
+    # beyond the diameter n(k-1) every cell is reached, so a huge t costs no
+    # more dilations than the diameter
+    dilate, calls = lattice._dilate, []
+
+    def counted(mask, axes):
+        calls.append(mask)
+        return dilate(mask, axes)
+
+    monkeypatch.setattr(lattice, "_dilate", counted)
+    for g in (Grid(3, 2), Grid(65, 1), Grid(2, 7)):
+        calls.clear()
+        corner = SubsetHandle(g, 1)
+        assert t_boundary(corner, 10**18).mask == (1 << g.size) - 1
+        assert len(calls) == g.n * (g.k - 1)
+
+
+def pairwise_distance(a, b):
+    """Definitional min over pairs of cell tuples, without masks."""
+    x, y = np.array(a.cells()), np.array(b.cells())
+    return int(np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2).min())
+
+
+# masks of 128, 243, 65 and 729 bits end exactly at a 64-bit word, inside
+# one, one bit past one and many words in; the full set is skipped only
+# against itself, where the pairwise oracle would hold 729^2 distances
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 5), (65, 1), (9, 3)])
+def test_bitmask_kernels_across_word_boundaries(rng, k, n):
+    g = Grid(k, n)
+    full = SubsetHandle(g, (1 << g.size) - 1)
+    last = SubsetHandle(g, 1 << (g.size - 1))
+    sets = [full, last] + [random_handle(g, rng, d) for d in (0.01, 0.05, 0.3)
+                           for _ in range(3)]
+    for a in sets:
+        for t in (0, 1, 2, 5):
+            expect = oracles.t_boundary_bfs(a.cells(), k, t)
+            assert set(t_boundary(a, t).cells()) == expect
+        for b in sets:
+            if a is not full or b is not full:
+                assert set_distance(a, b) == pairwise_distance(a, b)
+
+
 def test_segment_minimizes_t_boundary_growth(rng):
     # among sets of equal size the initial segment grows slowest
     for g in (Grid(2, 3), Grid(3, 2)):
@@ -263,22 +305,17 @@ def test_set_distance_equals_t_boundary_characterization(rng):
 
 
 def test_set_distance_second_enumeration(rng):
-    # definitional min-over-pairs recomputed without numpy
-    def expect(a, b):
-        return min(sum(abs(u - v) for u, v in zip(x, y))
-                   for x in a.cells() for y in b.cells())
-
     g = Grid(3, 2)
     full = 2 ** g.size - 1
     for _ in range(300):
         a = SubsetHandle(g, int(rng.integers(1, full)))
         b = SubsetHandle(g, int(rng.integers(1, full)))
-        assert set_distance(a, b) == expect(a, b)
+        assert set_distance(a, b) == pairwise_distance(a, b)
     g = Grid(5, 3)
     for _ in range(100):
         a = random_handle(g, rng, 0.03)
         b = random_handle(g, rng, 0.03)
-        assert set_distance(a, b) == expect(a, b)
+        assert set_distance(a, b) == pairwise_distance(a, b)
 
 
 def test_verify_extremal_pairs_examples():
@@ -329,7 +366,14 @@ def test_brute_max_matches_subset_loop_on_the_path_of_32():
         assert_brute_max_matches_loop(32, 1, r)
 
 
-@pytest.mark.parametrize("k, n, r", [(2, 3, 2), (4, 2, 3), (32, 1, 30), (3, 3, 2)])
+def test_brute_max_matches_subset_loop_on_the_cube_of_32():
+    # cell 31 is the top bit of a uint32 ball mask; r > 16 counts complements
+    for r in (1, 2, 3, 29, 30, 31, 32):
+        assert_brute_max_matches_loop(2, 5, r)
+
+
+@pytest.mark.parametrize("k, n, r", [(2, 3, 2), (4, 2, 3), (32, 1, 30), (3, 3, 2),
+                                     (2, 4, 13)])
 def test_brute_max_across_block_boundaries(monkeypatch, k, n, r):
     # C(k^n, r) subsets in blocks one smaller than, equal to and one larger than
     # their count: a single leftover subset, one exactly full block, one short block
