@@ -29,14 +29,11 @@ from .lattice import (Cell, ExtremalCheck, Grid, SubsetHandle,
 from .montecarlo import (AvgDistanceResult, CutoffCheck, EstimateWithCI,
                          ExpTailCheck, SampleBatch, TMapCheck, TransferCheck,
                          average_distance_experiment, cutoff_gradient_check,
-                         cutoff_h1, cutoff_h2, cutoff_product_check,
-                         estimate_cap_volume, exp_tail_check, gaussian_to_cube_map,
-                         sample_gaussian, sample_uniform, t_map,
-                         t_map_jacobian, t_map_lipschitz_check,
-                         t_map_opnorm_bound, transfer_map_check)
-from .profiles import (IsoProfile, ball_profile_limit, cube_profile,
-                       exp_measure_profile, lp_profile, make_exp_measure_profile,
-                       make_profile, simplex_profile, unit_volume_radius,
+                         cutoff_product_check, estimate_cap_volume,
+                         exp_tail_check, gaussian_to_cube_map, sample_gaussian,
+                         sample_uniform, t_map_lipschitz_check,
+                         transfer_map_check)
+from .profiles import (IsoProfile, make_profile, unit_volume_radius,
                        xlog_power_derivative)
 from .sections import (ConvergenceReport, OrthogonalBallGeometry, SectionCurve,
                        convergence_report, cube_sum_cdf, lp_section_area,

@@ -284,8 +284,11 @@ def cmd_asympt(args) -> list[dict]:
 
 def _floats(text: str) -> list[float]:
     """Comma-separated float list, so --eps 0.1,0.01 and repeated
-    --eps flags both work."""
-    return [float(v) for v in text.split(",") if v]
+    --eps flags both work; a list with no values is a usage error."""
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

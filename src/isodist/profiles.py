@@ -5,10 +5,7 @@ For a unit-volume body with uniform measure mu, the profile I(t) is the
 smallest boundary measure a subset of volume t in (0, 1/2) can have.  The
 closed forms here are the lower envelopes used by the enlargement bound;
 the _Family table below lists each family's profile next to the closed
-form, witness limit, upper bound and radius built from it.  One profile
-belongs to no body:
-
-    exp law  I(t) =  min(t, 1-t)   on (0, 1), the one-sided exponential measure
+form, witness limit, upper bound and radius built from it.
 
 The profile values are treated directly as the isoperimetric lower
 envelope fed into the enlargement integral; no separate boundary-content
@@ -20,9 +17,11 @@ at the placeholder 1, so the profiles are evaluated with the constant
 dropped; every profile and bound built from them is flagged parametric,
 so no output presents a placeholder as a proved constant.
 
-Public functions check each input once; the table's formulas call only
-unchecked kernels: specfun's _gauss_tail_inv, _psi_p_inv, _lp_radius and
-_simplex_radius, and _lp_profile here, which checks t but not p.
+Public functions check each input once; the table's formulas are
+unchecked kernels and call only unchecked kernels: specfun's
+_gauss_tail_inv, _psi_p_inv, _lp_radius and _simplex_radius.  t is
+checked on (0, 1/2) in one place, the profile make_profile builds,
+which also returns a float for a scalar t.
 """
 
 from __future__ import annotations
@@ -42,50 +41,32 @@ _LN2 = math.log(2.0)
 _SQRT_PI_6 = math.sqrt(math.pi / 6.0)
 
 
-def cube_profile(t):
+def _cube_profile(t, p):
     """exp(-pi phi_inv(t)^2) = exp(-erfcinv(2t)^2) on (0, 1/2), as
     phi_inv(t) = -erfcinv(2t)/sqrt(pi) there."""
-    t = validate_open_interval(t, 0.0, 0.5, "profile argument")
-    out = np.exp(-sp.erfcinv(2.0 * t) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-sp.erfcinv(2.0 * t) ** 2)
 
 
-def ball_profile_limit(t):
+def _ball_profile(t, p):
     """sqrt(e) exp(-pi e psi_inv(t)^2), |psi_inv| = erfcinv(2t)/sqrt(pi)/sqrt(e).
 
-    Identically sqrt(e) * cube_profile(t); kept in the rescaled form the
-    derivation produces so the identity stays a testable fact.
+    Identically sqrt(e) times the cube profile; kept in the rescaled form
+    the derivation produces so the identity stays a testable fact.
     """
-    t = validate_open_interval(t, 0.0, 0.5, "profile argument")
     psi_inv = _gauss_tail_inv(t) / SQRT_E
-    out = SQRT_E * np.exp(-math.pi * math.e * psi_inv**2)
-    return float(out) if out.ndim == 0 else out
+    return SQRT_E * np.exp(-math.pi * math.e * psi_inv**2)
 
 
-def simplex_profile(t):
-    """Linear profile c_lambda * t on (0, 1/2), at the placeholder c_lambda = 1."""
-    t = validate_open_interval(t, 0.0, 0.5, "profile argument")
-    out = t.copy()
-    return float(out) if out.ndim == 0 else out
-
-
-def lp_profile(t, p: float):
-    """c_iso * t * (-ln t)^{1-1/p} on (0, 1/2), at the placeholder c_iso = 1;
-    reduces to linear at p = 1."""
-    return _lp_profile(t, validate_p(p))
+def _simplex_profile(t, p):
+    """Linear profile c_lambda * t, at the placeholder c_lambda = 1; a new
+    array, never the caller's."""
+    return t.copy()
 
 
 def _lp_profile(t, p):
-    t = validate_open_interval(t, 0.0, 0.5, "profile argument")
-    out = t * (-np.log(t)) ** (1.0 - 1.0 / p)
-    return float(out) if out.ndim == 0 else out
-
-
-def exp_measure_profile(t):
-    """min(t, 1-t) on (0, 1): the profile of the exponential law on [0, inf)."""
-    t = validate_open_interval(t, 0.0, 1.0, "profile argument")
-    out = np.minimum(t, 1.0 - t)
-    return float(out) if out.ndim == 0 else out
+    """c_iso * t * (-ln t)^{1-1/p}, at the placeholder c_iso = 1; reduces
+    to linear at p = 1."""
+    return t * (-np.log(t)) ** (1.0 - 1.0 / p)
 
 
 def xlog_power_derivative(x, p: float):
@@ -108,9 +89,10 @@ def xlog_power_derivative(x, p: float):
 class IsoProfile:
     """A profile bundled with its provenance tag.
 
-    tag is one of cube / ball_limit / simplex_linear / lp_loglinear /
-    exp_measure; fn evaluates the profile; parametric marks profiles
-    built from placeholder constants.
+    tag is one of cube / ball_limit / simplex_linear / lp_loglinear;
+    fn evaluates the profile and checks t itself (make_profile's on
+    (0, 1/2)), since a call passes t straight through; parametric marks
+    profiles built from placeholder constants.
     """
 
     label: str
@@ -190,13 +172,13 @@ def _lp_delta(eps, p):
 
 
 _FAMILIES = {
-    "cube": _Family("cube", lambda t, p: cube_profile(t), False, _cube_delta,
+    "cube": _Family("cube", _cube_profile, False, _cube_delta,
                     lambda eps, p: 2.0 * _SQRT_PI_6 * _cube_delta(eps, p),
                     lambda eps, p: 2.0 * _cube_delta(eps, p), lambda n, p: 1.0, 1),
-    "ball": _Family("ball_limit", lambda t, p: ball_profile_limit(t), False, _ball_delta,
+    "ball": _Family("ball_limit", _ball_profile, False, _ball_delta,
                     lambda eps, p: 2.0 * _ball_delta(eps, p), None,
                     lambda n, p: _lp_radius(n, 2.0), 1),
-    "simplex": _Family("simplex_linear", lambda t, p: simplex_profile(t), True,
+    "simplex": _Family("simplex_linear", _simplex_profile, True,
                        lambda eps, p: -math.log(2.0 * eps),
                        lambda eps, p: -(math.sqrt(2.0) / math.e) * math.log(2.0 * eps),
                        lambda eps, p: -2.0 * math.log(eps),
@@ -208,14 +190,17 @@ _FAMILIES = {
 
 
 def make_profile(family: BodyFamily) -> IsoProfile:
-    """Profile for a body family; the simplex and l_p ones are parametric."""
-    rec = _FAMILIES[family.kind]
-    return IsoProfile(family.label(), rec.tag, lambda t, p=family.p: rec.profile(t, p),
-                      rec.parametric)
+    """Profile for a body family; the simplex and l_p ones are parametric.
 
+    It takes t in (0, 1/2), a scalar or an array, and raises DomainError
+    outside, NaN included; a scalar t gives a float.
+    """
+    rec, p = _FAMILIES[family.kind], family.p
 
-def make_exp_measure_profile() -> IsoProfile:
-    return IsoProfile("exp_measure", "exp_measure", exp_measure_profile, False)
+    def profile(t):
+        out = rec.profile(validate_open_interval(t, 0.0, 0.5, "profile argument"), p)
+        return float(out) if out.ndim == 0 else out
+    return IsoProfile(family.label(), rec.tag, profile, rec.parametric)
 
 
 def unit_volume_radius(family: BodyFamily, n: int) -> float:

@@ -36,6 +36,32 @@ SETTABLE = {
 }
 
 
+# The names `from isodist import *` gives, modules left out.  A new entry
+# is a new public function or type that tests, docs and benchmarks have to
+# cover: add it here only on purpose.
+PUBLIC = {
+    "AvgDistanceResult", "BodyFamily", "BoundReport", "BudgetExceededError", "Cell",
+    "ConvergenceReport", "CutoffCheck", "DimensionMismatchError", "DomainError",
+    "EmptySetError", "EnlargementResult", "EstimateWithCI", "ExpTailCheck",
+    "ExtremalCheck", "Grid", "IsoProfile", "IsodistError", "NonConvergenceError",
+    "OrthogonalBallGeometry", "RangeError", "RegionDescriptor", "RegionPair",
+    "SampleBatch", "SectionCurve", "SubsetHandle", "TMapCheck", "TransferCheck",
+    "average_distance_experiment", "ball_caps_witness", "bound_report",
+    "convergence_report", "count_cells_sum_le", "cube_diagonal_witness", "cube_sum_cdf",
+    "cutoff_gradient_check", "cutoff_product_check", "delta_closed_form",
+    "distance_upper_bound", "estimate_cap_volume", "exp_tail_check", "final_segment",
+    "gaussian_to_cube_map", "initial_segment", "kappa", "lp_caps_witness",
+    "lp_section_area", "lp_tail_volume", "make_profile", "orthogonal_ball_geometry",
+    "phi", "phi_inv", "phi_inv_asymptote", "phi_p", "phi_p_inv", "psi_p",
+    "psi_p_density_limit", "psi_p_inv", "psi_p_inv_asymptote", "sample_gaussian",
+    "sample_uniform", "scaled_max_distance", "section_curve", "set_distance",
+    "simplex_corner_witness", "simplicial_cmp", "sphere_projection_cdf", "t_boundary",
+    "t_map_lipschitz_check", "time_to_half", "transfer_map_check", "unit_volume_radius",
+    "validate_epsilon", "validate_n", "validate_open_interval", "validate_p",
+    "verify_extremal_pairs", "xlog_power_derivative",
+}
+
+
 def _defaulted(fn, owner):
     return {f"{owner}({name})" for name, prm in inspect.signature(fn).parameters.items()
             if prm.default is not inspect.Parameter.empty}
@@ -64,6 +90,11 @@ def _settable(mod):
 
 def test_settable_values_are_the_allowlist():
     assert set().union(*map(_settable, MODULES)) == SETTABLE
+
+
+def test_public_names_are_the_allowlist():
+    assert {name for name in isodist.__all__
+            if not inspect.ismodule(getattr(isodist, name))} == PUBLIC
 
 
 ENVIRON = {"os.environ", "environ"}

@@ -214,6 +214,22 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [
+    ["bounds", "--family", "cube"],
+    ["witness", "--family", "cube", "--n", "10"],
+    ["asympt", "--which", "phi-inv"],
+    ["lattice", "scaling", "--n", "2", "--m", "10"],
+], ids=["bounds", "witness", "asympt", "lattice-scaling"])
+def test_eps_list_with_no_values_is_a_usage_error(capsys, command, fmt):
+    # exit 1 would claim a failed check; an empty list prints no rows either
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--eps", ",", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --eps: no values in ','" in err
+
+
 @pytest.mark.parametrize("grid", ["0:nan:0.5", "nan:1:0.5", "0:inf:0.5"])
 def test_sections_non_finite_grid_is_a_usage_error(capsys, grid):
     code = main(["sections", "--p", "1.5", "--n", "10", "--grid", grid])

@@ -11,12 +11,11 @@ from scipy import stats
 import oracles
 import isodist.montecarlo
 from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
-                     cutoff_gradient_check, cutoff_h1, cutoff_h2,
-                     cutoff_product_check, estimate_cap_volume, exp_tail_check,
-                     gaussian_to_cube_map, sample_gaussian, sample_uniform,
-                     t_map, t_map_jacobian, t_map_lipschitz_check,
-                     t_map_opnorm_bound, transfer_map_check,
-                     unit_volume_radius)
+                     cutoff_gradient_check, cutoff_product_check,
+                     estimate_cap_volume, exp_tail_check, gaussian_to_cube_map,
+                     sample_gaussian, sample_uniform, t_map_lipschitz_check,
+                     transfer_map_check, unit_volume_radius)
+from isodist.montecarlo import _h1, _h2, _t, _t_bound, _t_jacobian
 
 ERLANG_3_AT_06 = 0.023115287752633   # 1 - e^{-0.6}(1 + 0.6 + 0.18)
 BOUND_3_02 = 0.03701032264507643     # (0.2 e)^3 / sqrt(6 pi)
@@ -93,38 +92,37 @@ def test_estimate_cap_volume_matches_betainc():
 
 
 def test_t_map_basics():
-    x = np.array([1.0, 3.0])
-    assert np.allclose(t_map(x), [0.25, 0.75])
+    assert np.allclose(_t(np.array([[1.0, 3.0]])), [[0.25, 0.75]])
     pts = np.array([[2.0, 2.0], [1.0, 0.0]])
-    assert np.allclose(t_map(pts).sum(axis=1), 1.0)
+    assert np.allclose(_t(pts).sum(axis=1), 1.0)
     with pytest.raises(DomainError):
-        t_map(np.array([-1.0, 2.0]))
+        t_map_lipschitz_check(np.array([-1.0, 2.0]))
     with pytest.raises(DomainError):
-        t_map(np.array([0.0, 0.0]))
+        t_map_lipschitz_check(np.array([0.0, 0.0]))
 
 
 def test_t_map_jacobian_against_finite_differences(rng):
     h = 1e-6
     for _ in range(50):
-        x = rng.uniform(0.1, 3.0, 5)
-        jex = t_map_jacobian(x)
+        x = rng.uniform(0.1, 3.0, (1, 5))
+        jex = _t_jacobian(x)[0]
         jfd = np.empty((5, 5))
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            jfd[i] = (t_map(x + e) - t_map(x - e)) / (2.0 * h)
+            jfd[i] = (_t(x + e) - _t(x - e))[0] / (2.0 * h)
         assert np.max(np.abs(jfd - jex)) < 1e-7
-        assert np.linalg.norm(jex, 2) <= t_map_opnorm_bound(x) * (1.0 + 1e-12)
+        assert np.linalg.norm(jex, 2) <= _t_bound(x)[0] * (1.0 + 1e-12)
     # DT(x) = (I - 1 T^T)/||x||_1 is an oblique projection over ||x||_1, so its
     # 2-norm is sqrt(n) ||T||_2 / ||x||_1 for n >= 2, and exactly 0 at n = 1
     for n in (1, 2, 7, 50):
         for k in (-1000, 0, 1000):
-            x = np.ldexp(rng.exponential(1.0, n), k)
-            svd = np.linalg.norm(t_map_jacobian(x), 2)
+            x = np.ldexp(rng.exponential(1.0, (1, n)), k)
+            svd = np.linalg.norm(_t_jacobian(x)[0], 2)
             if n == 1:
                 assert svd == 0.0
             else:
-                closed = math.sqrt(n) * np.linalg.norm(t_map(x)) / x.sum()
+                closed = math.sqrt(n) * np.linalg.norm(_t(x)) / x.sum()
                 assert svd == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
@@ -134,6 +132,24 @@ def test_t_map_lipschitz_check_passes(rng):
     assert chk.ok and chk.count == 300
     assert chk.max_excess <= 1e-6
     assert chk.max_fd_error < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 400])
+def test_t_map_excess_is_zero_wherever_the_check_passes(n):
+    # the exact norm over the bound is r/(1 + r) < 1 with r = sqrt(n) ||T||_2,
+    # so once the differences match J the excess is floored at 0, for every
+    # n below about 1e10.  At scales like 2^60 and 1e-300 the differences are
+    # lost and the check fails, with a positive excess from n = 2 on
+    rng = np.random.default_rng(n)
+    clouds = [np.ldexp(rng.exponential(1.0, (8, n)), k) for k in (-60, -10, 0, 10, 60)]
+    clouds += [np.eye(n)[:1], np.ones((1, n)), np.full((1, n), 1e-300)]
+    passed = 0
+    for pts in clouds:
+        chk = t_map_lipschitz_check(pts)
+        if chk.ok:
+            passed += 1
+            assert chk.max_excess == 0.0
+    assert passed >= 4
 
 
 def test_t_map_lipschitz_check_coordinate_below_step():
@@ -182,29 +198,13 @@ def test_t_map_rejects_nan_negative_and_zero_sum_rows():
     for bad in ([math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0], [-math.inf, 1.0, 2.0],
                 [-1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e308, 1e308, 1.0]):
         for points in (np.array(bad), np.array([good, bad])):
-            for fn in (t_map, t_map_jacobian, t_map_opnorm_bound, t_map_lipschitz_check):
-                with pytest.raises(DomainError):
-                    fn(points)
-    # T is fine at a subnormal row sum, but its Jacobian and bound (about
-    # 5e309) lie past the float range: DomainError, not an overflow warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tiny = np.array([1e-310, 1e-310])
-        assert t_map(tiny).tolist() == [0.5, 0.5]
-        for points in (tiny, np.array([good, tiny.tolist() + [0.0]])):
-            for fn in (t_map_jacobian, t_map_opnorm_bound):
-                with pytest.raises(DomainError):
-                    fn(points)
+            with pytest.raises(DomainError):
+                t_map_lipschitz_check(points)
 
 
 # every function that takes a point cloud, with valid constants where it takes any
 CLOUD_FUNCTIONS = {
-    "t_map": t_map,
-    "t_map_jacobian": t_map_jacobian,
-    "t_map_opnorm_bound": t_map_opnorm_bound,
     "t_map_lipschitz_check": t_map_lipschitz_check,
-    "cutoff_h1": lambda x: cutoff_h1(x, 1.0),
-    "cutoff_h2": lambda x: cutoff_h2(x, 1.0),
     "cutoff_gradient_check": lambda x: cutoff_gradient_check(x, 1.0, 1.0),
     "cutoff_product_check": lambda x: cutoff_product_check(x, 1.0, 1.0),
 }
@@ -229,8 +229,7 @@ def test_cloud_functions_reject_non_finite_and_misshapen_clouds(name):
 @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
 def test_cutoffs_reject_bad_constants(c):
     pts = np.array([[0.1, 0.2], [1.0, 2.0]])
-    for call in (lambda: cutoff_h1(pts, c), lambda: cutoff_h2(pts, c),
-                 lambda: cutoff_gradient_check(pts, c, 1.0),
+    for call in (lambda: cutoff_gradient_check(pts, c, 1.0),
                  lambda: cutoff_gradient_check(pts, 1.0, c),
                  lambda: cutoff_product_check(pts, c, 1.0),
                  lambda: cutoff_product_check(pts, 1.0, c)):
@@ -257,17 +256,13 @@ def test_clouds_are_read_in_one_place():
 
 
 def test_cutoff_plateau_values():
-    # c1 = 1, n = 4: h1 = clip(2 - 2 ||x||_2, 0, 1)
-    inside = np.full(4, 0.2)     # norm 0.4 < 1/2
-    mid = np.full(4, 0.375)      # norm 0.75
-    outside = np.full(4, 0.6)    # norm 1.2 > 1
-    assert cutoff_h1(inside, 1.0) == 1.0
-    assert cutoff_h1(mid, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert cutoff_h1(outside, 1.0) == 0.0
+    # c1 = 1, n = 4: h1 = clip(2 - 2 ||x||_2, 0, 1), at norms 0.4 < 1/2, 0.75
+    # and 1.2 > 1
+    h1, _ = _h1(np.array([[0.2], [0.375], [0.6]]) * np.ones(4), 1.0)
+    assert h1[0] == 1.0 and h1[1] == pytest.approx(0.5, abs=1e-12) and h1[2] == 0.0
     # c2 = 1, n = 4: h2 = clip(||x||_1/4 - 1, 0, 1)
-    assert cutoff_h2(np.full(4, 2.5), 1.0) == 1.0
-    assert cutoff_h2(np.full(4, 1.5), 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert cutoff_h2(np.full(4, 0.5), 1.0) == 0.0
+    h2, _ = _h2(np.array([[2.5], [1.5], [0.5]]) * np.ones(4), 1.0)
+    assert h2[0] == 1.0 and h2[1] == pytest.approx(0.5, abs=1e-12) and h2[2] == 0.0
 
 
 def test_cutoff_gradient_check_clean_cloud(rng):
@@ -369,8 +364,8 @@ def test_cutoff_checks_on_both_plateaus(rng):
     # ||x||_2 <= 0.3/3 gives h1 = 1 and h2 = 0; ||x||_2 >= 2n gives h1 = 0, h2 = 1
     pts = np.vstack([0.1 * rng.uniform(0.1, 1.0, (20, 1)) * u[:20],
                      2.0 * n * rng.uniform(1.0, 3.0, (20, 1)) * u[20:]])
-    assert set(cutoff_h1(pts[:20], 1.0)) == {1.0} and set(cutoff_h2(pts[:20], 1.0)) == {0.0}
-    assert set(cutoff_h1(pts[20:], 1.0)) == {0.0} and set(cutoff_h2(pts[20:], 1.0)) == {1.0}
+    assert set(_h1(pts[:20], 1.0)[0]) == {1.0} and set(_h2(pts[:20], 1.0)[0]) == {0.0}
+    assert set(_h1(pts[20:], 1.0)[0]) == {0.0} and set(_h2(pts[20:], 1.0)[0]) == {1.0}
     cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
     assert cut.skipped_near_kink == 0 and cut.ok and prod.ok
 
@@ -389,14 +384,11 @@ def test_cutoff_checks_skip_a_cloud_all_near_kinks(rng):
 
 def test_t_map_jacobian_and_bound_stack_row_by_row(rng):
     pts = rng.exponential(1.0, (12, 5))
-    jac, bound = t_map_jacobian(pts), t_map_opnorm_bound(pts)
+    jac, bound = _t_jacobian(pts), _t_bound(pts)
     assert jac.shape == (12, 5, 5) and bound.shape == (12,)
     for x, j, b in zip(pts, jac, bound):
-        one = t_map_jacobian(x)
-        assert isinstance(one, np.ndarray) and one.shape == (5, 5)
-        assert np.array_equal(one, j)
-        assert type(t_map_opnorm_bound(x)) is float
-        assert t_map_opnorm_bound(x) == b
+        assert np.array_equal(_t_jacobian(x[None]), j[None])
+        assert np.array_equal(_t_bound(x[None]), [b])
 
 
 def test_exp_tail_frozen_numbers():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
-from isodist import (BodyFamily, DomainError, ball_caps_witness,
-                     ball_profile_limit, bound_report, cube_profile,
+from isodist import (BodyFamily, DomainError, ball_caps_witness, bound_report,
                      delta_closed_form, distance_upper_bound,
-                     estimate_cap_volume, exp_measure_profile, lp_caps_witness,
-                     lp_profile, make_exp_measure_profile, make_profile,
-                     sample_uniform, simplex_profile, unit_volume_radius,
-                     xlog_power_derivative)
+                     estimate_cap_volume, lp_caps_witness, make_profile,
+                     sample_uniform, unit_volume_radius, xlog_power_derivative)
 
 CUBE_PROFILE_01 = 0.439909080972548  # exp(-pi phi_inv(0.1)^2), quadrature oracle
+
+cube_profile = make_profile(BodyFamily.cube())
+ball_profile = make_profile(BodyFamily.ball())
+simplex_profile = make_profile(BodyFamily.simplex())
 
 
 def test_cube_profile_frozen_value():
@@ -28,7 +29,7 @@ def test_cube_profile_below_one_approaches_one():
 
 def test_ball_is_sqrt_e_times_cube():
     t = np.linspace(1e-6, 0.499, 400)
-    ratio = ball_profile_limit(t) / cube_profile(t)
+    ratio = ball_profile(t) / cube_profile(t)
     assert np.max(np.abs(ratio - math.sqrt(math.e))) <= 1e-10
 
 
@@ -42,26 +43,17 @@ def test_simplex_profile_linear():
 def test_lp_profile_values():
     t = np.linspace(0.01, 0.49, 25)
     # p = 1 collapses to the linear profile
-    assert np.allclose(lp_profile(t, 1.0), t, rtol=1e-15)
-    expect = t * np.sqrt(-np.log(t))
-    assert np.allclose(lp_profile(t, 2.0), expect, rtol=1e-14)
-
-
-def test_exp_measure_profile_tent():
-    assert exp_measure_profile(0.25) == 0.25
-    assert exp_measure_profile(0.75) == pytest.approx(0.25, abs=1e-15)
-    assert exp_measure_profile(0.5) == 0.5
-    with pytest.raises(DomainError):
-        exp_measure_profile(1.0)
+    assert np.allclose(make_profile(BodyFamily.lp(1))(t), t, rtol=1e-15)
+    expect = t * np.cbrt(-np.log(t))
+    assert np.allclose(make_profile(BodyFamily.lp(1.5))(t), expect, rtol=1e-14)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.6, -0.1, math.nan, [0.1, math.nan]])
 def test_profile_domain(t):
-    for fn in (cube_profile, ball_profile_limit, simplex_profile):
+    for fam in (BodyFamily.cube(), BodyFamily.ball(), BodyFamily.simplex(),
+                BodyFamily.lp(1.5)):
         with pytest.raises(DomainError):
-            fn(t)
-    with pytest.raises(DomainError):
-        lp_profile(t, 1.5)
+            make_profile(fam)(t)
 
 
 # 45 tails from 1e-300 on, then four points closing in on 1/2
@@ -76,7 +68,7 @@ def test_cube_and_ball_profiles_against_mpmath(t):
     cube = oracles.cube_profile_mp(t)
     tol = 8.0 * (1.0 - math.log(cube)) * 2.0**-53
     assert cube_profile(t) == pytest.approx(cube, rel=tol, abs=0.0)
-    assert ball_profile_limit(t) == pytest.approx(math.sqrt(math.e) * cube,
+    assert ball_profile(t) == pytest.approx(math.sqrt(math.e) * cube,
                                                   rel=tol, abs=0.0)
 
 
@@ -106,14 +98,14 @@ def test_xlog_derivative_finite_differences(rng):
 def test_lp_profile_increasing_pairwise(rng):
     for p in (1.0, 1.5, 2.0):
         x = np.sort(rng.uniform(1e-6, 0.4999, 500))
-        v = lp_profile(x, p)
+        v = make_profile(BodyFamily.lp(p))(x)
         assert np.all(np.diff(v) > 0.0)
 
 
 def test_make_profile_dispatch():
     cube = make_profile(BodyFamily.cube())
     assert cube.tag == "cube" and not cube.parametric
-    assert cube(0.1) == cube_profile(0.1)
+    assert cube(0.1) == pytest.approx(CUBE_PROFILE_01, rel=1e-12)
 
     ball = make_profile(BodyFamily.ball())
     assert ball.tag == "ball_limit" and not ball.parametric
@@ -124,10 +116,7 @@ def test_make_profile_dispatch():
 
     lp = make_profile(BodyFamily.lp(1.5))
     assert lp.parametric and lp.label == "lp(1.5)"
-    assert lp(0.2) == pytest.approx(lp_profile(0.2, 1.5), rel=1e-15)
-
-    tent = make_exp_measure_profile()
-    assert tent.tag == "exp_measure" and tent(0.7) == pytest.approx(0.3)
+    assert lp(0.2) == pytest.approx(0.2 * (-math.log(0.2)) ** (1.0 / 3.0), rel=1e-15)
 
 
 def test_lp2_is_the_ball_everywhere():
@@ -156,5 +145,9 @@ def test_lp2_is_the_ball_everywhere():
 
 def test_profiles_accept_arrays():
     t = np.array([0.1, 0.2, 0.3])
-    assert cube_profile(t).shape == (3,)
-    assert isinstance(cube_profile(0.1), float)
+    for fam in (BodyFamily.cube(), BodyFamily.ball(), BodyFamily.simplex(),
+                BodyFamily.lp(1.5)):
+        prof = make_profile(fam)
+        assert prof(t).shape == (3,)
+        assert type(prof(0.1)) is float
+        assert np.array_equal(prof(t), [prof(v) for v in t.tolist()])
