@@ -109,13 +109,24 @@ def _write_rows(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+# sections prints a row per height and dimension, about half a kilobyte
+# of Python objects each before they are written
+_MAX_SECTION_ROWS = 10**6
+
+
+def _parse_grid(spec: str, dims: int) -> np.ndarray:
+    """The heights of --grid; their count times dims is at most _MAX_SECTION_ROWS."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise DomainError(f"grid must be start:stop:step, got {spec!r}") from None
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop > start):
         raise DomainError(f"grid needs finite start < stop and step > 0, got {spec!r}")
+    # counted before np.arange allocates them; the quotient may overflow to inf
+    points = (stop - start) / step + 1.0
+    if not points * dims <= _MAX_SECTION_ROWS:
+        raise DomainError(f"grid {spec!r} gives {points * dims:.7g} rows over {dims} "
+                          f"dimension(s); at most {_MAX_SECTION_ROWS} are allowed")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -180,7 +191,7 @@ def cmd_lattice_scaling(args) -> list[dict]:
 
 
 def cmd_sections(args) -> list[dict]:
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, len(args.n))
     heights = grid.tolist()
     area_limits = psi_p_density_limit(grid, args.p).tolist()
     tail_limits = psi_p(-grid, args.p).tolist()
@@ -341,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sec.add_argument("--p", type=float, required=True)
     sec.add_argument("--n", type=lambda v: [int(x) for x in v.split(",")],
                      required=True, help="comma-separated dimensions")
-    sec.add_argument("--grid", default="0:3:0.01", help="start:stop:step")
+    sec.add_argument("--grid", default="0:3:0.01",
+                     help="start:stop:step; points times dimensions at most 10^6")
     sec.set_defaults(rows=cmd_sections)
 
     chk = subs.add_parser("check", help="pass/fail inequality suites")

@@ -7,15 +7,19 @@ explicit-Euler integrator for the enlargement ODE, and tail-expansion
 brackets for the inverse asymptotes.  None of it imports isodist, so
 agreement between the two is evidence rather than tautology.
 
-The package computes l_p cap volumes with scipy's upper incomplete beta
-function.  lp_tail_betainc uses the same formula, so the cap volumes are
-checked against two other routes: lp_tail_quad integrates the section
-area over the cap itself, and lp_tail_mp evaluates the incomplete beta
-in 50-digit mpmath, in its lower form so that tiny caps keep their
-relative accuracy.  Likewise phi_p_inv_mp inverts the distribution
-functions through mpmath's incomplete gamma functions at 50 digits,
-not through the scipy inverses the package calls, and cube_profile_mp
-forms the cube's isoperimetric profile from a 50-digit root of phi.
+The package computes l_p cap volumes from scipy's double-precision
+incomplete beta, as 1 - I_z(a, b) where I_z <= 1/2 and as the swapped
+lower form I_{1-z}(b, a) elsewhere.  lp_tail_betainc is 1 - I_z(a, b),
+the package's own formula in that region, so the cap volumes are checked
+against two other routes: lp_tail_quad integrates the section area over
+the cap itself, and lp_tail_mp evaluates the incomplete beta in 50-digit
+mpmath, in its lower form so that tiny caps keep their relative
+accuracy.  lp_cap_beta_mp is that lower form at 40 digits for a given
+float z, so the incomplete-beta step is judged apart from the radius.
+Likewise phi_p_inv_mp inverts the distribution functions through
+mpmath's incomplete gamma functions at 50 digits, not through the scipy
+inverses the package calls, and cube_profile_mp forms the cube's
+isoperimetric profile from a 50-digit root of phi.
 
 The lemma checks difference whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
@@ -272,6 +276,18 @@ def lp_tail_mp(x: float, p: float, n: int) -> float:
             return 0.0
         z = (mpmath.mpf(x) / om) ** p_mp
         return float(mpmath.betainc((n - 1) / p_mp + 1, 1 / p_mp, 0, 1 - z,
+                                    regularized=True) / 2)
+
+
+def lp_cap_beta_mp(z: float, p: float, n: int) -> float:
+    """(1/2) I^c_z(1/p, (n-1)/p + 1) at 40 digits for a float z in [0, 1],
+    in the swapped lower form I_{1-z}((n-1)/p + 1, 1/p) with 1 - z exact.
+
+    This is the cap volume at relative height (z)^{1/p}, with no radius
+    in it, so it judges the incomplete-beta step alone."""
+    with mpmath.workdps(40):
+        p_mp = mpmath.mpf(p)
+        return float(mpmath.betainc((n - 1) / p_mp + 1, 1 / p_mp, 0, 1 - mpmath.mpf(z),
                                     regularized=True) / 2)
 
 

@@ -12,7 +12,7 @@ import pytest
 from isodist import montecarlo
 from isodist import (bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, BodyFamily)
-from isodist.cli import build_parser, main
+from isodist.cli import _parse_grid, build_parser, main
 from isodist.lattice import DEFAULT_PAIR_BUDGET
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -236,6 +236,20 @@ def test_sections_non_finite_grid_is_a_usage_error(capsys, grid):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("dims, grid, rows", [("5", "0:1:1e-6", "1000001"),
+                                              ("5,6,7", "0:1:3e-6", "1000003")])
+def test_sections_rows_over_the_cap_are_a_usage_error(capsys, dims, grid, rows):
+    # just past the 10^6-row cap (heights times dimensions): without it this
+    # would print a million rows rather than run out of memory, so the
+    # assertion decides
+    code = main(["sections", "--p", "2", "--n", dims, "--grid", grid])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: grid {grid!r} gives {rows} rows over "
+                          f"{len(dims.split(','))} dimension(s)")
+    assert _parse_grid("0:999999:1", 1).size == 10**6  # the cap itself is allowed
 
 
 @pytest.mark.parametrize("command", ["bounds", "witness"])

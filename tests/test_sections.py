@@ -12,6 +12,7 @@ from isodist import (BodyFamily, DomainError, convergence_report, cube_diagonal_
                      orthogonal_ball_geometry, phi_p, psi_p,
                      psi_p_density_limit, section_curve, sphere_projection_cdf,
                      unit_volume_radius)
+from isodist.sections import _lp_cap_volume
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -76,6 +77,30 @@ def test_tiny_cap_against_mpmath_lower_form():
         want, rel=1e-12, abs=0.0)
     assert lp_tail_volume(12.68, 1.455, 977) == pytest.approx(
         want, rel=1e-12, abs=0.0)
+
+
+def test_cap_volume_formula_against_mpmath_sweep():
+    # 300 seeded (p, n, x/omega) with caps >= 1e-300, judged at the float z
+    # the package forms (omega = 1 here).  Below z = 1/2 the rounding of
+    # 1 - z moves the swapped form by about b 2^-53 / (1 - z) relative,
+    # b = (n-1)/p + 1, which reaches 2e-13 at n = 2000; 3.2e-13 is the
+    # largest error seen over 3000 such cases
+    rng = np.random.default_rng(34)
+    errs, rounds_to_one = [], 0
+    while len(errs) < 300:
+        p, n = rng.uniform(1.0, 2.0), int(rng.integers(2, 2001))
+        r = (10.0 ** rng.uniform(-12.0, math.log10(0.999)) if rng.random() < 0.5
+             else rng.uniform(1e-12, 0.999))
+        z = min(r ** p, 1.0)
+        want = oracles.lp_cap_beta_mp(z, p, n)
+        if want < 1e-300:
+            continue
+        errs.append(abs(float(_lp_cap_volume(r, p, n, 1.0)) / want - 1.0))
+        # 1 - z rounds to 1 here, and the swapped form alone drops I_z(a, b),
+        # up to about 4e-7 relative at p = 2, n = 2000
+        rounds_to_one += z < 2.0**-53
+    assert rounds_to_one >= 10
+    assert max(errs) <= 5e-13
 
 
 # the heights lp_caps_witness finds for the caps of volume 1e-150 and
