@@ -37,18 +37,28 @@ an (n,) point or an (m, n) cloud of finite coordinates, n >= 1, and for
 T also coordinates >= 0 with row sums finite and positive, so a NaN, an
 infinite coordinate or an overflowing sum raises DomainError.  Each
 check validates its cloud and its constants c1, c2 once; T, its
-Jacobian and bound, h1 and h2 are each written once as unchecked array
-kernels, which the plateau check and the finite differences call.
+Jacobian, norm and bound, the row norms and the cutoffs h1 and h2 are
+each written once as unchecked array kernels, which the plateau check
+and the finite differences call.
 
 Finite differences use central steps of h = 1e-6.  For each block of
 points they stack every shifted row x_p +- h e_i into one (b n, n) array
-and call the map twice, up and down, with no loop over coordinates; a
-block holds about 2^16 entries, so memory stays flat in the cloud size.
-They run on the unchecked kernels, since a shifted row may leave the
-domain (a coordinate below h), and skip points within 1e-4 of a cutoff
-kink, where one-sided slopes would lie.  T's check takes no eigenvalue:
-its Jacobian's exact operator norm has a closed form, and the differences
-enter through the Frobenius norm of their distance to the exact Jacobian.
+and call the map twice, up and down, with no loop over coordinates.  A
+block holds at most 2^14 entries, 128 KiB, glibc's default mmap
+threshold, so the stack, the map's output and the temporaries on them
+come from memory the process already holds.  Blocks of 2^16 entries got
+fresh pages every time: replaying the benchmark's lemma_checks operations
+in one process took 104 to 117 minor page faults per operation at 2^16
+and under 0.1 at 2^14, and at n = 32 the faults came back from 2^15 on.
+Memory stays flat in the cloud size, apart from one array the size of
+the cloud; past n = 128 a single point's stack exceeds the bound and its
+block maps fresh pages again.  The differences run on the unchecked
+kernels, since a shifted row may leave the domain (a coordinate below h),
+and skip points within 1e-4 of a cutoff kink, where one-sided slopes
+would lie.  T's check takes no eigenvalue: its Jacobian's exact operator
+norm has a closed form, taken with the bound once for the whole cloud,
+and the differences enter, block by block, through the Frobenius norm of
+their distance to the exact Jacobian, formed in place on the differences.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ KINK_RADIUS = 1e-4
 # about once in 10^5 runs, not at a fixed share of seeds
 _MC_SIGMAS = 5.0
 _MC_TAIL = 5.7e-7
-_FD_ENTRIES = 2**16  # entries of one block's (b n, n) stack of shifted rows
+_FD_ENTRIES = 2**14  # entries of one block's (b n, n) stack of shifted rows
 
 
 @dataclass(frozen=True)
@@ -168,9 +178,13 @@ def _cloud(points, orthant=False):
     The one intake of every check here that takes points: at most two
     axes, n >= 1 and finite coordinates; with orthant, T's domain too,
     every coordinate >= 0 and every row sum finite and > 0.  An empty
-    cloud of m = 0 points passes.
+    cloud of m = 0 points passes.  The rows come back C-contiguous, since
+    numpy sums the rows of a column-major block of two or more rows in
+    another order than those of one row, and a result would otherwise
+    depend on the cloud's layout and on where the blocks of the finite
+    differences fall.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
+    x = np.atleast_2d(np.ascontiguousarray(points, dtype=float))
     if x.ndim > 2 or x.shape[1] == 0 or not np.all(np.isfinite(x)):
         raise DomainError("points need shape (n,) or (m, n) with n >= 1, all finite")
     if orthant:
@@ -188,15 +202,24 @@ def _t(x: np.ndarray) -> np.ndarray:
     return x / x.sum(axis=1, keepdims=True)
 
 
-def _t_jacobian(x: np.ndarray) -> np.ndarray:
+def _t_jacobian(x: np.ndarray):
     """Exact Jacobian (d T_j / d x_i) = (delta_ij - T_j(x)) / ||x||_1 of each
-    row, stacked to (m, n, n)."""
-    return (np.eye(x.shape[1]) - _t(x)[:, None, :]) / x.sum(axis=1)[:, None, None]
+    row, as its diagonal (1 - T_j)/||x||_1 and the vector T_j/||x||_1 whose
+    negative fills the rest of column j, each (m, n): J has rank one plus
+    a diagonal, so no (m, n, n) array is formed."""
+    s = x.sum(axis=1, keepdims=True)
+    t = x / s
+    return (1.0 - t) / s, t / s
 
 
-def _t_bound(x: np.ndarray) -> np.ndarray:
-    """Operator-norm bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1 of each row."""
-    return (1.0 + math.sqrt(x.shape[1]) * np.linalg.norm(_t(x), axis=1)) / x.sum(axis=1)
+def _t_norms(x: np.ndarray):
+    """The exact operator norm sqrt(n) ||T(x)||_2 / ||x||_1 of the Jacobian
+    (0 at n = 1) and the bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1 of each row."""
+    t = _t(x)
+    t *= t  # squared in place, as np.linalg.norm squares
+    r = math.sqrt(x.shape[1]) * np.sqrt(t.sum(axis=1))
+    s = x.sum(axis=1)
+    return (r / s if x.shape[1] > 1 else np.zeros(x.shape[0])), (1.0 + r) / s
 
 
 def _central_diff(f, x: np.ndarray, reduce) -> np.ndarray:
@@ -206,27 +229,34 @@ def _central_diff(f, x: np.ndarray, reduce) -> np.ndarray:
         d[p, i] = (f(xb_p + h e_i) - f(xb_p - h e_i)) / 2h,
 
     of shape (b, n, *f's trailing shape); f maps a (k, n) array row by row
-    to a new (k, ...) array, and reduce returns one row per point of xb.
-    Each block is one (b n, n) stack of shifted rows, so f is called twice
-    per block; _FD_ENTRIES bounds the stack, and each d is dropped once
-    reduce returns.  An empty x makes one empty block, so the result keeps
-    reduce's trailing shape.
+    to a new (k, ...) array, and reduce returns one row per point of xb and
+    may overwrite d.  Each block is one (b n, n) stack of shifted rows, so f
+    is called twice per block.  _FD_ENTRIES bounds the stack at 2^14
+    entries, 128 KiB, glibc's default mmap threshold: the stack, f's output
+    and the temporaries of f and reduce on them then come from memory the
+    process already holds, where blocks of 2^16 entries took fresh pages,
+    about 110 minor faults per lemma_checks operation against under 0.1
+    now (see the module docstring).  Past n = 128 a block holds one point and
+    exceeds the bound.  Per-point work that needs no differences stays out
+    of the loop: T's check takes its exact norm and bound once per cloud.
+    An empty x makes one empty block, so the result keeps reduce's
+    trailing shape.
     """
     m, n = x.shape
     rows = max(1, _FD_ENTRIES // (n * n))
-    diag = np.arange(n)
     out = []
     for lo in range(0, max(m, 1), rows):
         xb = x[lo:lo + rows]
         b = xb.shape[0]
-        y = np.repeat(xb, n, axis=0).reshape(b, n, n)
-        y[:, diag, diag] = xb + FD_STEP
-        d = f(y.reshape(-1, n))
-        y[:, diag, diag] = xb - FD_STEP
-        d -= f(y.reshape(-1, n))
+        y = np.repeat(xb, n, axis=0)
+        diag = y.reshape(b, n * n)[:, ::n + 1]  # the shifted coordinates
+        diag[...] = xb + FD_STEP
+        d = f(y)
+        diag[...] = xb - FD_STEP
+        d -= f(y)
         d /= 2.0 * FD_STEP
         out.append(reduce(xb, d.reshape(b, n, *d.shape[1:])))
-        del y, d  # free this block before the next one is built
+        del y, diag, d  # free this block before the next one is built
     return np.concatenate(out)
 
 
@@ -265,23 +295,37 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
     stays well above FD_STEP, a coordinate below it being fine: where a shifted
     row's sum drops to or below 0 ([1e-9, 1e-9], [1e-6, 0]) E is large, infinite
     or NaN, and the point fails with no warning.
+
+    N and B are taken once for the whole cloud, E block by block: J_fd - J
+    is formed in place on the differences, whose diagonal is set apart while
+    T_j/||x||_1 is added to every other entry.  From n = 91 on, where einsum
+    sums a point's n^2 > 8192 squares in another order when its block holds
+    more than one point, every block holds one point, so each point's E is
+    the one it has in a cloud of its own.
     """
     points = _cloud(points, orthant=True)
     n = points.shape[1]
 
-    def norms(x, jfd):
+    def residual(x, d):
+        # E of each point, with d = 2^e J_fd turned into 2^e (J_fd - J) in
+        # place: off the diagonal J_ij = -T_j/||x||_1, so there d - J is
+        # d + T_j/||x||_1 bit for bit; the diagonal is set apart first
         e = np.frexp(x.sum(axis=1))[1]
-        d = np.ldexp(jfd, e[:, None, None], out=jfd) - _t_jacobian(np.ldexp(x, -e[:, None]))
-        err = np.ldexp(np.sqrt(np.einsum("pij,pij->p", d, d)), -e)  # d = 2^e (J_fd - J)
-        exact = math.sqrt(n) * np.linalg.norm(_t(x), axis=1) / x.sum(axis=1) if n > 1 else 0.0
-        return np.stack([exact + err, err, _t_bound(x)], axis=1)
+        np.ldexp(d, e[:, None, None], out=d)
+        jdiag, jcol = _t_jacobian(np.ldexp(x, -e[:, None]))
+        diag = d.reshape(len(x), n * n)[:, ::n + 1]
+        on_diag = diag - jdiag
+        d += jcol[:, None, :]
+        diag[...] = on_diag
+        return np.ldexp(np.sqrt(np.einsum("pij,pij->p", d, d)), -e)
 
     # a shifted row's sum of 0 makes T infinite or NaN, and N, E and B overflow
     # when ||x||_1 is subnormal; such points fail on the comparisons below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total, err, bound = _central_diff(_t, points, norms).T
+        err = _central_diff(_t, points, residual)
+        exact, bound = _t_norms(points)
         # the initial values floor the excess at 0 and answer an empty cloud
-        worst = float(np.max(total / bound, initial=1.0)) - 1.0
+        worst = float(np.max((exact + err) / bound, initial=1.0)) - 1.0
         fd_err = float(np.max(err, initial=0.0))
         ok = worst <= 1e-6 and bool(np.all(err / bound <= 1e-5))
     # a NaN ratio or error reads inf
@@ -291,26 +335,34 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
 
 # ---------------------------------------------------------------- cutoffs
 
-def _h1(x: np.ndarray, c1: float):
-    """h1 = clip(2 - a, 0, 1) for each row, and its level a = c1 sqrt(n) ||x||_2."""
-    a = c1 * math.sqrt(x.shape[1]) * np.linalg.norm(x, axis=1)
-    return np.clip(2.0 - a, 0.0, 1.0), a
+def _radii(x: np.ndarray):
+    """||x||_2 and ||x||_1 of each row, from one array |x| that is squared
+    in place for the first (|x| |x| is bitwise x x)."""
+    a = np.abs(x)
+    r1 = a.sum(axis=1)
+    a *= a
+    return np.sqrt(a.sum(axis=1)), r1
 
 
-def _h2(x: np.ndarray, c2: float):
-    """h2 = clip(b - 1, 0, 1) for each row, and its level b = c2 ||x||_1 / n."""
-    b = c2 * np.abs(x).sum(axis=1) / x.shape[1]
-    return np.clip(b - 1.0, 0.0, 1.0), b
+def _cutoffs(r2, r1, n: int, c1: float, c2: float):
+    """h1 = clip(2 - a, 0, 1) and h2 = clip(b - 1, 0, 1) of points of R^n
+    with norms r2 = ||x||_2 and r1 = ||x||_1, and their levels
+    a = c1 sqrt(n) r2 and b = c2 r1 / n."""
+    a = c1 * math.sqrt(n) * r2
+    b = c2 * r1 / n
+    return np.clip(2.0 - a, 0.0, 1.0), np.clip(b - 1.0, 0.0, 1.0), a, b
 
 
-def _cutoff_gradients(x: np.ndarray, c1: float, c2: float):
-    """Rows within KINK_RADIUS of a kink sphere of h1 or h2 and, off them,
-    the gradient norms of h1, h2 and h1 h2 from one pass over all three."""
-    lv = np.stack([_h1(x, c1)[1], _h2(x, c2)[1]])
+def _cutoff_gradients(x: np.ndarray, c1: float, c2: float, a, b):
+    """Rows within KINK_RADIUS of a kink sphere of h1 or h2, from their
+    levels a and b, and, off them, the gradient norms of h1, h2 and h1 h2
+    from one pass over all three."""
+    lv = np.stack([a, b])
     near = np.any(np.minimum(np.abs(lv - 1.0), np.abs(lv - 2.0)) < KINK_RADIUS, axis=0)
+    n = x.shape[1]
 
     def stacked(y):
-        v1, v2 = _h1(y, c1)[0], _h2(y, c2)[0]
+        v1, v2 = _cutoffs(*_radii(y), n, c1, c2)[:2]
         return np.stack([v1, v2, v1 * v2], axis=1)
 
     def norms(_, g):
@@ -343,13 +395,13 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     n = pts.shape[1]
     sq = math.sqrt(n)
-    r2, r1 = np.linalg.norm(pts, axis=1), np.abs(pts).sum(axis=1)
-    v1, v2 = _h1(pts, c1)[0], _h2(pts, c2)[0]
+    r2, r1 = _radii(pts)
+    v1, v2, a, b = _cutoffs(r2, r1, n, c1, c2)
     plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / (c1 * sq)))
                       + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / (c1 * sq)))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
                       + np.count_nonzero((v2 == 0.0) != (r1 <= n / c2)))
-    near, g1, g2, _ = _cutoff_gradients(pts, c1, c2)
+    near, g1, g2, _ = _cutoff_gradients(pts, c1, c2, a, b)
     grad_bad = int(np.count_nonzero(g1 > c1 * sq * (1.0 + 1e-5))
                    + np.count_nonzero(g2 > c2 / sq * (1.0 + 1e-5)))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), plateau_bad,
@@ -364,7 +416,8 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     """
     pts = _cloud(points)
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
-    near, g1, g2, gp = _cutoff_gradients(pts, c1, c2)
+    a, b = _cutoffs(*_radii(pts), pts.shape[1], c1, c2)[2:]
+    near, g1, g2, gp = _cutoff_gradients(pts, c1, c2, a, b)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
 

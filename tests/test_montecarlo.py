@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 import tracemalloc
@@ -15,7 +16,22 @@ from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_e
                      estimate_cap_volume, exp_tail_check, gaussian_to_cube_map,
                      sample_gaussian, sample_uniform, t_map_lipschitz_check,
                      transfer_map_check, unit_volume_radius)
-from isodist.montecarlo import _h1, _h2, _t, _t_bound, _t_jacobian
+from isodist.montecarlo import _cutoffs, _radii, _t, _t_jacobian, _t_norms
+
+
+def _h(x, c1, c2):
+    """h1, h2 and their levels a, b for each row of x."""
+    return _cutoffs(*_radii(x), x.shape[1], c1, c2)
+
+
+def _full_jacobian(x):
+    """The (m, n, n) exact Jacobians from the diagonal and column parts
+    that _t_jacobian returns."""
+    diag, col = _t_jacobian(x)
+    m, n = x.shape
+    j = -np.repeat(col[:, None, :], n, axis=1)
+    j.reshape(m, n * n)[:, ::n + 1] = diag
+    return j
 
 ERLANG_3_AT_06 = 0.023115287752633   # 1 - e^{-0.6}(1 + 0.6 + 0.18)
 BOUND_3_02 = 0.03701032264507643     # (0.2 e)^3 / sqrt(6 pi)
@@ -105,24 +121,25 @@ def test_t_map_jacobian_against_finite_differences(rng):
     h = 1e-6
     for _ in range(50):
         x = rng.uniform(0.1, 3.0, (1, 5))
-        jex = _t_jacobian(x)[0]
+        jex = _full_jacobian(x)[0]
         jfd = np.empty((5, 5))
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
             jfd[i] = (_t(x + e) - _t(x - e))[0] / (2.0 * h)
         assert np.max(np.abs(jfd - jex)) < 1e-7
-        assert np.linalg.norm(jex, 2) <= _t_bound(x)[0] * (1.0 + 1e-12)
+        assert np.linalg.norm(jex, 2) <= _t_norms(x)[1][0] * (1.0 + 1e-12)
     # DT(x) = (I - 1 T^T)/||x||_1 is an oblique projection over ||x||_1, so its
     # 2-norm is sqrt(n) ||T||_2 / ||x||_1 for n >= 2, and exactly 0 at n = 1
     for n in (1, 2, 7, 50):
         for k in (-1000, 0, 1000):
             x = np.ldexp(rng.exponential(1.0, (1, n)), k)
-            svd = np.linalg.norm(_t_jacobian(x)[0], 2)
+            svd = np.linalg.norm(_full_jacobian(x)[0], 2)
+            closed = _t_norms(x)[0][0]
             if n == 1:
-                assert svd == 0.0
+                assert svd == closed == 0.0
             else:
-                closed = math.sqrt(n) * np.linalg.norm(_t(x)) / x.sum()
+                assert closed == math.sqrt(n) * np.linalg.norm(_t(x)) / x.sum()
                 assert svd == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
@@ -258,10 +275,10 @@ def test_clouds_are_read_in_one_place():
 def test_cutoff_plateau_values():
     # c1 = 1, n = 4: h1 = clip(2 - 2 ||x||_2, 0, 1), at norms 0.4 < 1/2, 0.75
     # and 1.2 > 1
-    h1, _ = _h1(np.array([[0.2], [0.375], [0.6]]) * np.ones(4), 1.0)
+    h1 = _h(np.array([[0.2], [0.375], [0.6]]) * np.ones(4), 1.0, 1.0)[0]
     assert h1[0] == 1.0 and h1[1] == pytest.approx(0.5, abs=1e-12) and h1[2] == 0.0
     # c2 = 1, n = 4: h2 = clip(||x||_1/4 - 1, 0, 1)
-    h2, _ = _h2(np.array([[2.5], [1.5], [0.5]]) * np.ones(4), 1.0)
+    h2 = _h(np.array([[2.5], [1.5], [0.5]]) * np.ones(4), 1.0, 1.0)[1]
     assert h2[0] == 1.0 and h2[1] == pytest.approx(0.5, abs=1e-12) and h2[2] == 0.0
 
 
@@ -353,7 +370,8 @@ def test_cutoff_checks_skip_every_kink_sphere():
     assert cut.skipped_near_kink == prod.skipped_near_kink == 4
     assert cut.ok and prod.ok
     # no point is differenced, and the gradient norms still come out empty
-    _, *grads = isodist.montecarlo._cutoff_gradients(pts, 1.0, 1.0)
+    a, b = _h(pts, 1.0, 1.0)[2:]
+    _, *grads = isodist.montecarlo._cutoff_gradients(pts, 1.0, 1.0, a, b)
     assert [g.shape for g in grads] == [(0,)] * 3
 
 
@@ -364,8 +382,9 @@ def test_cutoff_checks_on_both_plateaus(rng):
     # ||x||_2 <= 0.3/3 gives h1 = 1 and h2 = 0; ||x||_2 >= 2n gives h1 = 0, h2 = 1
     pts = np.vstack([0.1 * rng.uniform(0.1, 1.0, (20, 1)) * u[:20],
                      2.0 * n * rng.uniform(1.0, 3.0, (20, 1)) * u[20:]])
-    assert set(_h1(pts[:20], 1.0)[0]) == {1.0} and set(_h2(pts[:20], 1.0)[0]) == {0.0}
-    assert set(_h1(pts[20:], 1.0)[0]) == {0.0} and set(_h2(pts[20:], 1.0)[0]) == {1.0}
+    for part, want in ((pts[:20], [1.0, 0.0]), (pts[20:], [0.0, 1.0])):
+        v1, v2 = _h(part, 1.0, 1.0)[:2]
+        assert [set(v1), set(v2)] == [{want[0]}, {want[1]}]
     cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
     assert cut.skipped_near_kink == 0 and cut.ok and prod.ok
 
@@ -384,11 +403,11 @@ def test_cutoff_checks_skip_a_cloud_all_near_kinks(rng):
 
 def test_t_map_jacobian_and_bound_stack_row_by_row(rng):
     pts = rng.exponential(1.0, (12, 5))
-    jac, bound = _t_jacobian(pts), _t_bound(pts)
-    assert jac.shape == (12, 5, 5) and bound.shape == (12,)
-    for x, j, b in zip(pts, jac, bound):
-        assert np.array_equal(_t_jacobian(x[None]), j[None])
-        assert np.array_equal(_t_bound(x[None]), [b])
+    parts = _t_jacobian(pts) + _t_norms(pts)
+    assert [p.shape for p in parts] == [(12, 5)] * 2 + [(12,)] * 2
+    for i, x in enumerate(pts):
+        for whole, alone in zip(parts, _t_jacobian(x[None]) + _t_norms(x[None])):
+            assert np.array_equal(alone, whole[i:i + 1])
 
 
 def test_exp_tail_frozen_numbers():
@@ -478,10 +497,10 @@ def _fd_kernels(c1, c2):
     mc = isodist.montecarlo
 
     def h1(y):
-        return mc._h1(y, c1)[0]
+        return _h(y, c1, c2)[0]
 
     def h2(y):
-        return mc._h2(y, c2)[0]
+        return _h(y, c1, c2)[1]
 
     def product(y):
         return h1(y) * h2(y)
@@ -525,17 +544,60 @@ def test_lemma_checks_on_an_empty_cloud():
 
 def test_lemma_checks_difference_in_small_blocks():
     # one (m n, n) stack of shifted rows for a 2000 x 50 cloud would take
-    # 40 MB; blocks of 2^16 entries keep each check far below that
-    pts = _spread(np.random.default_rng(3), 2000, 50)
-    for check in (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
-                  lambda x: cutoff_product_check(x, 1.0, 1.0)):
-        tracemalloc.start()
-        try:
-            check(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+    # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB on both clouds;
+    # blocks of 2^14 entries peak at 0.35-0.44 MB on 200 points and, with
+    # T's norms and the off-kink rows taken for the whole cloud, at
+    # 0.9-1.3 MB on 2000
+    rng = np.random.default_rng(3)
+    for m, limit in ((200, 2**19), (2000, 1.5 * 2**20)):
+        pts = _spread(rng, m, 50)
+        for check in (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
+                      lambda x: cutoff_product_check(x, 1.0, 1.0)):
+            tracemalloc.start()
+            try:
+                check(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (m, peak)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
+def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
+    # one point per block, the shipped blocks and one block for the whole
+    # cloud; the cloud spans at least two shipped blocks from n = 7 on, and
+    # at n = 150 one point's 22500 entries already exceed a shipped block
+    mc = isodist.montecarlo
+    rows = max(1, mc._FD_ENTRIES // (n * n))
+    m = min(2 * rows + 3, 600)
+    rng = np.random.default_rng(60 + n)
+    tmap, spread = rng.exponential(1.0, (m, n)), _spread(rng, m, n)
+    tmap[0, 0] = 1e-9  # a coordinate below the step
+    spread[1] *= 0.5 / np.linalg.norm(spread[1])  # on the inner kink of h1 at c1 = 2/sqrt(n)
+
+    def checks(tmap, spread):
+        return [t_map_lipschitz_check(tmap)] + [
+            check(spread, c1, 1.0) for c1 in (1.0, 2.0 / math.sqrt(n))
+            for check in (cutoff_gradient_check, cutoff_product_check)]
+
+    shipped = checks(tmap, spread)
+    # column-major clouds are read as row-major ones
+    assert checks(np.asfortranarray(tmap), np.asfortranarray(spread)) == shipped
+    monkeypatch.setattr(mc, "_FD_ENTRIES", 1)
+    assert checks(tmap, spread) == shipped
+    monkeypatch.setattr(mc, "_FD_ENTRIES", m * n * n)
+    whole = checks(tmap, spread)
+    assert whole[1:] == shipped[1:]
+    if n * n <= 8192:
+        assert whole[0] == shipped[0]
+    else:
+        # einsum sums a point's n^2 > 8192 squared residuals in another order
+        # when its block holds more than one point, which shipped blocks never
+        # do at these n, so only the last bits of E may move
+        assert dataclasses.replace(whole[0], max_fd_error=0.0) \
+            == dataclasses.replace(shipped[0], max_fd_error=0.0)
+        assert whole[0].max_fd_error == pytest.approx(shipped[0].max_fd_error,
+                                                      rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("count", [2, 3, 8, 137, 141, 5000, 10000, 10001, 16385, 20000])
