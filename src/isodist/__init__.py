@@ -35,9 +35,8 @@ from .montecarlo import (AvgDistanceResult, CutoffCheck, EstimateWithCI,
                          transfer_map_check)
 from .profiles import (IsoProfile, make_profile, unit_volume_radius,
                        xlog_power_derivative)
-from .sections import (ConvergenceReport, OrthogonalBallGeometry, SectionCurve,
-                       convergence_report, cube_sum_cdf, lp_section_area,
-                       lp_tail_volume, orthogonal_ball_geometry,
+from .sections import (ConvergenceReport, SectionCurve, convergence_report,
+                       cube_sum_cdf, lp_section_area, lp_tail_volume,
                        psi_p_density_limit, section_curve,
                        sphere_projection_cdf)
 from .specfun import (kappa, phi, phi_inv, phi_inv_asymptote, phi_p,

@@ -34,8 +34,9 @@ Carlo part apart; the latter is judged at 5 standard errors.
 
 Every check that takes points reads them through one intake, _cloud:
 an (n,) point or an (m, n) cloud of finite coordinates, n >= 1, and for
-T also coordinates >= 0 with row sums finite and positive, so a NaN, an
-infinite coordinate or an overflowing sum raises DomainError.  Each
+T also coordinates >= 0 with row sums finite and positive, for the
+cutoffs row norms whose squares are finite, so a NaN, an infinite
+coordinate or an overflowing sum raises DomainError.  Each
 check validates its cloud and its constants c1, c2 once; T, its
 Jacobian, norm and bound, the row norms and the cutoffs h1 and h2 are
 each written once as unchecked array kernels, which the plateau check
@@ -51,11 +52,15 @@ fresh pages every time: replaying the benchmark's lemma_checks operations
 in one process took 104 to 117 minor page faults per operation at 2^16
 and under 0.1 at 2^14, and at n = 32 the faults came back from 2^15 on.
 Memory stays flat in the cloud size, apart from one array the size of
-the cloud; past n = 128 a single point's stack exceeds the bound and its
-block maps fresh pages again.  The differences run on the unchecked
-kernels, since a shifted row may leave the domain (a coordinate below h),
-and skip points within 1e-4 of a cutoff kink, where one-sided slopes
-would lie.  T's check takes no eigenvalue: its Jacobian's exact operator
+the cloud: |x| in _radii for the cutoffs, T(x) in _t_norms for T.  Past
+n = 128 a single point's stack exceeds the bound and its block maps
+fresh pages again.  The differences run on the unchecked kernels, since
+a shifted row may leave the domain (a coordinate below h).  The cutoff
+checks difference the whole cloud and then drop the points within 1e-4
+of a kink, where one-sided slopes would lie: such points are rare (about
+2e-4 of the benchmark's), and differencing them costs less than a copy
+of the rest of the cloud.
+T's check takes no eigenvalue: its Jacobian's exact operator
 norm has a closed form, taken with the bound once for the whole cloud,
 and the differences enter, block by block, through the Frobenius norm of
 their distance to the exact Jacobian, formed in place on the differences.
@@ -344,6 +349,20 @@ def _radii(x: np.ndarray):
     return np.sqrt(a.sum(axis=1)), r1
 
 
+def _cloud_cutoffs(x: np.ndarray, c1: float, c2: float):
+    """r2, r1 from _radii and h1, h2, a, b from _cutoffs, for a cloud the
+    cutoff checks take in.  A squared row norm past the float range (a
+    coordinate past about 1.3e154) raises DomainError: it would read
+    ||x||_2 = inf and put h1 on the wrong plateau.  A level that overflows
+    for finite norms reads inf, on the same plateau (h1 = 0, h2 = 1) as its
+    exact value."""
+    with np.errstate(over="ignore"):
+        r2, r1 = _radii(x)
+        if not np.all(r2 < math.inf):
+            raise DomainError("the cutoff checks take points whose squared norm is finite")
+        return (r2, r1, *_cutoffs(r2, r1, x.shape[1], c1, c2))
+
+
 def _cutoffs(r2, r1, n: int, c1: float, c2: float):
     """h1 = clip(2 - a, 0, 1) and h2 = clip(b - 1, 0, 1) of points of R^n
     with norms r2 = ||x||_2 and r1 = ||x||_1, and their levels
@@ -370,7 +389,10 @@ def _cutoff_gradients(x: np.ndarray, c1: float, c2: float, a, b):
         # keeps the summation order of a norm over one gradient
         return np.linalg.norm(np.ascontiguousarray(np.swapaxes(g, 1, 2)), axis=2)
 
-    return (near, *_central_diff(stacked, x[~near], norms).T)
+    # the shifted rows' levels overflow where the cloud's do (_cloud_cutoffs)
+    with np.errstate(over="ignore"):
+        grads = _central_diff(stacked, x, norms)
+    return (near, *grads[~near].T)
 
 
 @dataclass(frozen=True)
@@ -395,8 +417,7 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     n = pts.shape[1]
     sq = math.sqrt(n)
-    r2, r1 = _radii(pts)
-    v1, v2, a, b = _cutoffs(r2, r1, n, c1, c2)
+    r2, r1, v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)
     plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / (c1 * sq)))
                       + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / (c1 * sq)))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
@@ -416,7 +437,7 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     """
     pts = _cloud(points)
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
-    a, b = _cutoffs(*_radii(pts), pts.shape[1], c1, c2)[2:]
+    a, b = _cloud_cutoffs(pts, c1, c2)[4:]
     near, g1, g2, gp = _cutoff_gradients(pts, c1, c2, a, b)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
@@ -440,7 +461,8 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     """P(E_1 + ... + E_n <= alpha n) for iid Exp(1), three ways.
 
     Monte Carlo proportion, the exact Erlang distribution function
-    P(n, alpha n), and the closed bound (alpha e)^n / sqrt(2 pi n).
+    P(n, alpha n), and the closed bound (alpha e)^n / sqrt(2 pi n), inf
+    where (alpha e)^n leaves the float range.
     bound_ok says the exact value respects the bound (up to 1e-12
     relative, the rounding of gammainc); mc_ok says the estimate lies
     within 5 standard errors sqrt(max(p(1-p), 1/count)/count) of the
@@ -453,7 +475,10 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     hits = int(np.count_nonzero(sums <= alpha * n))
     mc = EstimateWithCI.from_proportion(hits, int(count))
     erlang = float(sp.gammainc(n, alpha * n))
-    bound = (alpha * math.e) ** n / math.sqrt(2.0 * math.pi * n)
+    try:
+        bound = (alpha * math.e) ** n / math.sqrt(2.0 * math.pi * n)
+    except OverflowError:  # (alpha e)^n past the float range: trivially respected
+        bound = math.inf
     bound_ok = erlang <= bound * (1.0 + 1e-12)
     se = math.sqrt(max(erlang * (1.0 - erlang), 1.0 / count) / count)
     mc_ok = abs(mc.estimate - erlang) <= _MC_SIGMAS * se

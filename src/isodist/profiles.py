@@ -138,10 +138,13 @@ class _Family:
 
     The ball's limit is the n -> inf value, not a bound at each n: at
     eps = 1e-3 the caps are 1.49951 apart at n = 100, against 1.49549.
-    It is a lower bound for every symmetric log-concave direction law,
-    and the ball attains it.  c_lambda and c_iso sit at the placeholder 1
-    (parametric rows).  The simplex and l_p deltas keep the (ln 2)-type
-    terms the integral produces; their uppers are the looser
+    The finite-n caps are exact: by Levy's isoperimetry on S^{n+1},
+    carried to the ball by Archimedes' projection, no two eps-sets of
+    the ball are farther apart at any n (see witness.ball_caps_witness).
+    The limit is a lower bound for every symmetric log-concave direction
+    law, and the ball attains it.  c_lambda and c_iso sit at the
+    placeholder 1 (parametric rows).  The simplex and l_p deltas keep the
+    (ln 2)-type terms the integral produces; their uppers are the looser
     theorem-statement forms that drop them.  Every callable takes p,
     None outside l_p.
     """

@@ -33,8 +33,7 @@ function of a sum of n independent uniforms (diagonal slabs of the cube
 cut by sum(x) = s), evaluated at every n through the cancellation-free
 Cox-de Boor recurrence of the Irwin-Hall law as a cardinal B-spline, and
 the distribution of a scaled coordinate of a random point on the sphere
-S^{n-1}, plus the plane geometry of the orthogonal-ball construction
-used to push cap bounds between bodies.
+S^{n-1}.
 """
 
 from __future__ import annotations
@@ -184,50 +183,6 @@ def convergence_report(p: float, n_list: Sequence[int],
     dec = all(a > b for a, b in zip(gaps_v, gaps_v[1:])) and \
         all(a > b for a, b in zip(gaps_s, gaps_s[1:]))
     return ConvergenceReport(p, n_list, tuple(gaps_v), tuple(gaps_s), dec)
-
-
-@dataclass(frozen=True)
-class OrthogonalBallGeometry:
-    """Plane data of the ball orthogonal to a cap of width d.
-
-    A ball of radius r centered at O such that its boundary passes
-    orthogonally through the rim of the slice at depth d of a ball of
-    radius omega.  r = omega^2/d - d/4 needs 0 < d < 2 omega; then
-    OA = sqrt(omega^2 + r^2) = r + d/2 and the foot of O on the slice
-    axis sits at OH = d/(1 + d^2/(4 omega^2)) <= d.  r is computed as
-    (2 omega - d)(2 omega + d)/(4 d), which keeps its relative accuracy
-    as d nears 2 omega.
-    """
-
-    d: float
-    omega: float
-    r: float
-    oa: float
-    oh: float
-
-
-def orthogonal_ball_geometry(d: float, omega: float) -> OrthogonalBallGeometry:
-    d, omega = float(d), float(omega)
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"omega must be positive and finite, got {omega}")
-    if not 0.0 < d < 2.0 * omega:
-        raise DomainError(f"need 0 < d < 2*omega for a positive radius, got d={d}")
-    # every length scales with d and omega: work exactly at d 2^-k and
-    # omega 2^-k in [1/2, 1), so omega^2 neither overflows nor underflows.
-    # Past omega/d = 2^1019 the scaled d could lose bits; there k = 0, and
-    # the plain formulas are accurate or r truly overflows.
-    e = math.frexp(omega)[1]
-    k = e if e - math.frexp(d)[1] <= 1019 else 0
-    ds, ws = math.ldexp(d, -k), math.ldexp(omega, -k)
-    # (2 omega - d)(2 omega + d)/(4 d) is omega^2/d - d/4 without its
-    # cancellation as d nears 2 omega
-    rs = (2.0 * ws - ds) * (2.0 * ws + ds) / (4.0 * ds)
-    oas = math.hypot(ws, rs)  # OA >= r, so this also catches r past the float range
-    if not (oas < math.inf and math.frexp(oas)[1] + k <= 1024):
-        raise DomainError(f"the radius omega^2/d - d/4 overflows at d={d}, omega={omega}")
-    r, oa, oh = (math.ldexp(v, k) for v in
-                 (rs, oas, ds / (1.0 + ds * ds / (4.0 * ws * ws))))
-    return OrthogonalBallGeometry(d, omega, r, oa, oh)
 
 
 # Repeated k, 1 and k times, these rows are the coefficients of

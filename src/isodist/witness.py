@@ -72,7 +72,7 @@ class BoundReport:
     upper: float
     exact_limit: float | None
     parametric: bool
-    manhattan_scaled_limit: float | None = None
+    manhattan_scaled_limit: float | None
 
 
 def _cap_miss(a: float, p: float, n: int, omega: float, eps: float):
@@ -127,7 +127,35 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
 
 
 def ball_caps_witness(n: int, eps: float) -> RegionPair:
-    """Opposite spherical caps; the p = 2 instance of lp_caps_witness."""
+    """Opposite spherical caps; the p = 2 instance of lp_caps_witness.
+
+    The caps are exactly extremal at every n: no two subsets of volume
+    eps of the unit-volume ball B^n(R), R = omega_n, lie farther apart,
+    so the ball's largest eps-distance D_n(eps) is this distance
+    2a = 2R cos theta_eps, with theta_eps the angular radius of a cap of
+    normalised measure eps on S^{n+1}.  The argument:
+
+      - Archimedes' projection: the uniform law on S^{n+1}(R) in R^{n+2},
+        projected onto its first n coordinates, is the uniform law on
+        B^n(R) (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33,
+        2005, the result behind montecarlo's ball sampler).  Sets A, B
+        of volume eps in the ball lift to sets of measure eps on the
+        sphere.
+      - Levy's isoperimetric inequality on the sphere (Levy 1951;
+        Schmidt 1948; a short proof in Figiel, Lindenstrauss and Milman,
+        Acta Math. 139, 1977): caps have the smallest geodesic
+        neighbourhoods, so the lifts are at most R(pi - 2 theta_eps)
+        apart along the sphere, 2R cos theta_eps as a chord.
+      - The projection is 1-Lipschitz and maps each lift into its set,
+        so d(A, B) <= 2R cos theta_eps.
+      - The caps +-{x_1 >= a} lift to the sphere caps {+-y_1 >= a} of
+        measure eps, whose height is a = R cos theta_eps; they attain it.
+
+    At n = 1 this is 1 - 2 eps, the unit segment's answer.  The float
+    distance carries the cap solve's error only (volume held to 1e-6
+    relative).  limit_value is the n -> inf distance, which the caps at
+    a finite n may exceed: it is not a bound at each n.
+    """
     return lp_caps_witness(n, 2.0, eps)
 
 
@@ -222,7 +250,6 @@ def bound_report(family: BodyFamily, eps: float) -> BoundReport:
     rec = _FAMILIES[family.kind]
     lower = rec.limit(eps, family.p)
     if rec.upper is None:
-        return BoundReport(family.label(), eps, lower, lower, lower, rec.parametric)
+        return BoundReport(family.label(), eps, lower, lower, lower, rec.parametric, None)
     return BoundReport(family.label(), eps, lower, rec.upper(eps, family.p), None,
-                       rec.parametric,
-                       manhattan_scaled_limit=lower if family.kind == "cube" else None)
+                       rec.parametric, lower if family.kind == "cube" else None)

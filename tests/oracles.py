@@ -48,15 +48,6 @@ from scipy import integrate, optimize
 from scipy import special as sp
 
 
-def orthogonal_ball_mp(d: float, omega: float) -> tuple[float, float, float]:
-    """r = omega^2/d - d/4, OA = r + d/2 and OH = d/(1 + d^2/(4 omega^2))
-    at 50 digits, where no float range limits the squares."""
-    with mpmath.workdps(50):
-        d, omega = mpmath.mpf(d), mpmath.mpf(omega)
-        r = omega**2 / d - d / 4
-        return float(r), float(r + d / 2), float(d / (1 + d**2 / (4 * omega**2)))
-
-
 def phi_quad(a: float) -> float:
     """Distribution function of the density e^{-pi x^2} by quadrature."""
     if a <= 0.0:
@@ -218,6 +209,21 @@ def lp_radius_direct(p: float, n: int) -> float:
     x = 1.0 + n / p
     root = math.gamma(x) ** (1.0 / n) if x < 171.0 else math.exp(math.lgamma(x) / n)
     return root / (2.0 * math.gamma(1.0 + 1.0 / p))
+
+
+def ball_marton_upper(n: int, eps: float) -> float:
+    """2 sqrt(2 ln(1/eps) R^2 / (n + 1)), with R = Gamma(n/2 + 1)^{1/n} / sqrt(pi)
+    the unit-volume ball's radius, taken through math.lgamma.
+
+    An upper bound on the distance between two subsets of volume eps of
+    B^n(R), looser than the caps': the uniform law on S^{n+1}(R) has
+    log-Sobolev constant (n + 1)/R^2 (Mueller and Weissler 1982), so by
+    Marton's argument two of its subsets of measure eps lie at most
+    2 sqrt(2 ln(1/eps) R^2/(n + 1)) apart, and the 1-Lipschitz projection
+    onto n coordinates carries them to any two such subsets of the ball.
+    """
+    r2 = math.exp(2.0 * math.lgamma(n / 2.0 + 1.0) / n) / math.pi
+    return 2.0 * math.sqrt(2.0 * -math.log(eps) * r2 / (n + 1.0))
 
 
 def lp_section_direct(x: float, p: float, n: int) -> float:

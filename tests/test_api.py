@@ -32,7 +32,6 @@ SETTABLE = {
     "cli.main(argv)",
     "enlargement.distance_upper_bound(method)",
     "lattice.verify_extremal_pairs(budget)",
-    "witness.BoundReport.manhattan_scaled_limit",
 }
 
 
@@ -44,15 +43,15 @@ PUBLIC = {
     "ConvergenceReport", "CutoffCheck", "DimensionMismatchError", "DomainError",
     "EmptySetError", "EnlargementResult", "EstimateWithCI", "ExpTailCheck",
     "ExtremalCheck", "Grid", "IsoProfile", "IsodistError", "NonConvergenceError",
-    "OrthogonalBallGeometry", "RangeError", "RegionDescriptor", "RegionPair",
-    "SampleBatch", "SectionCurve", "SubsetHandle", "TMapCheck", "TransferCheck",
-    "average_distance_experiment", "ball_caps_witness", "bound_report",
-    "convergence_report", "count_cells_sum_le", "cube_diagonal_witness", "cube_sum_cdf",
+    "RangeError", "RegionDescriptor", "RegionPair", "SampleBatch", "SectionCurve",
+    "SubsetHandle", "TMapCheck", "TransferCheck", "average_distance_experiment",
+    "ball_caps_witness", "bound_report", "convergence_report", "count_cells_sum_le",
+    "cube_diagonal_witness", "cube_sum_cdf",
     "cutoff_gradient_check", "cutoff_product_check", "delta_closed_form",
     "distance_upper_bound", "estimate_cap_volume", "exp_tail_check", "final_segment",
     "gaussian_to_cube_map", "initial_segment", "kappa", "lp_caps_witness",
-    "lp_section_area", "lp_tail_volume", "make_profile", "orthogonal_ball_geometry",
-    "phi", "phi_inv", "phi_inv_asymptote", "phi_p", "phi_p_inv", "psi_p",
+    "lp_section_area", "lp_tail_volume", "make_profile", "phi", "phi_inv",
+    "phi_inv_asymptote", "phi_p", "phi_p_inv", "psi_p",
     "psi_p_density_limit", "psi_p_inv", "psi_p_inv_asymptote", "sample_gaussian",
     "sample_uniform", "scaled_max_distance", "section_curve", "set_distance",
     "simplex_corner_witness", "simplicial_cmp", "sphere_projection_cdf", "t_boundary",

@@ -375,6 +375,36 @@ def test_cutoff_checks_skip_every_kink_sphere():
     assert [g.shape for g in grads] == [(0,)] * 3
 
 
+def test_cutoff_checks_reject_overflowing_norms():
+    # |x|^2 overflows past about 1.3e154: ||x||_2 would read inf, and with
+    # c1 = 1e-170 the level 3e-10 would read inf, h1 0 in place of 1
+    for pts in (np.full((1, 3), 1e160), np.array([[1.0, 2.0], [2e154, 0.0]])):
+        for check in (cutoff_gradient_check, cutoff_product_check):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="squared norm"):
+                    check(pts, 1e-170, 1.0)
+    # just inside the float range the norm is finite and h1 is 1
+    ok = np.full((1, 3), 1e153)
+    assert _h(ok, 1e-170, 1.0)[0][0] == 1.0
+    assert cutoff_gradient_check(ok, 1e-170, 1.0).ok
+
+
+def test_cutoff_levels_past_the_float_range():
+    # c1 sqrt(n) ||x||_2 and c2 ||x||_1 / n overflow for finite norms; inf is
+    # on the plateau of the exact level, h1 = 0 and h2 = 1
+    for pts, c1, c2 in ((np.ones((3, 4)), 1e308, 1e308),
+                        (np.full((2, 4), 1e10), 1e300, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v1, v2, a, b = isodist.montecarlo._cloud_cutoffs(pts, c1, c2)[2:]
+            cut = cutoff_gradient_check(pts, c1, c2)
+            prod = cutoff_product_check(pts, c1, c2)
+        assert np.all(a == math.inf) and np.all(b == math.inf)
+        assert np.all(v1 == 0.0) and np.all(v2 == 1.0)
+        assert cut.ok and cut.plateau_violations == 0 and prod.ok
+
+
 def test_cutoff_checks_on_both_plateaus(rng):
     n = 9
     u = rng.exponential(1.0, (40, n))
@@ -432,6 +462,17 @@ def test_exp_tail_erlang_below_bound_wide_sweep():
 def test_exp_tail_rejects_bad_alpha(alpha):
     with pytest.raises(DomainError):
         exp_tail_check(3, alpha, 100, 1)
+
+
+def test_exp_tail_bound_past_the_float_range():
+    # (3e)^300 is about 1e273; (3e)^400 overflows, and the bound reads inf
+    for n, finite in ((300, True), (400, False)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chk = exp_tail_check(n, 3.0, 10, 0)
+        assert math.isfinite(chk.bound) == finite
+        assert chk.bound_ok and chk.ok
+    assert chk.bound == math.inf and chk.erlang == pytest.approx(1.0)
 
 
 def test_exp_tail_mc_tracks_erlang():
@@ -545,14 +586,15 @@ def test_lemma_checks_on_an_empty_cloud():
 def test_lemma_checks_difference_in_small_blocks():
     # one (m n, n) stack of shifted rows for a 2000 x 50 cloud would take
     # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB on both clouds;
-    # blocks of 2^14 entries peak at 0.35-0.44 MB on 200 points and, with
-    # T's norms and the off-kink rows taken for the whole cloud, at
-    # 0.9-1.3 MB on 2000
+    # blocks of 2^14 entries peak at 0.27-0.44 MB on 200 points and, with
+    # one array the size of the cloud (T(x) for T, |x| for the cutoffs), at
+    # 0.81-0.86 MB on 2000
     rng = np.random.default_rng(3)
-    for m, limit in ((200, 2**19), (2000, 1.5 * 2**20)):
+    checks = (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
+              lambda x: cutoff_product_check(x, 1.0, 1.0))
+    for m, limits in ((200, (2**19,) * 3), (2000, (1.5 * 2**20, 2**20, 2**20))):
         pts = _spread(rng, m, 50)
-        for check in (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
-                      lambda x: cutoff_product_check(x, 1.0, 1.0)):
+        for check, limit in zip(checks, limits):
             tracemalloc.start()
             try:
                 check(pts)

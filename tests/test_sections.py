@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from isodist import (BodyFamily, DomainError, convergence_report, cube_diagonal_witness,
-                     cube_sum_cdf, lp_section_area, lp_tail_volume,
-                     orthogonal_ball_geometry, phi_p, psi_p,
+                     cube_sum_cdf, lp_section_area, lp_tail_volume, phi_p, psi_p,
                      psi_p_density_limit, section_curve, sphere_projection_cdf,
                      unit_volume_radius)
 from isodist.sections import _lp_cap_volume
@@ -179,57 +178,6 @@ def test_convergence_to_limit_laws(p):
     limit = phi_p(-math.exp(1.0 / p) * grid, p)
     assert rep.sup_gap_tail[-1] == pytest.approx(
         float(np.max(np.abs(curve.tails - limit))), rel=1e-9)
-
-
-def test_orthogonal_ball_worked_numbers():
-    geo = orthogonal_ball_geometry(1.0, 1.0)
-    assert geo.r == pytest.approx(0.75, abs=1e-15)
-    assert geo.oa == pytest.approx(1.25, abs=1e-14)
-    assert geo.oh == pytest.approx(0.8, abs=1e-14)
-
-
-def test_orthogonal_ball_invariants(rng):
-    for _ in range(200):
-        om = float(rng.uniform(0.2, 3.0))
-        d = float(rng.uniform(1e-3, 2.0 * om - 1e-3))
-        geo = orthogonal_ball_geometry(d, om)
-        # right angle at the rim: OA^2 = omega^2 + r^2, and OA = r + d/2
-        assert geo.oa == pytest.approx(math.hypot(om, geo.r), rel=1e-12)
-        assert geo.oa == pytest.approx(geo.r + d / 2.0, rel=1e-12)
-        assert 0.0 < geo.oh <= d
-
-
-@pytest.mark.parametrize("d,omega", [
-    (1.9e200, 1e200), (1e-320, 1e-10),
-    *((ratio * omega, omega) for omega in (1e-300, 1e-160, 1.0, 1e150, 1e300)
-      for ratio in (1e-6, 0.1, 0.5, 1.0, 1.9, 1.999, 1.999999)),
-])
-def test_orthogonal_ball_matches_mpmath(d, omega):
-    # omega^2 and d^2 leave the float range at these ends; r, OA and OH do not
-    geo = orthogonal_ball_geometry(d, omega)
-    r, oa, oh = oracles.orthogonal_ball_mp(d, omega)
-    # r keeps its relative accuracy as d nears 2 omega, where omega^2/d - d/4
-    # would cancel (8.9e-11 relative at d = 1.999999 omega); abs=0 keeps
-    # pytest's 1e-12 absolute floor from admitting tiny values
-    assert abs(geo.r - r) <= 1e-15 * oa
-    assert geo.r == pytest.approx(r, rel=2 * 2.0**-52, abs=0.0)
-    assert geo.oa == pytest.approx(oa, rel=1e-15, abs=0.0)
-    assert geo.oh == pytest.approx(oh, rel=1e-15, abs=0.0)
-
-
-def test_orthogonal_ball_domain():
-    with pytest.raises(DomainError):
-        orthogonal_ball_geometry(2.0, 1.0)
-    with pytest.raises(DomainError):
-        orthogonal_ball_geometry(0.0, 1.0)
-    with pytest.raises(DomainError):
-        orthogonal_ball_geometry(0.5, -1.0)
-    for omega in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="omega must be positive and finite"):
-            orthogonal_ball_geometry(0.5, omega)
-    # a finite omega whose radius omega^2/d overflows
-    with pytest.raises(DomainError):
-        orthogonal_ball_geometry(0.5, 1e200)
 
 
 def test_cube_sum_cdf_small_closed_forms():

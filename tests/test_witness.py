@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,37 @@ def test_caps_n1_degenerates_to_segment():
     for p in (1.0, 1.7, 2.0):
         w = lp_caps_witness(1, p, 0.1)
         assert w.distance == pytest.approx(0.8, abs=1e-15)
+
+
+def test_ball_caps_below_martons_upper():
+    # the caps are the ball's exact answer, so no looser upper bound may
+    # fall below them; skipped where the cap solve raises (tiny eps, small n)
+    ratios = []
+    for n in sorted({round(v) for v in np.logspace(0.0, 4.0, 20)}):
+        for eps in np.logspace(-300.0, math.log10(0.49), 29).tolist():
+            try:
+                w = ball_caps_witness(n, eps)
+            except DomainError:
+                continue
+            ratios.append(w.distance / oracles.ball_marton_upper(n, eps))
+    assert len(ratios) > 300
+    assert max(ratios) <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_ball_caps_are_projected_sphere_caps(n, eps):
+    # Archimedes: R g/|g| on S^{n+1}(R), g gaussian in R^{n+2}, has its
+    # first n coordinates uniform on the unit-volume ball B^n(R), so each
+    # cap +-{x_1 >= a} holds eps of the projected sphere points
+    m = 400_000
+    r = math.exp(math.lgamma(n / 2.0 + 1.0) / n) / math.sqrt(math.pi)
+    g = np.random.default_rng(77 + n).standard_normal((m, n + 2))
+    x1 = r * g[:, 0] / np.linalg.norm(g, axis=1)
+    a = ball_caps_witness(n, eps).region_a.params["threshold"]
+    se = math.sqrt(eps * (1.0 - eps) / m)
+    for side in (x1, -x1):
+        assert abs(np.count_nonzero(side >= a) / m - eps) <= 5.0 * se
 
 
 def test_cube_witness_volume_distance_and_regions():
