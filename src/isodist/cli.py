@@ -20,7 +20,8 @@ for byte.  Options shared by several commands (--family and --p, --eps,
 
 Exit codes: 0 success; 1 a check suite found a violated inequality, or
 Monte Carlo evidence more than 5 standard errors off; 2 usage or domain
-error; 3 exhaustive-search budget exceeded.
+error, or an --out FILE that cannot be written; 3 exhaustive-search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -293,13 +294,21 @@ def cmd_asympt(args) -> list[dict]:
 
 # ------------------------------------------------------------- parser
 
-def _floats(text: str) -> list[float]:
-    """Comma-separated float list, so --eps 0.1,0.01 and repeated
-    --eps flags both work; a list with no values is a usage error."""
-    values = [float(v) for v in text.split(",") if v]
-    if not values:
-        raise argparse.ArgumentTypeError(f"no values in {text!r}")
-    return values
+def _comma_list(kind):
+    """Parser of a comma-separated list of kind, for an option with
+    action="extend", so --eps 0.1,0.01 and repeated --eps flags both work.
+    Empty entries are skipped; a bad entry or a list with no values is a
+    usage error, which argparse reports with the option's name."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",") if v]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {kind.__name__}s: {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"no values in {text!r}")
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         required=True)
     family.add_argument("--p", type=float, default=None)
     eps = argparse.ArgumentParser(add_help=False)
-    eps.add_argument("--eps", type=_floats, action="extend", required=True)
+    eps.add_argument("--eps", type=_comma_list(float), action="extend", required=True)
     # a child parser inherits the defaults too: every command that takes
     # --out runs through _write_rows, which calls its own args.rows
     output = argparse.ArgumentParser(add_help=False)
@@ -350,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     sec = subs.add_parser("sections", help="section area and cap volume curves",
                           parents=[output])
     sec.add_argument("--p", type=float, required=True)
-    sec.add_argument("--n", type=lambda v: [int(x) for x in v.split(",")],
-                     required=True, help="comma-separated dimensions")
+    sec.add_argument("--n", type=_comma_list(int), action="extend", required=True,
+                     help="comma-separated dimensions")
     sec.add_argument("--grid", default="0:3:0.01",
                      help="start:stop:step; points times dimensions at most 10^6")
     sec.set_defaults(rows=cmd_sections)
@@ -389,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except IsodistError as exc:
+    except (IsodistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -385,11 +385,11 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     cube units and normalized by sqrt(n):  (s_hi - s_lo) / (m sqrt(n)).
 
     s_lo is the least s with count_cells_sum_le(m+1, n, s) >= eps (m+1)^n,
-    an exact comparison of integers with the binary value of eps.  The
-    search starts at the normal guess for the level sum (mean nm/2,
-    variance nm(m+2)/12), gallops out by 1, 2, 4, ... until two counts
-    bracket the threshold and bisects between them; the guess only decides
-    where the counting starts.
+    an exact comparison of integers with the binary value of eps.  One
+    loop keeps a failing lo and a holding hi: it starts at the normal
+    guess for the level sum (mean nm/2, variance nm(m+2)/12), steps away
+    from it by 1, 2, 4, ... and bisects (lo, hi) once the next probe would
+    leave it; the guess only decides where the counting starts.
     """
     eps = validate_epsilon(eps)
     n, m = validate_n(n, 1), validate_n(m, 1)
@@ -403,22 +403,14 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     z = math.sqrt(2.0 * math.pi) * phi_inv(eps)  # standard normal quantile
     guess = max(0, round(n * m / 2 + z * math.sqrt(n * m * (m + 2) / 12)))
     # lo fails and hi holds; s = -1 fails (no cells) and s = nm holds (all)
-    step = 1
-    if enough(guess):
-        lo, hi = -1, guess
-        while hi - step > lo and enough(hi - step):
-            hi, step = hi - step, 2 * step
-        lo = max(lo, hi - step)
-    else:
-        lo, hi = guess, n * m
-        while lo + step < hi and not enough(lo + step):
-            lo, step = lo + step, 2 * step
-        hi = min(hi, lo + step)
+    lo, hi, s, step = -1, n * m, guess, 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if enough(mid):
-            hi = mid
+        if enough(s):
+            hi, s = s, s - step
         else:
-            lo = mid
+            lo, s = s, s + step
+        step *= 2
+        if not lo < s < hi:
+            s = (lo + hi) // 2
     steps = max(0, n * m - 2 * hi)
     return steps / (m * math.sqrt(n))

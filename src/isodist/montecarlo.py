@@ -367,7 +367,8 @@ def _cutoffs(r2, r1, n: int, c1: float, c2: float):
     """h1 = clip(2 - a, 0, 1) and h2 = clip(b - 1, 0, 1) of points of R^n
     with norms r2 = ||x||_2 and r1 = ||x||_1, and their levels
     a = c1 sqrt(n) r2 and b = c2 r1 / n."""
-    a = c1 * math.sqrt(n) * r2
+    # sqrt(n) r2 first: c1 sqrt(n) may overflow, and inf * 0 at the origin is NaN
+    a = c1 * (math.sqrt(n) * r2)
     b = c2 * r1 / n
     return np.clip(2.0 - a, 0.0, 1.0), np.clip(b - 1.0, 0.0, 1.0), a, b
 
@@ -418,8 +419,9 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     n = pts.shape[1]
     sq = math.sqrt(n)
     r2, r1, v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)
-    plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / (c1 * sq)))
-                      + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / (c1 * sq)))
+    # 1/c1/sq, not 1/(c1 sq): an overflowing product puts both thresholds at 0
+    plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / c1 / sq))
+                      + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / c1 / sq))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
                       + np.count_nonzero((v2 == 0.0) != (r1 <= n / c2)))
     near, g1, g2, _ = _cutoff_gradients(pts, c1, c2, a, b)

@@ -230,6 +230,45 @@ def test_eps_list_with_no_values_is_a_usage_error(capsys, command, fmt):
     assert "argument --eps: no values in ','" in err
 
 
+def test_sections_repeated_n_flags(capsys):
+    # --n extends as --eps does, and skips empty entries as --eps does
+    listed = run(capsys, "sections", "--p", "2", "--n", "25,100", "--grid", "0:1:0.5")
+    repeated = run(capsys, "sections", "--p", "2", "--n", "25,", "--n", "100",
+                   "--grid", "0:1:0.5")
+    assert repeated == listed and listed[0] == 0
+    assert [r["n"] for r in csv_rows(listed[1])] == ["25"] * 3 + ["100"] * 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--family", "cube", "--eps", "abc"],
+     "argument --eps: not a comma-separated list of floats: 'abc'"),
+    (["asympt", "--which", "phi-inv", "--eps", "1e-4,x"],
+     "argument --eps: not a comma-separated list of floats: '1e-4,x'"),
+    (["sections", "--p", "2", "--n", "3,x"],
+     "argument --n: not a comma-separated list of ints: '3,x'"),
+    (["sections", "--p", "2", "--n", "2.5"],
+     "argument --n: not a comma-separated list of ints: '2.5'"),
+    (["sections", "--p", "2", "--n", ","], "argument --n: no values in ','"),
+], ids=["eps-word", "eps-entry", "n-entry", "n-float", "n-empty"])
+def test_bad_list_entry_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("target", [".", "missing/dir/rows.csv"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target):
+    # exit 1 would claim a failed check; a path that cannot be opened is bad input
+    path = tmp_path / target
+    code = main(["bounds", "--family", "cube", "--eps", "0.1", "--out", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("grid", ["0:nan:0.5", "nan:1:0.5", "0:inf:0.5"])
 def test_sections_non_finite_grid_is_a_usage_error(capsys, grid):
     code = main(["sections", "--p", "1.5", "--n", "10", "--grid", grid])

@@ -506,10 +506,8 @@ def scaled_max_distance_by_scan(n, m, eps):
     return max(0, n * m - 2 * s) / (m * math.sqrt(n))
 
 
-# n = 1 or 2 at eps = 1e-15 puts the normal guess below 0, where it is
-# clamped; eps < 1/2 keeps it at or below nm/2, so it never reaches nm
-@pytest.mark.parametrize("n", [1, 2, 5, 30])
-def test_scaled_max_distance_matches_a_scan_in_few_counts(monkeypatch, n):
+def _recorded_counts(monkeypatch) -> list:
+    """The s of every count_cells_sum_le call the slab search makes."""
     counted = lattice.count_cells_sum_le
     calls = []
 
@@ -518,9 +516,32 @@ def test_scaled_max_distance_matches_a_scan_in_few_counts(monkeypatch, n):
         return counted(k, n, s)
 
     monkeypatch.setattr(lattice, "count_cells_sum_le", count)
+    return calls
+
+
+# n = 1 or 2 at eps = 1e-15 puts the normal guess below 0, where it is
+# clamped; eps < 1/2 keeps it at or below nm/2, so it never reaches nm
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_scaled_max_distance_matches_a_scan_in_few_counts(monkeypatch, n):
+    calls = _recorded_counts(monkeypatch)
     for m in (1, 2, 16, 64):
         for eps in (1e-15, 1e-4, 0.1, 0.3, 0.4999):
             calls.clear()
             assert scaled_max_distance(n, m, eps) == scaled_max_distance_by_scan(n, m, eps)
             # a gallop and a bisection of about log2(nm) counts each, not a scan
             assert len(calls) <= 2 * math.log2(n * m) + 4
+
+
+# the counts probed from the normal guess: one step down to the threshold,
+# a clamped guess at 0, and a gallop up by 1, 2, 4, 8 then a bisection back
+@pytest.mark.parametrize("n, m, eps, probes", [
+    (30, 64, 0.1, [828, 827]),
+    (2, 10, 0.1, [4, 3]),
+    (50, 2, 0.3, [47, 46]),
+    (200, 16, 1e-15, [1050, 1051, 1053, 1057, 1065, 1061, 1059, 1058]),
+    (1, 64, 1e-15, [0]),
+])
+def test_scaled_max_distance_probe_path(monkeypatch, n, m, eps, probes):
+    calls = _recorded_counts(monkeypatch)
+    scaled_max_distance(n, m, eps)
+    assert calls == probes

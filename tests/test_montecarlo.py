@@ -405,6 +405,20 @@ def test_cutoff_levels_past_the_float_range():
         assert cut.ok and cut.plateau_violations == 0 and prod.ok
 
 
+def test_cutoff_checks_hold_at_the_origin_past_the_float_range():
+    # c1 sqrt(n) = inf: the origin's level must read 0, not inf * 0 = NaN,
+    # and the h1 thresholds 1/(c1 sqrt(n)), 2/(c1 sqrt(n)) must stay above 0
+    pts = np.vstack([np.ones((3, 4)), np.zeros(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v1, a = isodist.montecarlo._cloud_cutoffs(pts, 1e308, 1e308)[2:5:2]
+        cut = cutoff_gradient_check(pts, 1e308, 1e308)
+        prod = cutoff_product_check(pts, 1e308, 1e308)
+    assert a.tolist() == [math.inf] * 3 + [0.0] and v1.tolist() == [0.0] * 3 + [1.0]
+    assert cut.ok and cut.plateau_violations == 0 and cut.gradient_violations == 0
+    assert prod.ok and prod.gradient_violations == 0
+
+
 def test_cutoff_checks_on_both_plateaus(rng):
     n = 9
     u = rng.exponential(1.0, (40, n))
