@@ -6,10 +6,12 @@ first differing coordinate (larger first coordinate means earlier).  The
 extremal-pair fact checked here: among all pairs of subsets of sizes r
 and s, the initial and final segments of the simplicial order realize
 the largest possible set distance.  verify_extremal_pairs confirms it by
-exhaustive search on small grids, unranking the subsets block by block
-of colex ranks into batched numpy work so that memory stays bounded
-however many there are.  It needs only the sizes |N_t(A)| of the
-t-neighbourhoods, which it counts as popcounts of ORed ball masks.
+exhaustive search on small grids.  Sets with r + s > k^n meet, so their
+distance is 0; otherwise the pair is symmetric and the search runs over
+the subsets of the smaller size, min(r, s) <= k^n / 2, unranking them
+block by block of colex ranks into batched numpy work so that memory
+stays bounded however many there are.  It needs only the sizes |N_t(A)|
+of the t-neighbourhoods, which it counts as popcounts of ORed ball masks.
 
 Subsets are bit masks over the row-major cell index.  The segments come
 from one stable sort of the cells' coordinate sums.  t_boundary and
@@ -49,10 +51,10 @@ Cell = Tuple[int, ...]
 
 _EXACT_CELL_LIMIT = 32
 _SWEEP_BLOCK = 1024  # subsets per block of the exhaustive sweep
-# _BINOM[i, c] = C(c, i), the colex ranks of the sweep's subsets; every entry
-# is at most C(32, 16) < 2^31
+# _BINOM[i, c] = C(c, i), the colex ranks of the sweep's subsets, which have
+# at most k^n / 2 members; every entry is at most C(32, 16) < 2^31
 _BINOM = np.array([[math.comb(c, i) for c in range(_EXACT_CELL_LIMIT + 1)]
-                   for i in range(_EXACT_CELL_LIMIT + 1)], dtype=np.int64)
+                   for i in range(_EXACT_CELL_LIMIT // 2 + 1)], dtype=np.int64)
 DEFAULT_PAIR_BUDGET = 10_000_000
 
 
@@ -288,18 +290,6 @@ def _least_neighbourhood(ball: np.ndarray, members: list) -> np.ndarray:
     return np.bitwise_count(cover).min(axis=0)
 
 
-def _least_neighbourhood_of_complements(ball: np.ndarray, members: list) -> np.ndarray:
-    """The same over the complements A of the block's subsets C: |N_t(A)|
-    is k^n less the cells y of C whose t-ball lies inside C.  ball holds
-    the columns t = 0, 1, ... up to the last where that can happen."""
-    inner = np.bitwise_or.reduce([ball[:, 0].take(y) for y in members])
-    outside = ~inner[:, None]
-    inside = np.zeros((len(inner), ball.shape[1]), dtype=np.uint8)
-    for y in members:
-        inside += (ball.take(y, axis=0) & outside) == 0
-    return ball.shape[0] - inside.max(axis=0)
-
-
 @lru_cache(maxsize=None)
 def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     """For each s, the max over all |A| = r of the s-th largest min-distance
@@ -312,26 +302,20 @@ def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     mu_t > k^n - s, one searchsorted over mu.
 
     Every subset is visited once, in blocks of _SWEEP_BLOCK colex ranks
-    unranked member by member.  Up to r = k^n / 2 a block ORs its members'
-    rows of the ball table.  Past that it enumerates the k^n - r
-    complements instead, as many subsets with fewer members; a t-ball
-    inside C has at most |C| cells, which bounds the t that need counting.
-    Memory stays bounded by the block, whatever C(k^n, r) is: a
+    unranked member by member, and a block ORs its members' rows of the
+    ball table; verify_extremal_pairs only asks for r <= k^n / 2.  Memory
+    stays bounded by the block, whatever C(k^n, r) is: a
     (_SWEEP_BLOCK, n(k-1) + 1) array of uint32 masks, at most 128 KB, and
     about 0.3 MB at the peak with the gathered rows and popcounts.
     """
     ball = _balls(k, n)
     size = k**n
     mu = np.full(ball.shape[1], size, dtype=np.uint8)
-    fold, c = _least_neighbourhood, r
-    if r < size < 2 * r:  # the full grid (r = k^n) has no complement members
-        fold, c = _least_neighbourhood_of_complements, size - r
-        ball = ball[:, :np.count_nonzero(np.bitwise_count(ball).min(axis=0) <= c)]
-    total = math.comb(size, c)
+    total = math.comb(size, r)
     for lo in range(0, total, _SWEEP_BLOCK):
         ranks = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
-        least = fold(ball, list(_colex_members(ranks, c)))
-        np.minimum(mu[:len(least)], least, out=mu[:len(least)])
+        least = _least_neighbourhood(ball, list(_colex_members(ranks, r)))
+        np.minimum(mu, least, out=mu)
     return tuple(mu.searchsorted(size - np.arange(1, size + 1), side="right").tolist())
 
 
@@ -340,8 +324,12 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
     """Exhaustively compare the brute-force extremal distance with the
     simplicial initial/final segment distance.
 
-    The search space is counted as C(k^n, r) * C(k^n, s) pairs; requests
-    beyond the budget raise BudgetExceededError carrying that size.
+    An r-set and an s-set with r + s > k^n meet, so their largest
+    distance is 0 and nothing is enumerated.  Otherwise the answer is
+    symmetric in (r, s) and the sweep enumerates the C(k^n, min(r, s))
+    subsets of the smaller size, min(r, s) <= k^n / 2.  The search space
+    is still counted as C(k^n, r) * C(k^n, s) pairs; requests beyond the
+    budget raise BudgetExceededError carrying that size.
     """
     if grid.size > _EXACT_CELL_LIMIT:
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")
@@ -352,7 +340,8 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
     if space > budget:
         raise BudgetExceededError(
             f"search space {space} exceeds budget {budget}", space)
-    brute = _sweep_max_by_s(grid.k, grid.n, r)[s - 1]
+    small, large = sorted((r, s))
+    brute = 0 if r + s > grid.size else _sweep_max_by_s(grid.k, grid.n, small)[large - 1]
     seg = set_distance(initial_segment(grid, r), final_segment(grid, s))
     return ExtremalCheck(grid.k, grid.n, r, s, brute, seg, brute == seg, space)
 

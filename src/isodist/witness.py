@@ -48,7 +48,7 @@ class RegionDescriptor:
     params: Mapping
 
     def __str__(self):
-        inner = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+        inner = ",".join(f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
                          for k, v in self.params.items())
         return f"{self.kind}({inner})"
 

@@ -4,14 +4,16 @@ import io
 import json
 import math
 import pathlib
+import re
 import shlex
 
 import numpy as np
 import pytest
 
 from isodist import montecarlo
-from isodist import (bound_report, cube_diagonal_witness, phi_inv,
-                     phi_inv_asymptote, scaled_max_distance, BodyFamily)
+from isodist import (ball_caps_witness, bound_report, cube_diagonal_witness, phi_inv,
+                     phi_inv_asymptote, scaled_max_distance, simplex_corner_witness,
+                     BodyFamily)
 from isodist.cli import _parse_grid, build_parser, main
 from isodist.lattice import DEFAULT_PAIR_BUDGET
 
@@ -89,6 +91,22 @@ def test_witness_row_matches_library(capsys):
     assert row["distance"] == pytest.approx(wit.distance, rel=1e-11)
     assert row["limit_value"] == pytest.approx(wit.limit_value, rel=1e-11)
     assert row["region_a"].startswith("diagonal_slab(side=low")
+
+
+@pytest.mark.parametrize("family, n, witness, kind, key", [
+    ("ball", 200, ball_caps_witness, "halfspace_cap", "threshold"),
+    ("simplex", 10, simplex_corner_witness, "corner_homothety", "alpha"),
+], ids=["ball", "simplex"])
+def test_witness_regions_carry_twelve_significant_digits(capsys, family, n, witness,
+                                                         kind, key):
+    code, out = run(capsys, "witness", "--family", family, "--n", str(n), "--eps", "0.1")
+    assert code == 0
+    region = csv_rows(out)[0]["region_a"]
+    assert region.startswith(f"{kind}(")
+    value = re.search(rf"\b{key}=([^,)]+)", region).group(1)
+    expect = witness(n, 0.1).region_a.params[key]
+    assert value == "%.12g" % expect
+    assert float(value) == pytest.approx(expect, rel=1e-11)
 
 
 def test_lattice_verify_agrees(capsys):
@@ -275,6 +293,14 @@ def test_sections_non_finite_grid_is_a_usage_error(capsys, grid):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", ["0:1", "0:1:0.5:2", "a:1:0.5"])
+def test_sections_malformed_grid_is_a_usage_error(capsys, grid):
+    code = main(["sections", "--p", "1.5", "--n", "10", "--grid", grid])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: grid must be start:stop:step, got {grid!r}\n"
 
 
 @pytest.mark.parametrize("dims, grid, rows", [("5", "0:1:1e-6", "1000001"),

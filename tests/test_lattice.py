@@ -47,6 +47,9 @@ def test_grid_basics():
         Grid(3, 0)
     with pytest.raises(RangeError):
         g.cell(9)
+    for cell in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(DomainError):
+            g.index(cell)
 
 
 def test_cells_of_the_wrong_length_are_rejected():
@@ -367,7 +370,7 @@ def test_brute_max_matches_subset_loop_on_the_path_of_32():
 
 
 def test_brute_max_matches_subset_loop_on_the_cube_of_32():
-    # cell 31 is the top bit of a uint32 ball mask; r > 16 counts complements
+    # cell 31 is the top bit of a uint32 ball mask; r > 16 sweeps the s-sets
     for r in (1, 2, 3, 29, 30, 31, 32):
         assert_brute_max_matches_loop(2, 5, r)
 
@@ -382,6 +385,28 @@ def test_brute_max_across_block_boundaries(monkeypatch, k, n, r):
         monkeypatch.setattr(lattice, "_SWEEP_BLOCK", block)
         lattice._sweep_max_by_s.cache_clear()
         assert_brute_max_matches_loop(k, n, r)
+
+
+@pytest.mark.parametrize("grid, r, s, swept", [
+    (Grid(2, 5), 30, 3, []),      # 33 > 32 cells: the sets meet, nothing to sweep
+    (Grid(2, 4), 6, 2, [2]),      # symmetric: the 2-sets are swept, not the 6-sets
+], ids=["sets-meet", "symmetric"])
+def test_verify_extremal_pairs_sweeps_the_smaller_size(monkeypatch, grid, r, s, swept):
+    calls = []
+    sweep = lattice._sweep_max_by_s.__wrapped__
+
+    def recorder(k, n, size):
+        calls.append(size)
+        return sweep(k, n, size)
+
+    monkeypatch.setattr(lattice, "_sweep_max_by_s", recorder)
+    space = math.comb(grid.size, r) * math.comb(grid.size, s)
+    chk = verify_extremal_pairs(grid, r, s, budget=space)
+    assert calls == swept
+    assert chk.agree and chk.search_space == space
+    assert chk.brute_max == oracles.sweep_max_by_s_loop(grid.k, grid.n, s)[r - 1]
+    if not swept:
+        assert chk.brute_max == 0
 
 
 @pytest.mark.parametrize("size", range(1, 13))

@@ -84,6 +84,19 @@ def test_exponent_domain(name, p):
         TAKES_P[name](p)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.5, math.nan])
+@pytest.mark.parametrize("inverse", [phi_p_inv, psi_p_inv])
+def test_inverse_eps_domain(inverse, eps):
+    with pytest.raises(DomainError):
+        inverse(eps, 1.5)
+
+
+@pytest.mark.parametrize("kind, p", [("torus", None), ("lp", None), ("cube", 1.5)])
+def test_body_family_rejects_bad_specs(kind, p):
+    with pytest.raises(DomainError):
+        BodyFamily(kind, p)
+
+
 def test_whole_line_distribution_functions_return_nan_for_nan():
     assert math.isnan(phi(math.nan))
     assert math.isnan(phi_p(math.nan, 1.5))

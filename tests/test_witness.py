@@ -133,6 +133,13 @@ def test_cube_witness_slab_volume_relative_to_exact_sum(n, eps):
     assert oracles.irwin_hall_exact(n, s) == pytest.approx(eps, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("n,eps", [(500, 1e-316), (2000, 1e-310)])
+def test_cube_witness_refuses_subnormal_eps(n, eps):
+    # the slab volume underflows, so no threshold holds eps to 1e-6
+    with pytest.raises(DomainError):
+        cube_diagonal_witness(n, eps)
+
+
 def test_cube_witness_converges_to_scaled_limit():
     gaps = [abs(cube_diagonal_witness(n, 0.1).distance - CUBE_MANHATTAN_01)
             for n in (5, 20, 40)]
