@@ -42,20 +42,27 @@ Jacobian, norm and bound, the row norms and the cutoffs h1 and h2 are
 each written once as unchecked array kernels, which the plateau check
 and the finite differences call.
 
-Finite differences use central steps of h = 1e-6.  For each block of
-points they stack every shifted row x_p +- h e_i into one (b n, n) array
-and call the map twice, up and down, with no loop over coordinates.  A
-block holds at most 2^14 entries, 128 KiB, glibc's default mmap
-threshold, so the stack, the map's output and the temporaries on them
-come from memory the process already holds.  Blocks of 2^16 entries got
-fresh pages every time: replaying the benchmark's lemma_checks operations
-in one process took 104 to 117 minor page faults per operation at 2^16
-and under 0.1 at 2^14, and at n = 32 the faults came back from 2^15 on.
-Memory stays flat in the cloud size, apart from one array the size of
-the cloud: |x| in _radii for the cutoffs, T(x) in _t_norms for T.  Past
-n = 128 a single point's stack exceeds the bound and its block maps
-fresh pages again.  The differences run on the unchecked kernels, since
-a shifted row may leave the domain (a coordinate below h).  The cutoff
+Finite differences use central steps of h = 1e-6.  The cutoffs see a
+point only through ||x||_2 and ||x||_1, and the norms of each shifted row
+x +- h e_i follow from the point's own, so their differences cost O(n)
+per point: _cutoffs runs on the norms of a block's up and down steps,
+with no stack of shifted rows.  T needs the rows themselves: for each
+block of points every shifted row goes into one (b n, n) stack, and T is
+written in place, up into one output and down over the stack, with no
+loop over coordinates.  No array of a block holds more than 2^14
+entries, 128 KiB, glibc's default mmap threshold (a cutoff block's arrays
+stay within it all together), so they come from memory the process
+already holds.  Blocks of 2^16 entries got fresh pages every time:
+replaying the benchmark's lemma_checks operations in one process took 104
+to 117 minor page faults per operation at 2^16 and under 0.1 at 2^14, and
+at n = 32 the faults came back from 2^15 on.  Past n = 128 one point's
+stack exceeds the bound, and T keeps one stack and one output for the
+whole call: a fresh pair per point took 40,400 minor faults per call on a
+200-point cloud at n = 200, against about 160 on a fresh interpreter's
+first call and none after.  Memory stays flat in the cloud size, apart
+from one array the size of the cloud: |x| in _radii for the cutoffs, T(x)
+in _t_norms for T.  The differences run on the unchecked kernels, since a
+shifted row may leave the domain (a coordinate below h).  The cutoff
 checks difference the whole cloud and then drop the points within 1e-4
 of a kink, where one-sided slopes would lie: such points are rare (about
 2e-4 of the benchmark's), and differencing them costs less than a copy
@@ -87,7 +94,7 @@ KINK_RADIUS = 1e-4
 # about once in 10^5 runs, not at a fixed share of seeds
 _MC_SIGMAS = 5.0
 _MC_TAIL = 5.7e-7
-_FD_ENTRIES = 2**14  # entries of one block's (b n, n) stack of shifted rows
+_FD_ENTRIES = 2**14  # entries of T's (b n, n) stack, or of all of a cutoff block's arrays
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,10 @@ def _cloud(points, orthant=False):
 
 # ---------------------------------------------------------------- T map
 
-def _t(x: np.ndarray) -> np.ndarray:
-    """T(x) = x/||x||_1 for each row of an (m, n) array."""
-    return x / x.sum(axis=1, keepdims=True)
+def _t(x: np.ndarray, out=None) -> np.ndarray:
+    """T(x) = x/||x||_1 for each row of an (m, n) array, into out if given
+    (which may be x)."""
+    return np.divide(x, x.sum(axis=1, keepdims=True), out=out)
 
 
 def _t_jacobian(x: np.ndarray):
@@ -227,42 +235,47 @@ def _t_norms(x: np.ndarray):
     return (r / s if x.shape[1] > 1 else np.zeros(x.shape[0])), (1.0 + r) / s
 
 
-def _central_diff(f, x: np.ndarray, reduce) -> np.ndarray:
+def _central_diff(x: np.ndarray, reduce) -> np.ndarray:
     """reduce(xb, d) for consecutive blocks xb of the rows of x, joined on
-    axis 0, where d holds the central differences of step FD_STEP,
+    axis 0, where d holds T's central differences of step FD_STEP,
 
-        d[p, i] = (f(xb_p + h e_i) - f(xb_p - h e_i)) / 2h,
+        d[p, i] = (T(xb_p + h e_i) - T(xb_p - h e_i)) / 2h,
 
-    of shape (b, n, *f's trailing shape); f maps a (k, n) array row by row
-    to a new (k, ...) array, and reduce returns one row per point of xb and
-    may overwrite d.  Each block is one (b n, n) stack of shifted rows, so f
-    is called twice per block.  _FD_ENTRIES bounds the stack at 2^14
-    entries, 128 KiB, glibc's default mmap threshold: the stack, f's output
-    and the temporaries of f and reduce on them then come from memory the
-    process already holds, where blocks of 2^16 entries took fresh pages,
-    about 110 minor faults per lemma_checks operation against under 0.1
-    now (see the module docstring).  Past n = 128 a block holds one point and
-    exceeds the bound.  Per-point work that needs no differences stays out
-    of the loop: T's check takes its exact norm and bound once per cloud.
-    An empty x makes one empty block, so the result keeps reduce's
-    trailing shape.
+    of shape (b, n, n); reduce returns one row per point of xb and may
+    overwrite d, which the next block writes over, so its result must not
+    be a view of d.  Each block is one (b n, n) stack of shifted rows, and
+    T is written in place, up into d and down over the stack: one stack
+    and one d serve the whole call.  _FD_ENTRIES bounds the stack at 2^14
+    entries, 128 KiB, glibc's default mmap threshold: the stack, d and the
+    temporaries of reduce on them then come from memory the process
+    already holds, where blocks of 2^16 entries took fresh pages, about
+    110 minor faults per lemma_checks operation against under 0.1 now (see
+    the module docstring).  Past n = 128 a block holds one point and its
+    stack exceeds the bound; the stack and d are then mapped once per
+    call, where a fresh pair per point took 40,400 minor faults per call on
+    a 200-point cloud at n = 200.  Per-point work that needs no
+    differences stays out of the loop: T's check takes its exact norm and
+    bound once per cloud.  An empty x makes one empty block, so the result
+    keeps reduce's trailing shape.
     """
     m, n = x.shape
     rows = max(1, _FD_ENTRIES // (n * n))
-    out = []
+    stack = np.empty((min(rows, m) * n, n))
+    out = np.empty_like(stack)
+    res = []
     for lo in range(0, max(m, 1), rows):
         xb = x[lo:lo + rows]
         b = xb.shape[0]
-        y = np.repeat(xb, n, axis=0)
+        y, d = stack[:b * n], out[:b * n]
+        y.reshape(b, n, n)[...] = xb[:, None, :]
         diag = y.reshape(b, n * n)[:, ::n + 1]  # the shifted coordinates
         diag[...] = xb + FD_STEP
-        d = f(y)
+        _t(y, out=d)
         diag[...] = xb - FD_STEP
-        d -= f(y)
+        d -= _t(y, out=y)
         d /= 2.0 * FD_STEP
-        out.append(reduce(xb, d.reshape(b, n, *d.shape[1:])))
-        del y, diag, d  # free this block before the next one is built
-    return np.concatenate(out)
+        res.append(reduce(xb, d.reshape(b, n, n)))
+    return np.concatenate(res)
 
 
 @dataclass(frozen=True)
@@ -327,7 +340,7 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
     # a shifted row's sum of 0 makes T infinite or NaN, and N, E and B overflow
     # when ||x||_1 is subnormal; such points fail on the comparisons below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        err = _central_diff(_t, points, residual)
+        err = _central_diff(points, residual)
         exact, bound = _t_norms(points)
         # the initial values floor the excess at 0 and answer an empty cloud
         worst = float(np.max((exact + err) / bound, initial=1.0)) - 1.0
@@ -376,24 +389,51 @@ def _cutoffs(r2, r1, n: int, c1: float, c2: float):
 def _cutoff_gradients(x: np.ndarray, c1: float, c2: float, a, b):
     """Rows within KINK_RADIUS of a kink sphere of h1 or h2, from their
     levels a and b, and, off them, the gradient norms of h1, h2 and h1 h2
-    from one pass over all three."""
+    by central differences of step FD_STEP.
+
+    The cutoffs see a point only through its two norms, and those of a
+    shifted row x + t e_i, t = +-h, follow from the point's own in O(1):
+
+        ||x + t e_i||_2^2 = sum_j x_j^2 + t (t + 2 x_i)
+        ||x + t e_i||_1   = ||x||_1 + |x_i + t| - |x_i|
+
+    _cutoffs runs once per block on the (2, b, n) norms of its b points'
+    up and down steps, so a point costs O(n) work, not the O(n^2) of a
+    stack of its n shifted rows.  Blocks hold _FD_ENTRIES // (16 n) rows:
+    the arrays alive at a block's peak, 15 b n entries, then stay within
+    2^14 entries, 128 KiB, glibc's default mmap threshold.  Every sum runs
+    over one contiguous row, so no result depends on where the blocks fall.
+    """
     lv = np.stack([a, b])
     near = np.any(np.minimum(np.abs(lv - 1.0), np.abs(lv - 2.0)) < KINK_RADIUS, axis=0)
-    n = x.shape[1]
-
-    def stacked(y):
-        v1, v2 = _cutoffs(*_radii(y), n, c1, c2)[:2]
-        return np.stack([v1, v2, v1 * v2], axis=1)
-
-    def norms(_, g):
-        # each norm runs over a contiguous row of a (b, 3, n) copy, which
-        # keeps the summation order of a norm over one gradient
-        return np.linalg.norm(np.ascontiguousarray(np.swapaxes(g, 1, 2)), axis=2)
-
+    m, n = x.shape
+    rows = max(1, _FD_ENTRIES // (16 * n))
+    t = np.array([FD_STEP, -FD_STEP])[:, None, None]
+    grads = np.empty((3, m))
     # the shifted rows' levels overflow where the cloud's do (_cloud_cutoffs)
     with np.errstate(over="ignore"):
-        grads = _central_diff(stacked, x, norms)
-    return (near, *grads[~near].T)
+        for lo in range(0, m, rows):
+            xb = x[lo:lo + rows]
+            ax = np.abs(xb)
+            r1 = ax.sum(axis=1, keepdims=True)
+            sq = (ax * ax).sum(axis=1, keepdims=True)
+            l1 = xb + t
+            np.abs(l1, out=l1)
+            l1 -= ax
+            l1 += r1
+            l2 = 2.0 * xb + t
+            l2 *= t
+            l2 += sq
+            v1, v2 = _cutoffs(np.sqrt(l2, out=l2), l1, n, c1, c2)[:2]
+            d = np.empty((3, *xb.shape))
+            np.subtract(v1[0], v1[1], out=d[0])
+            np.subtract(v2[0], v2[1], out=d[1])
+            v1 *= v2
+            np.subtract(v1[0], v1[1], out=d[2])
+            d /= 2.0 * FD_STEP
+            d *= d
+            grads[:, lo:lo + rows] = np.sqrt(d.sum(axis=2))
+    return (near, *grads[:, ~near])
 
 
 @dataclass(frozen=True)

@@ -546,27 +546,6 @@ def test_average_distance_bound_high_dimension():
 
 # ---------------------------------------------------------------- batched kernels
 
-def _fd_kernels(c1, c2):
-    """T, h1, h2 and h1 h2 as maps of a (k, n) array, each paired with the
-    same map of one point for oracles._fd_rows (T as the oracle writes it)."""
-    mc = isodist.montecarlo
-
-    def h1(y):
-        return _h(y, c1, c2)[0]
-
-    def h2(y):
-        return _h(y, c1, c2)[1]
-
-    def product(y):
-        return h1(y) * h2(y)
-
-    def one(f):
-        return lambda x: f(x[None])[0]
-
-    return [(mc._t, lambda x: x / x.sum()), (h1, one(h1)), (h2, one(h2)),
-            (product, one(product))]
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_central_diff_is_the_pointwise_loop(n):
     mc = isodist.montecarlo
@@ -576,18 +555,62 @@ def test_central_diff_is_the_pointwise_loop(n):
         x = _spread(rng, m, n)
         # the rows at each block edge, and the first and last
         picks = sorted({0, rows - 1, rows, m - 1} & set(range(m)))
-        for f, point in _fd_kernels(0.8, 1.25):
-            sizes = []
+        sizes = []
 
-            def keep(xb, d):
-                sizes.append(len(xb))
-                return d
+        def keep(xb, d):
+            sizes.append(len(xb))
+            return d.copy()  # the next block writes over d
 
-            d = mc._central_diff(f, x, keep)
-            assert sizes == [min(rows, m - lo) for lo in range(0, max(m, 1), rows)]
-            assert d.shape == (m, n) + f(x[:1]).shape[1:]
-            for p in picks:
-                assert np.array_equal(d[p], oracles._fd_rows(point, x[p], mc.FD_STEP))
+        d = mc._central_diff(x, keep)
+        assert sizes == [min(rows, m - lo) for lo in range(0, max(m, 1), rows)]
+        assert d.shape == (m, n, n)
+        for p in picks:
+            assert np.array_equal(d[p], oracles._fd_rows(lambda y: y / y.sum(), x[p],
+                                                         mc.FD_STEP))
+
+
+def _gradients(pts, c1, c2):
+    """The near-kink mask and the gradient norms of h1, h2 and h1 h2 off it."""
+    a, b = _h(pts, c1, c2)[2:]
+    return isodist.montecarlo._cutoff_gradients(pts, c1, c2, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
+def test_cutoff_gradients_match_the_shifted_rows(n):
+    # the shifted rows' norms taken from the point's own against the oracle,
+    # which takes the norms of every shifted row: signed points, coordinates
+    # below the step h = 1e-6 and the origin
+    rng = np.random.default_rng(80 + n)
+    pts = _spread(rng, 40, n) * rng.choice([-1.0, 1.0], (40, n))
+    pts[::4, 0], pts[1::4, -1], pts[2] = 3e-7, -4e-7, 0.0
+    sq = math.sqrt(n)
+    for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
+        near, *grads = _gradients(pts, c1, c2)
+        assert not near[2]
+        want = np.array([oracles._gradient_norms(x, c1, c2, isodist.montecarlo.FD_STEP)
+                         for x in pts[~near]]).reshape(-1, 3).T
+        for got, ref, bound in zip(grads, want, (c1 * sq, c2 / sq, c1 * sq + c2 / sq)):
+            assert np.all(np.abs(got - ref) <= 1e-7 * bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_cutoff_gradients_are_exact_on_the_slopes(n):
+    # where h1 is not clipped its gradient is -c1 sqrt(n) x/||x||_2, and where
+    # h2 is not clipped and no coordinate lies within h of 0 it is
+    # (c2/n) sign(x); the differences give both norms to 1e-8.  h2's error is
+    # the rounding of its level b against a step of 2h c2/n in b, up to about
+    # 1e-10 n/c2, so n = 150 reaches 2-3e-8 (as stacked shifted rows did)
+    rng = np.random.default_rng(90 + n)
+    u = rng.uniform(0.5, 1.5, (50, n)) * rng.choice([-1.0, 1.0], (50, n))
+    level = rng.uniform(1.001, 1.999, (50, 1))
+    for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
+        sq = math.sqrt(n)
+        on_h1 = u / np.linalg.norm(u, axis=1, keepdims=True) * level / (c1 * sq)
+        on_h2 = u / np.abs(u).sum(axis=1, keepdims=True) * level * n / c2
+        for pts, k, exact in ((on_h1, 0, c1 * sq), (on_h2, 1, c2 / sq)):
+            near, *grads = _gradients(pts, c1, c2)
+            assert not near.any()
+            assert np.max(np.abs(grads[k] / exact - 1.0)) <= 1e-8
 
 
 def test_lemma_checks_on_an_empty_cloud():
@@ -600,13 +623,13 @@ def test_lemma_checks_on_an_empty_cloud():
 def test_lemma_checks_difference_in_small_blocks():
     # one (m n, n) stack of shifted rows for a 2000 x 50 cloud would take
     # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB on both clouds;
-    # blocks of 2^14 entries peak at 0.27-0.44 MB on 200 points and, with
-    # one array the size of the cloud (T(x) for T, |x| for the cutoffs), at
-    # 0.81-0.86 MB on 2000
+    # T's blocks of 2^14 entries peak at 0.32 MB on 200 points, the cutoffs'
+    # radial blocks at 0.19-0.20 MB, and with one array the size of the
+    # cloud (T(x) for T, |x| for the cutoffs) both peak at 0.85-0.90 MB on 2000
     rng = np.random.default_rng(3)
     checks = (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
               lambda x: cutoff_product_check(x, 1.0, 1.0))
-    for m, limits in ((200, (2**19,) * 3), (2000, (1.5 * 2**20, 2**20, 2**20))):
+    for m, limits in ((200, (2**19, 2**18, 2**18)), (2000, (1.5 * 2**20, 2**20, 2**20))):
         pts = _spread(rng, m, 50)
         for check, limit in zip(checks, limits):
             tracemalloc.start()
