@@ -40,33 +40,35 @@ coordinate or an overflowing sum raises DomainError.  Each
 check validates its cloud and its constants c1, c2 once; T, its
 Jacobian, norm and bound, the row norms and the cutoffs h1 and h2 are
 each written once as unchecked array kernels, which the plateau check
-and the finite differences call.
+and T's finite differences call.
 
-Finite differences use central steps of h = 1e-6.  The cutoffs see a
-point only through ||x||_2 and ||x||_1, and the norms of each shifted row
-x +- h e_i follow from the point's own, so their differences cost O(n)
-per point: _cutoffs runs on the norms of a block's up and down steps,
-with no stack of shifted rows.  T needs the rows themselves: for each
-block of points every shifted row goes into one (b n, n) stack, and T is
-written in place, up into one output and down over the stack, with no
-loop over coordinates.  No array of a block holds more than 2^14
-entries, 128 KiB, glibc's default mmap threshold (a cutoff block's arrays
-stay within it all together), so they come from memory the process
-already holds.  Blocks of 2^16 entries got fresh pages every time:
-replaying the benchmark's lemma_checks operations in one process took 104
-to 117 minor page faults per operation at 2^16 and under 0.1 at 2^14, and
-at n = 32 the faults came back from 2^15 on.  Past n = 128 one point's
-stack exceeds the bound, and T keeps one stack and one output for the
-whole call: a fresh pair per point took 40,400 minor faults per call on a
-200-point cloud at n = 200, against about 160 on a fresh interpreter's
-first call and none after.  Memory stays flat in the cloud size, apart
-from one array the size of the cloud: |x| in _radii for the cutoffs, T(x)
-in _t_norms for T.  The differences run on the unchecked kernels, since a
-shifted row may leave the domain (a coordinate below h).  The cutoff
-checks difference the whole cloud and then drop the points within 1e-4
-of a kink, where one-sided slopes would lie: such points are rare (about
-2e-4 of the benchmark's), and differencing them costs less than a copy
-of the rest of the cloud.
+The cutoffs see a point only through ||x||_2 and ||x||_1, and their
+gradients have closed forms: on a slope, ||grad h1|| = c1 sqrt(n) and
+||grad h2|| = (c2/n) sqrt(#{x_i != 0}), and the product's norm follows
+from <x, sign x> = ||x||_1.  The cutoff checks take these from the norms
+of one pass over the cloud, O(n) per point with no step, and drop the
+points within 1e-4 of a kink, where the gradients jump: such points are
+rare (about 2e-4 of the benchmark's).  The finite-difference evidence
+for the closed forms is in the tests, against an oracle that differences
+every shifted row.
+
+T's check takes central differences of step h = 1e-6.  T needs the rows
+themselves: for each block of points every shifted row goes into one
+(b n, n) stack, and T is written in place, up into one output and down
+over the stack, with no loop over coordinates.  No block's stack holds
+more than 2^14 entries, 128 KiB, glibc's default mmap threshold, so it
+comes from memory the process already holds.  Blocks of 2^16 entries got
+fresh pages every time: replaying the benchmark's lemma_checks operations
+in one process took 104 to 117 minor page faults per operation at 2^16
+and under 0.1 at 2^14, and at n = 32 the faults came back from 2^15 on.
+Past n = 128 one point's stack exceeds the bound, and T keeps one stack
+and one output for the whole call: a fresh pair per point took 40,400
+minor faults per call on a 200-point cloud at n = 200, against about 160
+on a fresh interpreter's first call and none after.  Memory stays flat
+in the cloud size, apart from one array the size of the cloud: |x| in
+_radii for the cutoffs, T(x) in _t_norms for T.  The differences run on
+the unchecked kernels, since a shifted row may leave the domain (a
+coordinate below h).
 T's check takes no eigenvalue: its Jacobian's exact operator
 norm has a closed form, taken with the bound once for the whole cloud,
 and the differences enter, block by block, through the Frobenius norm of
@@ -94,7 +96,7 @@ KINK_RADIUS = 1e-4
 # about once in 10^5 runs, not at a fixed share of seeds
 _MC_SIGMAS = 5.0
 _MC_TAIL = 5.7e-7
-_FD_ENTRIES = 2**14  # entries of T's (b n, n) stack, or of all of a cutoff block's arrays
+_FD_ENTRIES = 2**14  # entries of T's (b n, n) stack
 
 
 @dataclass(frozen=True)
@@ -354,26 +356,28 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
 # ---------------------------------------------------------------- cutoffs
 
 def _radii(x: np.ndarray):
-    """||x||_2 and ||x||_1 of each row, from one array |x| that is squared
-    in place for the first (|x| |x| is bitwise x x)."""
+    """||x||_2, ||x||_1 and k = #{x_i != 0} of each row, from one array |x|
+    that is squared in place for the first (|x| |x| is bitwise x x) and
+    then holds the indicator of x_i != 0 for k, a float."""
     a = np.abs(x)
     r1 = a.sum(axis=1)
     a *= a
-    return np.sqrt(a.sum(axis=1)), r1
+    r2 = np.sqrt(a.sum(axis=1))
+    return r2, r1, np.not_equal(x, 0.0, out=a).sum(axis=1)
 
 
 def _cloud_cutoffs(x: np.ndarray, c1: float, c2: float):
-    """r2, r1 from _radii and h1, h2, a, b from _cutoffs, for a cloud the
+    """r2, r1, k from _radii and h1, h2, a, b from _cutoffs, for a cloud the
     cutoff checks take in.  A squared row norm past the float range (a
     coordinate past about 1.3e154) raises DomainError: it would read
     ||x||_2 = inf and put h1 on the wrong plateau.  A level that overflows
     for finite norms reads inf, on the same plateau (h1 = 0, h2 = 1) as its
     exact value."""
     with np.errstate(over="ignore"):
-        r2, r1 = _radii(x)
+        r2, r1, k = _radii(x)
         if not np.all(r2 < math.inf):
             raise DomainError("the cutoff checks take points whose squared norm is finite")
-        return (r2, r1, *_cutoffs(r2, r1, x.shape[1], c1, c2))
+        return (r2, r1, k, *_cutoffs(r2, r1, x.shape[1], c1, c2))
 
 
 def _cutoffs(r2, r1, n: int, c1: float, c2: float):
@@ -386,54 +390,32 @@ def _cutoffs(r2, r1, n: int, c1: float, c2: float):
     return np.clip(2.0 - a, 0.0, 1.0), np.clip(b - 1.0, 0.0, 1.0), a, b
 
 
-def _cutoff_gradients(x: np.ndarray, c1: float, c2: float, a, b):
+def _cutoff_gradients(r2, r1, k, h1, h2, a, b, n: int, c1: float, c2: float):
     """Rows within KINK_RADIUS of a kink sphere of h1 or h2, from their
-    levels a and b, and, off them, the gradient norms of h1, h2 and h1 h2
-    by central differences of step FD_STEP.
+    levels a and b, and, off them, the exact gradient norms of h1, h2 and
+    h1 h2, from the values _cloud_cutoffs returns.
 
-    The cutoffs see a point only through its two norms, and those of a
-    shifted row x + t e_i, t = +-h, follow from the point's own in O(1):
+    On h1's slope (1 < a < 2) grad h1 = -c1 sqrt(n) x/||x||_2, and on h2's
+    (1 < b < 2) grad h2 = (c2/n) sign x; off its slope each is 0.  So
+    ||grad h1|| = c1 sqrt(n), ||grad h2|| = (c2/n) sqrt(k), and, since
+    <x, sign x> = ||x||_1, with p = h2 ||grad h1|| and q = h1 ||grad h2||,
 
-        ||x + t e_i||_2^2 = sum_j x_j^2 + t (t + 2 x_i)
-        ||x + t e_i||_1   = ||x||_1 + |x_i + t| - |x_i|
+        ||grad(h1 h2)||^2 = p^2 + q^2 - 2 p q cos = (p - q)^2 + 2 p q (1 - cos)
 
-    _cutoffs runs once per block on the (2, b, n) norms of its b points'
-    up and down steps, so a point costs O(n) work, not the O(n^2) of a
-    stack of its n shifted rows.  Blocks hold _FD_ENTRIES // (16 n) rows:
-    the arrays alive at a block's peak, 15 b n entries, then stay within
-    2^14 entries, 128 KiB, glibc's default mmap threshold.  Every sum runs
-    over one contiguous row, so no result depends on where the blocks fall.
+    with cos = ||x||_1 / (||x||_2 sqrt(k)), taken on both slopes at once,
+    where ||x||_2 > 0 and k >= 1.  The second form, through hypot and a
+    square root of each factor, does not overflow: on a slope the squared
+    norm is at least the smallest subnormal, so p stays below 1e162.
     """
     lv = np.stack([a, b])
     near = np.any(np.minimum(np.abs(lv - 1.0), np.abs(lv - 2.0)) < KINK_RADIUS, axis=0)
-    m, n = x.shape
-    rows = max(1, _FD_ENTRIES // (16 * n))
-    t = np.array([FD_STEP, -FD_STEP])[:, None, None]
-    grads = np.empty((3, m))
-    # the shifted rows' levels overflow where the cloud's do (_cloud_cutoffs)
-    with np.errstate(over="ignore"):
-        for lo in range(0, m, rows):
-            xb = x[lo:lo + rows]
-            ax = np.abs(xb)
-            r1 = ax.sum(axis=1, keepdims=True)
-            sq = (ax * ax).sum(axis=1, keepdims=True)
-            l1 = xb + t
-            np.abs(l1, out=l1)
-            l1 -= ax
-            l1 += r1
-            l2 = 2.0 * xb + t
-            l2 *= t
-            l2 += sq
-            v1, v2 = _cutoffs(np.sqrt(l2, out=l2), l1, n, c1, c2)[:2]
-            d = np.empty((3, *xb.shape))
-            np.subtract(v1[0], v1[1], out=d[0])
-            np.subtract(v2[0], v2[1], out=d[1])
-            v1 *= v2
-            np.subtract(v1[0], v1[1], out=d[2])
-            d /= 2.0 * FD_STEP
-            d *= d
-            grads[:, lo:lo + rows] = np.sqrt(d.sum(axis=2))
-    return (near, *grads[:, ~near])
+    on1, on2 = (1.0 < a) & (a < 2.0), (1.0 < b) & (b < 2.0)
+    g1 = np.where(on1, c1 * math.sqrt(n), 0.0)
+    g2 = np.where(on2, c2 / n * np.sqrt(k), 0.0)
+    p, q = h2 * g1, h1 * g2
+    cos = np.divide(r1, r2 * np.sqrt(k), out=np.ones_like(r1), where=on1 & on2)
+    gp = np.hypot(p - q, np.sqrt(2.0 * np.maximum(1.0 - cos, 0.0) * p) * np.sqrt(q))
+    return near, g1[~near], g2[~near], gp[~near]
 
 
 @dataclass(frozen=True)
@@ -452,19 +434,22 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
       h1 = 1 iff ||x||_2 <= 1/(c1 sqrt(n));  h1 = 0 iff ||x||_2 >= 2/(c1 sqrt(n))
       h2 = 1 iff ||x||_1 >= 2n/c2;           h2 = 0 iff ||x||_1 <= n/c2
     and, away from the four kink spheres, ||grad h1|| <= c1 sqrt(n) and
-    ||grad h2|| <= c2/sqrt(n) by central differences.
+    ||grad h2|| <= c2/sqrt(n), with the gradient norms in closed form: on
+    h1's slope ||grad h1|| = c1 sqrt(n), on h2's ||grad h2|| =
+    (c2/n) sqrt(#{x_i != 0}), and each is 0 off its slope.
     """
     pts = _cloud(points)
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     n = pts.shape[1]
     sq = math.sqrt(n)
-    r2, r1, v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)
+    cut = _cloud_cutoffs(pts, c1, c2)
+    r2, r1, _, v1, v2 = cut[:5]
     # 1/c1/sq, not 1/(c1 sq): an overflowing product puts both thresholds at 0
     plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / c1 / sq))
                       + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / c1 / sq))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
                       + np.count_nonzero((v2 == 0.0) != (r1 <= n / c2)))
-    near, g1, g2, _ = _cutoff_gradients(pts, c1, c2, a, b)
+    near, g1, g2, _ = _cutoff_gradients(*cut, n, c1, c2)
     grad_bad = int(np.count_nonzero(g1 > c1 * sq * (1.0 + 1e-5))
                    + np.count_nonzero(g2 > c2 / sq * (1.0 + 1e-5)))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), plateau_bad,
@@ -475,12 +460,14 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     """Product-rule inequality ||grad(h1 h2)|| <= ||grad h1|| + ||grad h2||.
 
     Both factors take values in [0, 1], so the product of cutoffs cannot
-    steepen; checked by central differences away from kinks, to 1e-5.
+    steepen; checked away from kinks, to 1e-5, on the closed form
+    ||grad(h1 h2)||^2 = (h2 A)^2 + (h1 B)^2 k - 2 h1 h2 A B ||x||_1/||x||_2,
+    with A = ||grad h1||, B = c2/n on h2's slope (0 off it) and
+    k = #{x_i != 0}.
     """
     pts = _cloud(points)
     c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
-    a, b = _cloud_cutoffs(pts, c1, c2)[4:]
-    near, g1, g2, gp = _cutoff_gradients(pts, c1, c2, a, b)
+    near, g1, g2, gp = _cutoff_gradients(*_cloud_cutoffs(pts, c1, c2), pts.shape[1], c1, c2)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
 

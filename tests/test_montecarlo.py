@@ -21,7 +21,7 @@ from isodist.montecarlo import _cutoffs, _radii, _t, _t_jacobian, _t_norms
 
 def _h(x, c1, c2):
     """h1, h2 and their levels a, b for each row of x."""
-    return _cutoffs(*_radii(x), x.shape[1], c1, c2)
+    return _cutoffs(*_radii(x)[:2], x.shape[1], c1, c2)
 
 
 def _full_jacobian(x):
@@ -369,9 +369,8 @@ def test_cutoff_checks_skip_every_kink_sphere():
     cut, prod = _assert_cutoffs_match_pointwise(pts, 1.0, 1.0)
     assert cut.skipped_near_kink == prod.skipped_near_kink == 4
     assert cut.ok and prod.ok
-    # no point is differenced, and the gradient norms still come out empty
-    a, b = _h(pts, 1.0, 1.0)[2:]
-    _, *grads = isodist.montecarlo._cutoff_gradients(pts, 1.0, 1.0, a, b)
+    # no gradient norm is kept, and the three still come out empty
+    _, *grads = _gradients(pts, 1.0, 1.0)
     assert [g.shape for g in grads] == [(0,)] * 3
 
 
@@ -397,7 +396,7 @@ def test_cutoff_levels_past_the_float_range():
                         (np.full((2, 4), 1e10), 1e300, 1e300)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v1, v2, a, b = isodist.montecarlo._cloud_cutoffs(pts, c1, c2)[2:]
+            v1, v2, a, b = isodist.montecarlo._cloud_cutoffs(pts, c1, c2)[3:]
             cut = cutoff_gradient_check(pts, c1, c2)
             prod = cutoff_product_check(pts, c1, c2)
         assert np.all(a == math.inf) and np.all(b == math.inf)
@@ -411,7 +410,7 @@ def test_cutoff_checks_hold_at_the_origin_past_the_float_range():
     pts = np.vstack([np.ones((3, 4)), np.zeros(4)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v1, a = isodist.montecarlo._cloud_cutoffs(pts, 1e308, 1e308)[2:5:2]
+        v1, a = isodist.montecarlo._cloud_cutoffs(pts, 1e308, 1e308)[3:6:2]
         cut = cutoff_gradient_check(pts, 1e308, 1e308)
         prod = cutoff_product_check(pts, 1e308, 1e308)
     assert a.tolist() == [math.inf] * 3 + [0.0] and v1.tolist() == [0.0] * 3 + [1.0]
@@ -571,38 +570,62 @@ def test_central_diff_is_the_pointwise_loop(n):
 
 def _gradients(pts, c1, c2):
     """The near-kink mask and the gradient norms of h1, h2 and h1 h2 off it."""
-    a, b = _h(pts, c1, c2)[2:]
-    return isodist.montecarlo._cutoff_gradients(pts, c1, c2, a, b)
+    mc = isodist.montecarlo
+    return mc._cutoff_gradients(*mc._cloud_cutoffs(pts, c1, c2), pts.shape[1], c1, c2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
 def test_cutoff_gradients_match_the_shifted_rows(n):
-    # the shifted rows' norms taken from the point's own against the oracle,
-    # which takes the norms of every shifted row: signed points, coordinates
-    # below the step h = 1e-6 and the origin
+    # the closed forms against the oracle, which differences the cutoffs of
+    # every shifted row x +- h e_i: signed points, exact zeros (+0.0 and
+    # -0.0, where both sides see a partial derivative of 0) and the origin.
+    # Both slopes at once need n < 2 c2/c1, so the last pair of constants
+    # puts some points on both, where the product's cross term is taken
     rng = np.random.default_rng(80 + n)
     pts = _spread(rng, 40, n) * rng.choice([-1.0, 1.0], (40, n))
-    pts[::4, 0], pts[1::4, -1], pts[2] = 3e-7, -4e-7, 0.0
+    pts[::4, 0], pts[1::4, -1], pts[2] = 0.0, -0.0, 0.0
     sq = math.sqrt(n)
-    for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
+    for c1, c2 in ((1.0, 1.0), (0.8, 1.25), (1.0, 1.5 * n)):
         near, *grads = _gradients(pts, c1, c2)
         assert not near[2]
-        want = np.array([oracles._gradient_norms(x, c1, c2, isodist.montecarlo.FD_STEP)
+        a, b = _h(pts, c1, c2)[2:]
+        if c2 > 1.25:
+            assert np.any((1.0 < a) & (a < 2.0) & (1.0 < b) & (b < 2.0) & ~near)
+        want = np.array([oracles._gradient_norms(x, c1, c2, 1e-6)
                          for x in pts[~near]]).reshape(-1, 3).T
         for got, ref, bound in zip(grads, want, (c1 * sq, c2 / sq, c1 * sq + c2 / sq)):
             assert np.all(np.abs(got - ref) <= 1e-7 * bound)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 50])
+@pytest.mark.parametrize("n", [3, 7, 50, 150])
+def test_cutoff_gradients_count_coordinates_below_the_step(n):
+    # a coordinate in (0, h) counts in full in grad h2 = (c2/n) sign x, so on
+    # h2's slope ||grad h2|| is (c2/n) sqrt(k) exactly, k the nonzero
+    # coordinates.  The oracle's quotient sees only |x_i|/h of such a
+    # coordinate and lands 0.3-24% of c2/sqrt(n) off at these points: the
+    # error of the step, not of the closed form
+    rng = np.random.default_rng(70 + n)
+    u = rng.uniform(0.5, 1.5, (40, n)) * rng.choice([-1.0, 1.0], (40, n))
+    u[::2, 0], u[1::2, -1], u[::3, n // 2] = 3e-8, -4e-8, 0.0
+    for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
+        level = rng.uniform(1.001, 1.999, (40, 1))
+        pts = u / np.abs(u).sum(axis=1, keepdims=True) * level * n / c2
+        assert np.all(np.any((pts != 0.0) & (np.abs(pts) < 1e-6), axis=1))
+        near, _, g2, _ = _gradients(pts, c1, c2)
+        assert not near.any()
+        want = [c2 / n * math.sqrt(np.count_nonzero(x)) for x in pts]
+        assert g2.tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 150, 10**5])
 def test_cutoff_gradients_are_exact_on_the_slopes(n):
     # where h1 is not clipped its gradient is -c1 sqrt(n) x/||x||_2, and where
-    # h2 is not clipped and no coordinate lies within h of 0 it is
-    # (c2/n) sign(x); the differences give both norms to 1e-8.  h2's error is
-    # the rounding of its level b against a step of 2h c2/n in b, up to about
-    # 1e-10 n/c2, so n = 150 reaches 2-3e-8 (as stacked shifted rows did)
+    # h2 is not clipped it is (c2/n) sign(x): with no zero coordinate both
+    # norms are c1 sqrt(n) and c2/sqrt(n) to rounding, at every n
+    m = min(50, 10**6 // n)
     rng = np.random.default_rng(90 + n)
-    u = rng.uniform(0.5, 1.5, (50, n)) * rng.choice([-1.0, 1.0], (50, n))
-    level = rng.uniform(1.001, 1.999, (50, 1))
+    u = rng.uniform(0.5, 1.5, (m, n)) * rng.choice([-1.0, 1.0], (m, n))
+    level = rng.uniform(1.001, 1.999, (m, 1))
     for c1, c2 in ((1.0, 1.0), (0.8, 1.25)):
         sq = math.sqrt(n)
         on_h1 = u / np.linalg.norm(u, axis=1, keepdims=True) * level / (c1 * sq)
@@ -610,7 +633,36 @@ def test_cutoff_gradients_are_exact_on_the_slopes(n):
         for pts, k, exact in ((on_h1, 0, c1 * sq), (on_h2, 1, c2 / sq)):
             near, *grads = _gradients(pts, c1, c2)
             assert not near.any()
-            assert np.max(np.abs(grads[k] / exact - 1.0)) <= 1e-8
+            assert np.max(np.abs(grads[k] / exact - 1.0)) <= 1e-12
+
+
+def test_cutoff_product_norm_where_gradient_squares_overflow():
+    # one point at levels a, b near 1.5, both slopes, taken at scale 1e-158:
+    # there ||grad h1|| = c1 sqrt(n) is about 7e157 and its square overflows,
+    # yet every norm is the scale-1 norm over the scale, and both checks pass
+    u = np.array([0.7, -1.2, 0.9, 1.1, -0.6])
+    n = u.size
+    grads = []
+    for s in (1.0, 1e-158):
+        x = s * u[None, :]
+        c1, c2 = 1.5 / (math.sqrt(n) * np.linalg.norm(x)), 1.5 * n / np.abs(x).sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = _h(x, c1, c2)[2:]
+            assert 1.4 < a[0] < 1.6 and 1.4 < b[0] < 1.6
+            grads.append(np.array(_gradients(x, c1, c2)[1:]) * s)
+            assert cutoff_gradient_check(x, c1, c2).ok and cutoff_product_check(x, c1, c2).ok
+    assert np.allclose(grads[1], grads[0], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [10**5, 3 * 10**5])
+def test_cutoff_checks_pass_correct_points_at_large_n(n):
+    # six points on h2's slope; central differences of step 1e-6 failed some
+    # of them here, against a level b = c2 ||x||_1/n that rounds by an ulp
+    x = np.random.default_rng(0).uniform(1.2, 1.8, (6, n))
+    for check in (cutoff_gradient_check, cutoff_product_check):
+        chk = check(x, 1.0, 1.0)
+        assert chk.ok and chk.gradient_violations == 0 and chk.skipped_near_kink == 0
 
 
 def test_lemma_checks_on_an_empty_cloud():
@@ -621,15 +673,16 @@ def test_lemma_checks_on_an_empty_cloud():
 
 
 def test_lemma_checks_difference_in_small_blocks():
-    # one (m n, n) stack of shifted rows for a 2000 x 50 cloud would take
-    # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB on both clouds;
-    # T's blocks of 2^14 entries peak at 0.32 MB on 200 points, the cutoffs'
-    # radial blocks at 0.19-0.20 MB, and with one array the size of the
-    # cloud (T(x) for T, |x| for the cutoffs) both peak at 0.85-0.90 MB on 2000
+    # one (m n, n) stack of T's shifted rows for a 2000 x 50 cloud would take
+    # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB; T's blocks of
+    # 2^14 entries peak at 0.32 MB on 200 points.  The cutoffs take no
+    # differences: their one array the size of the cloud, |x| in _radii,
+    # dominates, at 0.09 MB on 200 points.  With that array (T(x) for T)
+    # both peak at 0.85-0.90 MB on 2000
     rng = np.random.default_rng(3)
     checks = (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
               lambda x: cutoff_product_check(x, 1.0, 1.0))
-    for m, limits in ((200, (2**19, 2**18, 2**18)), (2000, (1.5 * 2**20, 2**20, 2**20))):
+    for m, limits in ((200, (2**19, 2**17, 2**17)), (2000, (1.5 * 2**20, 2**20, 2**20))):
         pts = _spread(rng, m, 50)
         for check, limit in zip(checks, limits):
             tracemalloc.start()
@@ -644,8 +697,9 @@ def test_lemma_checks_difference_in_small_blocks():
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
 def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
     # one point per block, the shipped blocks and one block for the whole
-    # cloud; the cloud spans at least two shipped blocks from n = 7 on, and
-    # at n = 150 one point's 22500 entries already exceed a shipped block
+    # cloud; the cloud spans at least two of T's shipped blocks from n = 7
+    # on, and at n = 150 one point's 22500 entries already exceed a shipped
+    # block.  The cutoff checks have no blocks, and must not read the size
     mc = isodist.montecarlo
     rows = max(1, mc._FD_ENTRIES // (n * n))
     m = min(2 * rows + 3, 600)
