@@ -115,6 +115,10 @@ def _write_rows(args) -> int:
 _MAX_SECTION_ROWS = 10**6
 
 
+# check draws each cloud whole: 10^7 coordinates are 80 MB
+_MAX_CHECK_COORDS = 10**7
+
+
 def _parse_grid(spec: str, dims: int) -> np.ndarray:
     """The heights of --grid; their count times dims is at most _MAX_SECTION_ROWS."""
     try:
@@ -228,6 +232,15 @@ def cmd_check(args) -> int:
     n, samples, seed = args.n, args.samples, args.seed
     suites = ["sodin", "transfer", "tails", "avgdist"] if args.suite == "all" \
         else [args.suite]
+    # the largest cloud of each suite, (points, dimension), counted before any is drawn
+    clouds = {"sodin": (min(samples, 10_000), max(n, 5)), "tails": (samples, max(min(n, 20), 10)),
+              "transfer": (samples, min(n, 10)), "avgdist": (samples, max(n, 50))}
+    for suite in suites:
+        m, dim = clouds[suite]
+        if m * dim > _MAX_CHECK_COORDS:
+            raise DomainError(f"check {suite} would draw {m} points of dimension {dim} in "
+                              f"one cloud, {m * dim} coordinates; at most "
+                              f"{_MAX_CHECK_COORDS} are allowed")
     if "sodin" in suites:
         # the cloud caps fix the documented corpus output; keep them
         for dim in sorted({2, 5, min(n, 20)}):

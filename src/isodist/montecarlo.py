@@ -38,9 +38,8 @@ T also coordinates >= 0 with row sums finite and positive, for the
 cutoffs row norms whose squares are finite, so a NaN, an infinite
 coordinate or an overflowing sum raises DomainError.  Each
 check validates its cloud and its constants c1, c2 once; T, its
-Jacobian, norm and bound, the row norms and the cutoffs h1 and h2 are
-each written once as unchecked array kernels, which the plateau check
-and T's finite differences call.
+Jacobian's norm and bound, its finite differences, the row norms and the
+cutoffs h1 and h2 are each written once as unchecked array kernels.
 
 The cutoffs see a point only through ||x||_2 and ||x||_1, and their
 gradients have closed forms: on a slope, ||grad h1|| = c1 sqrt(n) and
@@ -52,27 +51,18 @@ rare (about 2e-4 of the benchmark's).  The finite-difference evidence
 for the closed forms is in the tests, against an oracle that differences
 every shifted row.
 
-T's check takes central differences of step h = 1e-6.  T needs the rows
-themselves: for each block of points every shifted row goes into one
-(b n, n) stack, and T is written in place, up into one output and down
-over the stack, with no loop over coordinates.  No block's stack holds
-more than 2^14 entries, 128 KiB, glibc's default mmap threshold, so it
-comes from memory the process already holds.  Blocks of 2^16 entries got
-fresh pages every time: replaying the benchmark's lemma_checks operations
-in one process took 104 to 117 minor page faults per operation at 2^16
-and under 0.1 at 2^14, and at n = 32 the faults came back from 2^15 on.
-Past n = 128 one point's stack exceeds the bound, and T keeps one stack
-and one output for the whole call: a fresh pair per point took 40,400
-minor faults per call on a 200-point cloud at n = 200, against about 160
-on a fresh interpreter's first call and none after.  Memory stays flat
-in the cloud size, apart from one array the size of the cloud: |x| in
-_radii for the cutoffs, T(x) in _t_norms for T.  The differences run on
-the unchecked kernels, since a shifted row may leave the domain (a
-coordinate below h).
+T's check takes central differences of step h = 1e-6 without forming a
+shifted row: x + h e_i differs from x in coordinate i alone, so its row
+sum is ||x||_1 + ((x_i + h) - x_i), and row i of the differences follows
+from that sum and x.  The check is O(n) per point, like the cutoffs'.
+It runs on blocks of at most 2^14 entries, so memory stays flat in the
+cloud size apart from T(x) in _t_norms, one array the size of the cloud.
+The differences run on the unchecked formulas, since a shifted row may
+leave the domain (a coordinate below h).
 T's check takes no eigenvalue: its Jacobian's exact operator
 norm has a closed form, taken with the bound once for the whole cloud,
-and the differences enter, block by block, through the Frobenius norm of
-their distance to the exact Jacobian, formed in place on the differences.
+and the differences enter through the Frobenius norm of their distance
+to the exact Jacobian, which has the same rank-one-plus-diagonal shape.
 """
 
 from __future__ import annotations
@@ -96,7 +86,7 @@ KINK_RADIUS = 1e-4
 # about once in 10^5 runs, not at a fixed share of seeds
 _MC_SIGMAS = 5.0
 _MC_TAIL = 5.7e-7
-_FD_ENTRIES = 2**14  # entries of T's (b n, n) stack
+_FD_ENTRIES = 2**14  # entries of each (b, n) array of T's differences
 
 
 @dataclass(frozen=True)
@@ -217,16 +207,6 @@ def _t(x: np.ndarray, out=None) -> np.ndarray:
     return np.divide(x, x.sum(axis=1, keepdims=True), out=out)
 
 
-def _t_jacobian(x: np.ndarray):
-    """Exact Jacobian (d T_j / d x_i) = (delta_ij - T_j(x)) / ||x||_1 of each
-    row, as its diagonal (1 - T_j)/||x||_1 and the vector T_j/||x||_1 whose
-    negative fills the rest of column j, each (m, n): J has rank one plus
-    a diagonal, so no (m, n, n) array is formed."""
-    s = x.sum(axis=1, keepdims=True)
-    t = x / s
-    return (1.0 - t) / s, t / s
-
-
 def _t_norms(x: np.ndarray):
     """The exact operator norm sqrt(n) ||T(x)||_2 / ||x||_1 of the Jacobian
     (0 at n = 1) and the bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1 of each row."""
@@ -237,47 +217,43 @@ def _t_norms(x: np.ndarray):
     return (r / s if x.shape[1] > 1 else np.zeros(x.shape[0])), (1.0 + r) / s
 
 
-def _central_diff(x: np.ndarray, reduce) -> np.ndarray:
-    """reduce(xb, d) for consecutive blocks xb of the rows of x, joined on
-    axis 0, where d holds T's central differences of step FD_STEP,
+def _t_differences(x: np.ndarray):
+    """T's central differences of step h = FD_STEP at each row x of an
+    (m, n) array, as their distance to the exact Jacobian J, from x alone.
 
-        d[p, i] = (T(xb_p + h e_i) - T(xb_p - h e_i)) / 2h,
+    x + h e_i differs from x in coordinate i only, so its row sum is
+    s_i = ||x||_1 + ((x_i + h) - x_i), and T there is x_j / s_i off the
+    diagonal and (x_i + h) / s_i on it.  Row i of J_fd - J is therefore
+    alpha_i x_j off the diagonal, with
 
-    of shape (b, n, n); reduce returns one row per point of xb and may
-    overwrite d, which the next block writes over, so its result must not
-    be a view of d.  Each block is one (b n, n) stack of shifted rows, and
-    T is written in place, up into d and down over the stack: one stack
-    and one d serve the whole call.  _FD_ENTRIES bounds the stack at 2^14
-    entries, 128 KiB, glibc's default mmap threshold: the stack, d and the
-    temporaries of reduce on them then come from memory the process
-    already holds, where blocks of 2^16 entries took fresh pages, about
-    110 minor faults per lemma_checks operation against under 0.1 now (see
-    the module docstring).  Past n = 128 a block holds one point and its
-    stack exceeds the bound; the stack and d are then mapped once per
-    call, where a fresh pair per point took 40,400 minor faults per call on
-    a 200-point cloud at n = 200.  Per-point work that needs no
-    differences stays out of the loop: T's check takes its exact norm and
-    bound once per cloud.  An empty x makes one empty block, so the result
-    keeps reduce's trailing shape.
+        alpha_i = (1/s_i^+ - 1/s_i^-) / 2h + 1/||x||_1^2,
+
+    and one diagonal entry beta_i.  Returns e with ||x||_1 = f 2^e, f in
+    [1/2, 1), as an (m, 1) array, and 2^2e alpha and 2^e beta, each (m, n):
+    in units of 2^-e, J_fd - J is 2^2e alpha_i (2^-e x_j) off the diagonal
+    and 2^e beta_i on it.  Scaling by a power of 2 rounds nothing short of
+    subnormal values, so these are the unscaled quotients times 2^2e and
+    2^e bit for bit, with no overflow or underflow from the scale of x.
     """
-    m, n = x.shape
-    rows = max(1, _FD_ENTRIES // (n * n))
-    stack = np.empty((min(rows, m) * n, n))
-    out = np.empty_like(stack)
-    res = []
-    for lo in range(0, max(m, 1), rows):
-        xb = x[lo:lo + rows]
-        b = xb.shape[0]
-        y, d = stack[:b * n], out[:b * n]
-        y.reshape(b, n, n)[...] = xb[:, None, :]
-        diag = y.reshape(b, n * n)[:, ::n + 1]  # the shifted coordinates
-        diag[...] = xb + FD_STEP
-        _t(y, out=d)
-        diag[...] = xb - FD_STEP
-        d -= _t(y, out=y)
-        d /= 2.0 * FD_STEP
-        res.append(reduce(xb, d.reshape(b, n, n)))
-    return np.concatenate(res)
+    s = x.sum(axis=1, keepdims=True)
+    e = np.frexp(s)[1]
+    f, step = np.ldexp(s, -e), np.ldexp(2.0 * FD_STEP, -e)  # 2h in units of 2^e
+    up, down = x + FD_STEP, x - FD_STEP
+    s_up, s_down = up - x, down - x
+    s_up += s
+    s_down += s
+    # beta: the diagonal's difference quotient less J_ii = (s - x_i)/s^2, in
+    # units of 2^e (s - x_i)/(s f)
+    beta = np.divide(up, s_up, out=up)
+    beta -= np.divide(down, s_down, out=down)
+    beta /= step
+    beta -= np.divide(np.subtract(s, x, out=down), s * f, out=down)
+    # alpha, from the reciprocal row sums in units of 2^e
+    alpha = np.divide(1.0, np.ldexp(s_up, -e, out=s_up), out=s_up)
+    alpha -= np.divide(1.0, np.ldexp(s_down, -e, out=s_down), out=s_down)
+    alpha /= step
+    alpha += 1.0 / (f * f)
+    return e, alpha, beta
 
 
 @dataclass(frozen=True)
@@ -316,33 +292,34 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
     row's sum drops to or below 0 ([1e-9, 1e-9], [1e-6, 0]) E is large, infinite
     or NaN, and the point fails with no warning.
 
-    N and B are taken once for the whole cloud, E block by block: J_fd - J
-    is formed in place on the differences, whose diagonal is set apart while
-    T_j/||x||_1 is added to every other entry.  From n = 91 on, where einsum
-    sums a point's n^2 > 8192 squares in another order when its block holds
-    more than one point, every block holds one point, so each point's E is
+    N and B are taken once for the whole cloud, E from _t_differences on
+    blocks of rows, in O(n) per point: J_fd - J is alpha x^T off the
+    diagonal and beta on it, so E^2 = sum_i alpha_i^2 (||x||_2^2 - x_i^2) +
+    beta_i^2.  Every step acts on one row at a time, so each point's E is
     the one it has in a cloud of its own.
     """
     points = _cloud(points, orthant=True)
-    n = points.shape[1]
+    m, n = points.shape
 
-    def residual(x, d):
-        # E of each point, with d = 2^e J_fd turned into 2^e (J_fd - J) in
-        # place: off the diagonal J_ij = -T_j/||x||_1, so there d - J is
-        # d + T_j/||x||_1 bit for bit; the diagonal is set apart first
-        e = np.frexp(x.sum(axis=1))[1]
-        np.ldexp(d, e[:, None, None], out=d)
-        jdiag, jcol = _t_jacobian(np.ldexp(x, -e[:, None]))
-        diag = d.reshape(len(x), n * n)[:, ::n + 1]
-        on_diag = diag - jdiag
-        d += jcol[:, None, :]
-        diag[...] = on_diag
-        return np.ldexp(np.sqrt(np.einsum("pij,pij->p", d, d)), -e)
+    def residual(x):
+        # E of each row; sum_{j != i} x_j^2 is never negative, since a sum
+        # of nonnegative terms rounds to at least each of them
+        e, alpha, beta = _t_differences(x)
+        sq = np.ldexp(x, -e)
+        sq *= sq
+        alpha *= alpha
+        alpha *= sq.sum(axis=1, keepdims=True) - sq
+        beta *= beta
+        beta += alpha
+        return np.ldexp(np.sqrt(beta.sum(axis=1)), -e[:, 0])
 
     # a shifted row's sum of 0 makes T infinite or NaN, and N, E and B overflow
     # when ||x||_1 is subnormal; such points fail on the comparisons below
+    rows = max(1, _FD_ENTRIES // n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        err = _central_diff(points, residual)
+        # an empty cloud makes one empty block
+        err = np.concatenate([residual(points[lo:lo + rows])
+                              for lo in range(0, max(m, 1), rows)])
         exact, bound = _t_norms(points)
         # the initial values floor the excess at 0 and answer an empty cloud
         worst = float(np.max((exact + err) / bound, initial=1.0)) - 1.0
@@ -350,7 +327,7 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
         ok = worst <= 1e-6 and bool(np.all(err / bound <= 1e-5))
     # a NaN ratio or error reads inf
     worst, fd_err = (math.inf if math.isnan(v) else v for v in (worst, fd_err))
-    return TMapCheck(points.shape[0], worst, fd_err, ok)
+    return TMapCheck(m, worst, fd_err, ok)
 
 
 # ---------------------------------------------------------------- cutoffs

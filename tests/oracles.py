@@ -21,10 +21,12 @@ mpmath's incomplete gamma functions at 50 digits, not through the scipy
 inverses the package calls, and cube_profile_mp forms the cube's
 isoperimetric profile from a 50-digit root of phi.
 
-The lemma checks difference whole clouds at once; t_map_check_pointwise,
+The lemma checks work on whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
 and one coordinate at a time, with the cutoffs and the T-map Jacobian
-written out.
+written out and every shifted row differenced.  t_map_fd_radial writes
+out T's differences the way the package takes them, from each shifted
+row's sum alone, one entry at a time.
 
 The lattice counts cells by inclusion-exclusion and measures distances
 by dilating bit masks; count_cells_recurrence convolves the
@@ -465,6 +467,35 @@ def t_map_check_pointwise(points, h=1e-6):
         worst = max(worst, (float(np.linalg.norm(jex, 2)) + err) / bound - 1.0)
         fd_ok = fd_ok and err <= 1e-5 * bound
     return len(points), worst, fd_err, fd_spectral, fd_ok
+
+
+def t_map_fd_radial(points, h=1e-6):
+    """(max_fd_error, max_fd_spectral) of T's central differences taken from
+    the shifted rows' sums.
+
+    x + h e_i differs from x in coordinate i only, so its sum is
+    s + ((x_i + h) - x_i) with s = sum(x), and T there is x_j over that sum
+    off the diagonal and (x_i + h) over it on the diagonal.  Per point, the
+    matrix J_fd - J is built entry by entry from these quotients and the
+    exact J, -x_j/s^2 off the diagonal and (s - x_i)/s^2 on it, and its
+    Frobenius and 2-norms are taken.
+    For points whose squared entries neither overflow nor underflow.
+    """
+    fd_err = fd_spectral = 0.0
+    for x in points:
+        n, s = x.size, float(x.sum())
+        r = np.empty((n, n))
+        for i in range(n):
+            xi = float(x[i])
+            up, down = xi + h, xi - h
+            s_up, s_down = s + (up - xi), s + (down - xi)
+            alpha = (1.0 / s_up - 1.0 / s_down) / (2.0 * h) + 1.0 / (s * s)
+            for j in range(n):
+                r[i, j] = alpha * float(x[j])
+            r[i, i] = (up / s_up - down / s_down) / (2.0 * h) - (s - xi) / (s * s)
+        fd_err = max(fd_err, float(np.linalg.norm(r, "fro")))
+        fd_spectral = max(fd_spectral, float(np.linalg.norm(r, 2)))
+    return fd_err, fd_spectral
 
 
 def _cutoffs(x, c1, c2):

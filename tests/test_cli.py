@@ -10,7 +10,7 @@ import shlex
 import numpy as np
 import pytest
 
-from isodist import montecarlo
+from isodist import cli, montecarlo
 from isodist import (ball_caps_witness, bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, simplex_corner_witness,
                      BodyFamily)
@@ -225,6 +225,47 @@ def test_check_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+
+
+class _Drew(Exception):
+    pass
+
+
+def _no_draw(*args, **kwargs):
+    raise _Drew
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "sodin", "--n", "1000000"),
+    ("check", "avgdist", "--samples", "200001"),
+    ("check", "avgdist", "--n", "10001", "--samples", "1000"),
+    ("check", "transfer", "--samples", "1000001"),
+    ("check", "tails", "--n", "3", "--samples", "1000001"),
+    ("check", "all", "--n", "2001", "--samples", "5000"),
+])
+def test_check_refuses_a_cloud_past_the_limit_before_drawing(capsys, monkeypatch, argv):
+    # sodin at n = 10^6 would draw 10^4 x 10^6 coordinates, 80 GB: every
+    # sampler is replaced by one that raises, so a draw would fail the test
+    monkeypatch.setattr(cli, "generate", _no_draw)
+    monkeypatch.setattr(montecarlo, "generate", _no_draw)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: check ")
+    assert "at most 10000000 are allowed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "sodin", "--n", "1000", "--samples", "10000"),
+    ("check", "avgdist", "--n", "100", "--samples", "100000"),
+    ("check", "transfer", "--samples", "1000000"),
+])
+def test_check_draws_a_cloud_at_the_limit(monkeypatch, argv):
+    # 10^7 coordinates exactly pass the count and reach the first draw
+    monkeypatch.setattr(cli, "generate", _no_draw)
+    monkeypatch.setattr(montecarlo, "generate", _no_draw)
+    with pytest.raises(_Drew):
+        main(list(argv))
 
 
 def test_domain_error_exit_code(capsys):

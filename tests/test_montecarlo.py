@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import pathlib
 import tracemalloc
@@ -16,7 +15,7 @@ from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_e
                      estimate_cap_volume, exp_tail_check, gaussian_to_cube_map,
                      sample_gaussian, sample_uniform, t_map_lipschitz_check,
                      transfer_map_check, unit_volume_radius)
-from isodist.montecarlo import _cutoffs, _radii, _t, _t_jacobian, _t_norms
+from isodist.montecarlo import FD_STEP, _cutoffs, _radii, _t, _t_differences, _t_norms
 
 
 def _h(x, c1, c2):
@@ -25,13 +24,9 @@ def _h(x, c1, c2):
 
 
 def _full_jacobian(x):
-    """The (m, n, n) exact Jacobians from the diagonal and column parts
-    that _t_jacobian returns."""
-    diag, col = _t_jacobian(x)
-    m, n = x.shape
-    j = -np.repeat(col[:, None, :], n, axis=1)
-    j.reshape(m, n * n)[:, ::n + 1] = diag
-    return j
+    """The (m, n, n) exact Jacobians (delta_ij - T_j(x)) / ||x||_1 of the rows."""
+    s = x.sum(axis=1)[:, None, None]
+    return (np.eye(x.shape[1]) - x[:, None, :] / s) / s
 
 ERLANG_3_AT_06 = 0.023115287752633   # 1 - e^{-0.6}(1 + 0.6 + 0.18)
 BOUND_3_02 = 0.03701032264507643     # (0.2 e)^3 / sqrt(6 pi)
@@ -315,19 +310,45 @@ def _spread(rng, m, n):
     return 10.0 ** rng.uniform(lo, hi, (m, 1)) * u
 
 
+def _fd_allowance(x):
+    """The rounding allowance 16 2^-52 (||x||_1/h) (x_j + h delta_ij)/||x||_1^2
+    on entry (i, j) of T's central differences at x, for n <= 50 and
+    ||x||_1 well above h: the package's differences and the oracle's shifted
+    rows round apart by at most that much.
+
+    Entry (i, j) is a difference of two T values over 2h, each T value a
+    quotient by the sum of a shifted row, about x_j/||x||_1 off the diagonal
+    and (x_i +- h)/||x||_1 on it.  numpy sums a row of n <= 50 coordinates in
+    at most 8 partial sums, so that sum is off by at most about 8 2^-53 of
+    ||x||_1 and the quotient by 9 2^-53 of its value; the radial sum
+    ||x||_1 + ((x_i + h) - x_i) adds one more rounding.  Both values of both
+    sides, over 2h, give at most about 20 2^-53 (x_j + h delta_ij)/(||x||_1 h),
+    that is 10 2^-52 (||x||_1/h) times the entry scale (x_j + h delta_ij)/
+    ||x||_1^2 of J; 16 leaves a margin.  Measured: at most 2.1 on exponential,
+    rescaled and spread points at n = 2 to 50.
+    """
+    n, s = x.size, x.sum()
+    return 16.0 * 2.0**-52 * (s / FD_STEP) * (x[None, :] + FD_STEP * np.eye(n)) / s**2
+
+
 def _assert_tmap_matches_pointwise(pts):
     chk = t_map_lipschitz_check(pts)
     rows = np.atleast_2d(pts)
-    count, excess, fd_err, fd_spectral, fd_ok = oracles.t_map_check_pointwise(rows)
+    count, excess, fd_err, _, fd_ok = oracles.t_map_check_pointwise(rows)
     assert chk.count == count
     assert chk.max_excess == pytest.approx(excess, rel=1e-12, abs=0.0)
-    assert chk.max_fd_error == pytest.approx(fd_err, rel=1e-12, abs=0.0)
+    assert chk.ok == (excess <= 1e-6 and fd_ok)
+    # E against the same differences written out entry by entry, and within
+    # the rounding allowance of the differences of every shifted row
+    radial, spectral = oracles.t_map_fd_radial(rows)
+    assert chk.max_fd_error == pytest.approx(radial, rel=1e-12, abs=0.0)
+    allow = max((np.linalg.norm(_fd_allowance(x)) for x in rows), default=0.0)
+    assert abs(chk.max_fd_error - fd_err) <= allow
     # the Frobenius norm lies between the 2-norm and sqrt(n) times it; the
     # 1e-12 allows for rounding where the error matrix has rank one
     n = rows.shape[1]
-    assert fd_spectral * (1.0 - 1e-12) <= chk.max_fd_error
-    assert chk.max_fd_error <= math.sqrt(n) * fd_spectral * (1.0 + 1e-12)
-    assert chk.ok == (excess <= 1e-6 and fd_ok)
+    assert spectral * (1.0 - 1e-12) <= chk.max_fd_error
+    assert chk.max_fd_error <= math.sqrt(n) * spectral * (1.0 + 1e-12)
 
 
 def _assert_cutoffs_match_pointwise(pts, c1, c2):
@@ -445,11 +466,12 @@ def test_cutoff_checks_skip_a_cloud_all_near_kinks(rng):
 
 
 def test_t_map_jacobian_and_bound_stack_row_by_row(rng):
+    # the norm, the bound and the differences of each row are those it has alone
     pts = rng.exponential(1.0, (12, 5))
-    parts = _t_jacobian(pts) + _t_norms(pts)
-    assert [p.shape for p in parts] == [(12, 5)] * 2 + [(12,)] * 2
+    parts = _t_norms(pts) + _t_differences(pts)
+    assert [p.shape for p in parts] == [(12,)] * 2 + [(12, 1)] + [(12, 5)] * 2
     for i, x in enumerate(pts):
-        for whole, alone in zip(parts, _t_jacobian(x[None]) + _t_norms(x[None])):
+        for whole, alone in zip(parts, _t_norms(x[None]) + _t_differences(x[None])):
             assert np.array_equal(alone, whole[i:i + 1])
 
 
@@ -547,25 +569,25 @@ def test_average_distance_bound_high_dimension():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_central_diff_is_the_pointwise_loop(n):
-    mc = isodist.montecarlo
-    rows = max(1, mc._FD_ENTRIES // (n * n))
+    # J_fd rebuilt entry by entry from _t_differences' alpha and beta against
+    # the oracle's differences of every shifted row, within _fd_allowance:
+    # exponential points at scales 2^-10, 1 and 2^30, and a coordinate below
+    # the step.  At n = 1, T is 1 and both sides are exactly 0
     rng = np.random.default_rng(n)
-    for m in (0, 1, rows - 1, rows, rows + 1):
-        x = _spread(rng, m, n)
-        # the rows at each block edge, and the first and last
-        picks = sorted({0, rows - 1, rows, m - 1} & set(range(m)))
-        sizes = []
-
-        def keep(xb, d):
-            sizes.append(len(xb))
-            return d.copy()  # the next block writes over d
-
-        d = mc._central_diff(x, keep)
-        assert sizes == [min(rows, m - lo) for lo in range(0, max(m, 1), rows)]
-        assert d.shape == (m, n, n)
-        for p in picks:
-            assert np.array_equal(d[p], oracles._fd_rows(lambda y: y / y.sum(), x[p],
-                                                         mc.FD_STEP))
+    x = np.vstack([np.ldexp(rng.exponential(1.0, (4, n)), k) for k in (-10, 0, 30)])
+    x[1, 0] = 1e-9
+    e, alpha, beta = _t_differences(x)
+    assert e.shape == (len(x), 1) and alpha.shape == beta.shape == x.shape
+    for p, xp in enumerate(x):
+        s, k = xp.sum(), int(e[p, 0])
+        jfd = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                # 2^e (J_fd - J) is alpha_i 2^-e x_j off the diagonal, beta_i on it
+                r = beta[p, i] if i == j else alpha[p, i] * math.ldexp(xp[j], -k)
+                jfd[i, j] = ((i == j) - xp[j] / s) / s + math.ldexp(r, -k)
+        want = oracles._fd_rows(lambda y: y / y.sum(), xp, FD_STEP)
+        assert np.all(np.abs(jfd - want) <= _fd_allowance(xp)), p
 
 
 def _gradients(pts, c1, c2):
@@ -665,6 +687,25 @@ def test_cutoff_checks_pass_correct_points_at_large_n(n):
         assert chk.ok and chk.gradient_violations == 0 and chk.skipped_near_kink == 0
 
 
+def test_t_map_lipschitz_check_passes_at_large_n():
+    # six exponential points at n = 10^4, O(n) per point: differencing every
+    # shifted row would take an (n, n) stack per point, 0.8 GB.  E/B is
+    # 2.7e-7 to 5.3e-7 at seeds 0-4, and grows like n 2^-52/h: the rounding
+    # of the row sums against the fixed step crosses the 1e-5 gate near
+    # n = 2e5 (see ROADMAP item 11)
+    x = np.random.default_rng(0).exponential(1.0, (6, 10**4))
+    tracemalloc.start()
+    try:
+        chk = t_map_lipschitz_check(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.ok and chk.count == 6 and chk.max_excess == 0.0
+    assert chk.max_fd_error <= 1e-6 * _t_norms(x)[1].min()
+    # T(x) in _t_norms, 0.48 MB, is the peak
+    assert peak < 2**20, peak
+
+
 def test_lemma_checks_on_an_empty_cloud():
     for n in (1, 5):
         empty = np.empty((0, n))
@@ -673,16 +714,16 @@ def test_lemma_checks_on_an_empty_cloud():
 
 
 def test_lemma_checks_difference_in_small_blocks():
-    # one (m n, n) stack of T's shifted rows for a 2000 x 50 cloud would take
-    # 40 MB, and blocks of 2^16 entries peaked at 1.2-2.2 MB; T's blocks of
-    # 2^14 entries peak at 0.32 MB on 200 points.  The cutoffs take no
-    # differences: their one array the size of the cloud, |x| in _radii,
-    # dominates, at 0.09 MB on 200 points.  With that array (T(x) for T)
-    # both peak at 0.85-0.90 MB on 2000
+    # T's differences take O(n) per point from blocks of at most 2^14
+    # entries per array, and peak at 0.40 MB on 200 points; differencing
+    # every shifted row in one (m n, n) stack for a 2000 x 50 cloud would
+    # take 40 MB.  The cutoffs take no differences: their one array the
+    # size of the cloud, |x| in _radii, dominates, at 0.09 MB on 200 points.
+    # With that array (T(x) for T) all three peak at 0.85-0.90 MB on 2000
     rng = np.random.default_rng(3)
     checks = (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
               lambda x: cutoff_product_check(x, 1.0, 1.0))
-    for m, limits in ((200, (2**19, 2**17, 2**17)), (2000, (1.5 * 2**20, 2**20, 2**20))):
+    for m, limits in ((200, (2**19, 2**17, 2**17)), (2000, (2**20, 2**20, 2**20))):
         pts = _spread(rng, m, 50)
         for check, limit in zip(checks, limits):
             tracemalloc.start()
@@ -696,12 +737,13 @@ def test_lemma_checks_difference_in_small_blocks():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
 def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
-    # one point per block, the shipped blocks and one block for the whole
-    # cloud; the cloud spans at least two of T's shipped blocks from n = 7
-    # on, and at n = 150 one point's 22500 entries already exceed a shipped
-    # block.  The cutoff checks have no blocks, and must not read the size
+    # one point per block, three, the shipped blocks and one block for the
+    # whole cloud; the cloud spans at least two of T's shipped blocks from
+    # n = 50 on.  Every step of T's differences acts on one row at a time,
+    # so E is bit for bit the same.  The cutoff checks have no blocks, and
+    # must not read the size
     mc = isodist.montecarlo
-    rows = max(1, mc._FD_ENTRIES // (n * n))
+    rows = max(1, mc._FD_ENTRIES // n)
     m = min(2 * rows + 3, 600)
     rng = np.random.default_rng(60 + n)
     tmap, spread = rng.exponential(1.0, (m, n)), _spread(rng, m, n)
@@ -716,21 +758,9 @@ def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
     shipped = checks(tmap, spread)
     # column-major clouds are read as row-major ones
     assert checks(np.asfortranarray(tmap), np.asfortranarray(spread)) == shipped
-    monkeypatch.setattr(mc, "_FD_ENTRIES", 1)
-    assert checks(tmap, spread) == shipped
-    monkeypatch.setattr(mc, "_FD_ENTRIES", m * n * n)
-    whole = checks(tmap, spread)
-    assert whole[1:] == shipped[1:]
-    if n * n <= 8192:
-        assert whole[0] == shipped[0]
-    else:
-        # einsum sums a point's n^2 > 8192 squared residuals in another order
-        # when its block holds more than one point, which shipped blocks never
-        # do at these n, so only the last bits of E may move
-        assert dataclasses.replace(whole[0], max_fd_error=0.0) \
-            == dataclasses.replace(shipped[0], max_fd_error=0.0)
-        assert whole[0].max_fd_error == pytest.approx(shipped[0].max_fd_error,
-                                                      rel=1e-13, abs=0.0)
+    for entries in (1, 3 * n, m * n):
+        monkeypatch.setattr(mc, "_FD_ENTRIES", entries)
+        assert checks(tmap, spread) == shipped, entries
 
 
 @pytest.mark.parametrize("count", [2, 3, 8, 137, 141, 5000, 10000, 10001, 16385, 20000])
