@@ -17,9 +17,11 @@ Samplers produce uniform points in each unit-volume body:
              chunk draws the m x n coordinates first, then the m
              exponentials
 
-All batches go through the chunked Philox streams in rng.py, whose chunk
+All batches go through the chunked SFC64 streams in rng.py, whose chunk
 size is fixed, so a batch is a deterministic function of (seed,
-parameters).
+parameters).  They replaced Philox streams, whose per-draw cost was a
+large share of a sampler's time and bought a jump-ahead that nothing
+here uses.
 
 The check functions make the analytic machinery falsifiable at finite
 samples: the normalization map T(x) = x/||x||_1 against the bound

@@ -1,7 +1,11 @@
 """Deterministic chunked random streams.
 
-Every sampler draws through Philox, a counter-based 64-bit generator,
-keyed per chunk by SeedSequence(seed, spawn_key=(tag, chunk_index)).
+Every sampler draws through SFC64, a small fast 64-bit generator,
+keyed per chunk by SeedSequence(seed, spawn_key=(tag, chunk_index));
+the chunks owe their independence to that keying, not to the generator.
+The streams were Philox, a counter-based generator whose cost per word
+was a large share of every sampler's time and bought jumping and
+advancing a stream, which nothing here does.
 Work is split into fixed-size chunks of DEFAULT_CHUNK points; each chunk
 owns an independent stream and the results are assembled in chunk order.
 The chunks are filled one after another, so outputs are a pure
@@ -30,7 +34,7 @@ def stream_tag(name: str) -> int:
 
 def chunk_generator(seed: int, tag: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag), int(chunk_index)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def generate(seed: int, name: str, count: int,

@@ -403,7 +403,7 @@ def test_check_all_documented_corpus(capsys):
         "PASS t-map operator norm <= bound at n=5 (max excess 0)",
         "PASS t-map operator norm <= bound at n=20 (max excess 0)",
         "PASS cutoff plateaus and gradient bounds at n=20 (0 plateau, "
-        "0 gradient violations, 2 skipped at kinks)",
+        "0 gradient violations, 0 skipped at kinks)",
         "PASS cutoff product gradient inequality at n=20 (0 violations)",
     ]
     assert all(line.startswith("PASS ") for line in lines)

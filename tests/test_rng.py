@@ -67,3 +67,38 @@ def test_count_and_seed_must_be_integral():
     for seed in (2.5, float("nan"), float("inf"), -1):
         with pytest.raises(DomainError):
             generate(seed, "demo", 3, unit_fill)
+
+
+def test_streams_are_pinned():
+    # SFC64 words and doubles of chunks 0 and 1 for (seed 42, tag "demo").
+    # Raw bits, not distribution values: numpy keeps bit-generator streams
+    # stable across versions (NEP 19) but may change how a Generator turns
+    # them into variates.  random() is the top 53 bits of one word.
+    tag = stream_tag("demo")
+    assert tag == 3594706848
+    pins = {
+        0: ([0x1ac84cec0331d931, 0x1320c822ccd474c7, 0x3a2a9d99fa73673c, 0x240be9b61018db85],
+            "0x1.ac84cec0331d8p-4", "0x1.a8d9094896f23p-1"),
+        1: ([0x961adbd181f4bfe9, 0x017035ac6dcbe207, 0x8e48e62d60e292e6, 0xa6c924ccd21a0fc5],
+            "0x1.2c35b7a303e97p-1", "0x1.4ad0346c5b848p-2"),
+    }
+    for chunk, (words, first, last) in pins.items():
+        raw = chunk_generator(42, tag, chunk).bit_generator.random_raw(4)
+        assert [int(w) for w in raw] == words
+        u = chunk_generator(42, tag, chunk).random(DEFAULT_CHUNK)
+        assert u[0] == float.fromhex(first) == (words[0] >> 11) * 2.0**-53
+        assert u[-1] == float.fromhex(last)
+
+
+def test_streams_are_uncorrelated():
+    # Pearson correlation of m uniforms from two streams has standard
+    # error 1/sqrt(m) when they are independent; hold it to 5 of them
+    m = DEFAULT_CHUNK
+    tag = stream_tag("demo")
+    pairs = [
+        (chunk_generator(5, tag, 0).random(m), chunk_generator(5, tag, 1).random(m)),
+        (generate(5, "demo", m, unit_fill), generate(6, "demo", m, unit_fill)),
+        (generate(5, "demo", m, unit_fill), generate(5, "other", m, unit_fill)),
+    ]
+    for a, b in pairs:
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(m)
