@@ -9,8 +9,11 @@ Subcommands
     check     pass/fail suites: sodin, transfer, tails, avgdist, all
     asympt    inverse-distribution asymptote ratios
 
-Each command but check builds its rows, and one writer prints them to
-stdout as CSV (default) or JSON lines, floats at 12 significant digits.
+Each command but check returns its rows as column blocks: a block maps
+each column name to a list with one value per row, or to a single value
+that holds for every row of the block.  One writer prints the blocks to
+stdout as CSV (default) or JSON lines, floats at 12 significant digits,
+formatting a column at a time and writing one block after another.
 --out FILE writes the same rows to FILE plus a sidecar
 FILE.manifest.json recording the argv, the parsed options (defaults
 included, --format and --out left out), package versions and a
@@ -27,14 +30,14 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -63,32 +66,90 @@ def _fmt(value):
     return str(value)
 
 
+# the text of f"{v:.12g}", inf, nan and -0.0 included, without a Python call per value
+_FLOAT = "%.12g".__mod__
+
+# JSON's names for the floats that _FLOAT writes as inf and nan
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _csv_field(text: str) -> str:
+    """csv.writer's minimal quoting, for lineterminator "\n"."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(name: str, values: list, json_lines: bool) -> list[str]:
+    """One text per row: a CSV field, or a JSON member led by ", " ("" for
+    None, which JSON lines leave out).  JSON reads a float back from its
+    CSV text."""
+    if set(map(type, values)) == {float}:
+        texts = list(map(_FLOAT, values))
+        if not json_lines:
+            return texts
+        key = f", {json.dumps(name)}: "
+        return [key + (_JSON_NONFINITE.get(t) or repr(float(t))) for t in texts]
+    if not json_lines:
+        return list(map(_csv_field, map(_fmt, values)))
+    key = f", {json.dumps(name)}: "
+    return ["" if v is None else key + json.dumps(float(_fmt(v)) if isinstance(v, float) else v)
+            for v in values]
+
+
+def _block_text(block: dict, json_lines: bool, header: bool, shared: dict) -> str:
+    """The lines of one block.  shared maps (name, id) of each list that
+    several blocks hold to its column, None until it is formatted."""
+    # the lists of a block have one length; a block of single values is one row
+    rows, = {len(v) for v in block.values() if isinstance(v, list)} or {1}
+    cols = []
+    for name, value in block.items():
+        key = name, id(value)
+        if not isinstance(value, list):
+            cols.append(repeat(_column(name, [value], json_lines)[0], rows))
+        elif key not in shared:
+            cols.append(_column(name, value, json_lines))
+        else:
+            if shared[key] is None:
+                shared[key] = _column(name, value, json_lines)
+            cols.append(shared[key])
+    if json_lines:
+        lines = ["{%s}" % "".join(members)[2:] for members in zip(*cols)]
+    else:
+        lines = list(map(",".join, zip(*cols)))
+        if header:
+            lines.insert(0, ",".join(map(_csv_field, block)))
+        if len(block) == 1:
+            # csv quotes a lone empty field, so that its line is not blank
+            lines = [line or '""' for line in lines]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _render(blocks: list[dict], json_lines: bool):
+    """The text of each block in turn, the CSV header before the first; a
+    block's own columns are freed before the next is rendered."""
+    uses = Counter((name, id(value)) for block in blocks
+                   for name, value in block.items() if isinstance(value, list))
+    shared = {key: None for key, count in uses.items() if count > 1}
+    for i, block in enumerate(blocks):
+        yield _block_text(block, json_lines, i == 0 and not json_lines, shared)
+
+
 # namespace entries that are not options of the computation: the two
 # dispatch functions, the output choice and the recorded argv
 _NOT_PARAMETERS = {"fn", "rows", "format", "out", "_argv"}
 
 
-def _emit(rows: list[dict], args) -> None:
-    """Render rows as CSV or JSON lines, to stdout or --out plus manifest."""
-    if args.format == "json":
-        lines = []
-        for row in rows:
-            clean = {k: (float(f"{v:.12g}") if isinstance(v, float) else v)
-                     for k, v in row.items() if v is not None}
-            lines.append(json.dumps(clean))
-        text = "\n".join(lines) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
-        text = buf.getvalue()
+def _emit(blocks: list[dict], args) -> None:
+    """Write the blocks' rows as CSV or JSON lines, to stdout or to --out
+    plus its manifest."""
+    texts = _render(blocks, args.format == "json")
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(texts)
     import scipy
 
     manifest = {
@@ -110,8 +171,9 @@ def _write_rows(args) -> int:
     return 0
 
 
-# sections prints a row per height and dimension, about half a kilobyte
-# of Python objects each before they are written
+# sections prints a row per height and dimension.  At the cap (--p 1.5 --n
+# 5,50,500,5000 --grid 0:2.4:1e-5, 960,005 rows) a CSV run peaks 250 MiB
+# above the 81 MiB of the imports, about 270 bytes a row; JSON lines about 330
 _MAX_SECTION_ROWS = 10**6
 
 
@@ -137,45 +199,31 @@ def _parse_grid(spec: str, dims: int) -> np.ndarray:
 
 # ------------------------------------------------------------- commands
 
+def _fields(items: list, *names: str) -> dict:
+    """A column per attribute name, one value per item."""
+    return {name: [getattr(item, name) for item in items] for name in names}
+
+
 def cmd_bounds(args) -> list[dict]:
     family = BodyFamily(args.family, args.p)
-    rows = []
-    for eps in args.eps:
-        rep = bound_report(family, eps)
-        rows.append({
-            "family": rep.family,
-            "p": args.p,
-            "epsilon": float(eps),
-            "lower": rep.lower,
-            "upper": rep.upper,
-            "exact_limit": rep.exact_limit,
-            "manhattan_scaled_limit": rep.manhattan_scaled_limit,
-            "parametric": rep.parametric,
-        })
-    return rows
+    reps = [bound_report(family, eps) for eps in args.eps]
+    return [{**_fields(reps, "family"), "p": args.p, "epsilon": args.eps,
+             **_fields(reps, "lower", "upper", "exact_limit", "manhattan_scaled_limit",
+                       "parametric")}]
 
 
 def cmd_witness(args) -> list[dict]:
     family = BodyFamily(args.family, args.p)
-    rows = []
-    for eps in args.eps:
-        if family.kind == "cube":
-            pair = cube_diagonal_witness(args.n, eps)
-        elif family.kind == "simplex":
-            pair = simplex_corner_witness(args.n, eps)
-        else:
-            pair = lp_caps_witness(args.n, family.p or 2.0, eps)
-        rows.append({
-            "family": pair.family,
-            "p": args.p,
-            "n": pair.n,
-            "epsilon": pair.epsilon,
-            "distance": pair.distance,
-            "limit_value": pair.limit_value,
-            "region_a": str(pair.region_a),
-            "region_b": str(pair.region_b),
-        })
-    return rows
+    if family.kind == "cube":
+        pairs = [cube_diagonal_witness(args.n, eps) for eps in args.eps]
+    elif family.kind == "simplex":
+        pairs = [simplex_corner_witness(args.n, eps) for eps in args.eps]
+    else:
+        pairs = [lp_caps_witness(args.n, family.p or 2.0, eps) for eps in args.eps]
+    return [{**_fields(pairs, "family"), "p": args.p,
+             **_fields(pairs, "n", "epsilon", "distance", "limit_value"),
+             "region_a": [str(pair.region_a) for pair in pairs],
+             "region_b": [str(pair.region_b) for pair in pairs]}]
 
 
 def cmd_lattice_verify(args) -> list[dict]:
@@ -184,31 +232,25 @@ def cmd_lattice_verify(args) -> list[dict]:
 
 
 def cmd_lattice_scaling(args) -> list[dict]:
-    rows = []
-    for eps in args.eps:
-        scaled = scaled_max_distance(args.n, args.m, eps)
-        rows.append({
-            "n": args.n, "m": args.m, "epsilon": float(eps),
-            "scaled_distance": scaled,
-            "limit_value": bound_report(BodyFamily.cube(), eps).lower,
-        })
-    return rows
+    return [{"n": args.n, "m": args.m, "epsilon": args.eps,
+             "scaled_distance": [scaled_max_distance(args.n, args.m, eps)
+                                 for eps in args.eps],
+             "limit_value": [bound_report(BodyFamily.cube(), eps).lower
+                             for eps in args.eps]}]
 
 
 def cmd_sections(args) -> list[dict]:
     grid = _parse_grid(args.grid, len(args.n))
-    heights = grid.tolist()
-    area_limits = psi_p_density_limit(grid, args.p).tolist()
-    tail_limits = psi_p(-grid, args.p).tolist()
-    rows = []
+    # one list each for every dimension, so the writer formats them once
+    shared = {"x": grid.tolist()}
+    limits = {"area_limit": psi_p_density_limit(grid, args.p).tolist(),
+              "tail_limit": psi_p(-grid, args.p).tolist()}
+    blocks = []
     for n in args.n:
         curve = section_curve(args.p, n, grid)
-        rows.extend({"p": args.p, "n": n, "x": x, "area": area, "tail": tail,
-                     "area_limit": area_limit, "tail_limit": tail_limit}
-                    for x, area, tail, area_limit, tail_limit
-                    in zip(heights, curve.areas.tolist(), curve.tails.tolist(),
-                           area_limits, tail_limits))
-    return rows
+        blocks.append({"p": args.p, "n": n, **shared, "area": curve.areas.tolist(),
+                       "tail": curve.tails.tolist(), **limits})
+    return blocks
 
 
 def _spread_cloud(seed: int, name: str, count: int, n: int) -> np.ndarray:
@@ -291,18 +333,14 @@ def cmd_asympt(args) -> list[dict]:
         raise DomainError("--which phi-inv takes no --p")
     if args.which == "psi-inv" and args.p is None:
         raise DomainError("--which psi-inv needs --p")
-    rows = []
-    for eps in args.eps:
-        if args.which == "phi-inv":
-            actual, asym = phi_inv(eps), phi_inv_asymptote(eps)
-        else:
-            actual, asym = psi_p_inv(eps, args.p), psi_p_inv_asymptote(eps, args.p)
-        rows.append({
-            "which": args.which, "p": args.p, "epsilon": float(eps),
-            "actual": float(actual), "asymptote": asym,
-            "ratio": asym / actual,
-        })
-    return rows
+    if args.which == "phi-inv":
+        actual = [float(phi_inv(eps)) for eps in args.eps]
+        asym = [phi_inv_asymptote(eps) for eps in args.eps]
+    else:
+        actual = [float(psi_p_inv(eps, args.p)) for eps in args.eps]
+        asym = [psi_p_inv_asymptote(eps, args.p) for eps in args.eps]
+    return [{"which": args.which, "p": args.p, "epsilon": args.eps, "actual": actual,
+             "asymptote": asym, "ratio": [b / a for a, b in zip(actual, asym)]}]
 
 
 # ------------------------------------------------------------- parser

@@ -36,9 +36,16 @@ extremal-pair search counts neighbourhood sizes over blocks of subsets
 and the segments come from one stable sort; sweep_max_by_s_loop walks
 the r-subsets one at a time and sorts distances, and
 simplicial_segment_sorted sorts cell tuples by (sum, -c).
+
+The CLI formats whole columns and joins their text; cli_text writes the
+same rows one at a time, each value through csv.writer or each row
+through json.dumps.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
@@ -558,3 +565,33 @@ def cutoff_product_pointwise(points, c1, c2, h=1e-6, tol=1e-5):
         g1, g2, gp = _gradient_norms(x, c1, c2, h)
         bad += gp > g1 + g2 + tol
     return len(points), skipped, bad
+
+
+def _cli_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def cli_text(rows: list, json_lines: bool) -> str:
+    """The CLI's output for rows (dicts with one key order), row by row: CSV
+    with a header and values at 12 significant digits through csv.writer,
+    or JSON lines with None left out and each float read back from that
+    text."""
+    if json_lines:
+        lines = []
+        for row in rows:
+            clean = {k: (float(f"{v:.12g}") if isinstance(v, float) else v)
+                     for k, v in row.items() if v is not None}
+            lines.append(json.dumps(clean))
+        return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([_cli_fmt(v) for v in row.values()])
+    return buf.getvalue()

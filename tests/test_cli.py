@@ -6,10 +6,13 @@ import math
 import pathlib
 import re
 import shlex
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from isodist import cli, montecarlo
 from isodist import (ball_caps_witness, bound_report, cube_diagonal_witness, phi_inv,
                      phi_inv_asymptote, scaled_max_distance, simplex_corner_witness,
@@ -507,3 +510,113 @@ def test_readme_command_runs(capsys, argv):
         assert len(lines) >= 1 and all(json.loads(line) for line in lines)
     else:
         assert len(csv_rows(out)) >= 1
+
+
+def _block_rows(blocks):
+    """The rows of column blocks as dicts: a list gives one value per row,
+    a single value holds for every row of its block."""
+    for block in blocks:
+        count, = {len(v) for v in block.values() if isinstance(v, list)} or {1}
+        for i in range(count):
+            yield {k: v[i] if isinstance(v, list) else v for k, v in block.items()}
+
+
+def _assert_writer_matches_reference(capsys, argv, fmt):
+    args = build_parser().parse_args([*argv, "--format", fmt])
+    expect = oracles.cli_text(list(_block_rows(args.rows(args))), fmt == "json")
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == expect
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [a for a in _readme_commands() if a[0] != "check"],
+                         ids=" ".join)
+def test_readme_command_text_is_the_row_writers(capsys, argv, fmt):
+    _assert_writer_matches_reference(capsys, argv, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--n", "25,100,400"],
+    ["--p", "1.5", "--n", "5,7", "--grid", "0:3:0.37"],
+    ["--p", "1", "--n", "3", "--grid", "0:40:0.5"],
+    ["--p", "2", "--n", "2,1000", "--grid", "0.25:0.5:0.25"],
+    ["--p", "1.2", "--n", "25", "--n", "2,25", "--grid", "0:30:1.5"],
+    ["--p", "1", "--n", "2,3,4,5,6,7,8,9,10,11", "--grid", "0:1e-3:1e-4"],
+], ids=lambda a: " ".join(a))
+def test_sections_text_is_the_row_writers(capsys, argv, fmt):
+    _assert_writer_matches_reference(capsys, ["sections", *argv], fmt)
+
+
+SHARED = [0.25, -0.0, 1e16]
+CORPUS = [
+    {"label": "plain", "none": None, "flag": True, "count": 3, "x": 0.1,
+     "wide": np.float64(1.0 / 3.0)},
+    {"label": ["a,b", 'say "hi"', "two\nlines", "", "ok"],
+     "none": [None, 1.5, None, -2.0, None],
+     "flag": [True, False, None, True, False],
+     "count": [0, -1, 123456789012, 2**70, 7],
+     "x": [math.inf, -math.inf, math.nan, -0.0, 5e-324],
+     "wide": [np.float64(1e16), np.float64(-0.0), np.float64(np.nan), 123456789012.0,
+              np.float64(0.1)]},
+    {"label": "shared", "none": SHARED, "flag": False, "count": SHARED, "x": SHARED,
+     "wide": SHARED},
+    {"label": SHARED, "none": None, "flag": None, "count": 2**53 + 1, "x": SHARED,
+     "wide": [1, 2.5, "3"]},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("blocks", [
+    CORPUS, CORPUS[1:2], CORPUS[::-1],
+    [{"only": ["", None, "x", 'q"', 0.5]}, {"only": None}, {"only": ""}],
+    [{"a": 1.0, "b": "c"}, {"a": [], "b": []}, {"a": [2.0], "b": ["d"]}],
+], ids=["corpus", "one-block", "reversed", "one-column", "empty-block"])
+def test_writer_text_is_the_row_writers(capsys, blocks, fmt):
+    cli._emit(blocks, argparse.Namespace(format=fmt, out=None))
+    assert capsys.readouterr().out == oracles.cli_text(list(_block_rows(blocks)),
+                                                      fmt == "json")
+
+
+def test_sections_formats_shared_columns_once(capsys, monkeypatch):
+    # x, area_limit and tail_limit are one list each for every --n
+    calls = []
+    monkeypatch.setattr(cli, "_FLOAT", lambda v: calls.append(v) or "%.12g" % v)
+    code, out = run(capsys, "sections", "--p", "2", "--n", "25,100,400",
+                    "--grid", "0:2:0.05")
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * 41
+    # per --n: p once and area, tail at each height; x and both limits once per call
+    assert len(calls) == 3 * (1 + 2 * 41) + 3 * 41
+
+
+class _Discard:
+    """A stdout that consumes the text it is given and keeps none of it."""
+
+    def writelines(self, texts):
+        for _ in texts:
+            pass
+
+
+def _emit_peak(monkeypatch, argv):
+    args = build_parser().parse_args(argv)
+    args._argv = argv
+    blocks = args.rows(args)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        cli._emit(blocks, args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_holds_one_block_at_a_time(monkeypatch, fmt):
+    # the shared columns stay for the whole call; each block's own columns and
+    # lines are freed before the next block is rendered
+    tail = ["--grid", "0:2:4e-4", "--format", fmt]
+    two = _emit_peak(monkeypatch, ["sections", "--p", "1.5", "--n", "5,50", *tail])
+    eight = _emit_peak(monkeypatch, ["sections", "--p", "1.5", "--n",
+                                     "5,6,7,8,9,10,11,50", *tail])
+    assert eight < 1.1 * two
