@@ -56,21 +56,21 @@ from .witness import (bound_report, cube_diagonal_witness, lp_caps_witness,
                       simplex_corner_witness)
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if value is None:
-        return ""
-    return str(value)
-
-
 # the text of f"{v:.12g}", inf, nan and -0.0 included, without a Python call per value
 _FLOAT = "%.12g".__mod__
 
 # JSON's names for the floats that _FLOAT writes as inf and nan
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _FLOAT(value)
+    if value is None:
+        return ""
+    return str(value)
 
 
 def _csv_field(text: str) -> str:
@@ -80,21 +80,28 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _column(name: str, values: list, json_lines: bool) -> list[str]:
-    """One text per row: a CSV field, or a JSON member led by ", " ("" for
-    None, which JSON lines leave out).  JSON reads a float back from its
-    CSV text."""
+def _cell(key: str, value) -> str:
+    """One value's text: a CSV field when key is "", else the JSON member
+    key + value, with key ', "name": ', or "" for None, which JSON lines
+    leave out.  JSON reads a float back from its CSV text."""
+    text = _fmt(value)
+    if not key:
+        return _csv_field(text)
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return key + (_JSON_NONFINITE.get(text) or repr(float(text)))
+    return key + json.dumps(value)
+
+
+def _column(key: str, values: list) -> list[str]:
+    """_cell of each value; a column of Python floats in one pass."""
     if set(map(type, values)) == {float}:
         texts = list(map(_FLOAT, values))
-        if not json_lines:
+        if not key:
             return texts
-        key = f", {json.dumps(name)}: "
         return [key + (_JSON_NONFINITE.get(t) or repr(float(t))) for t in texts]
-    if not json_lines:
-        return list(map(_csv_field, map(_fmt, values)))
-    key = f", {json.dumps(name)}: "
-    return ["" if v is None else key + json.dumps(float(_fmt(v)) if isinstance(v, float) else v)
-            for v in values]
+    return [_cell(key, v) for v in values]
 
 
 def _block_text(block: dict, json_lines: bool, header: bool, shared: dict) -> str:
@@ -104,15 +111,16 @@ def _block_text(block: dict, json_lines: bool, header: bool, shared: dict) -> st
     rows, = {len(v) for v in block.values() if isinstance(v, list)} or {1}
     cols = []
     for name, value in block.items():
-        key = name, id(value)
+        key = f", {json.dumps(name)}: " if json_lines else ""
+        ident = name, id(value)
         if not isinstance(value, list):
-            cols.append(repeat(_column(name, [value], json_lines)[0], rows))
-        elif key not in shared:
-            cols.append(_column(name, value, json_lines))
+            cols.append(repeat(_cell(key, value), rows))
+        elif ident not in shared:
+            cols.append(_column(key, value))
         else:
-            if shared[key] is None:
-                shared[key] = _column(name, value, json_lines)
-            cols.append(shared[key])
+            if shared[ident] is None:
+                shared[ident] = _column(key, value)
+            cols.append(shared[ident])
     if json_lines:
         lines = ["{%s}" % "".join(members)[2:] for members in zip(*cols)]
     else:
@@ -128,10 +136,13 @@ def _block_text(block: dict, json_lines: bool, header: bool, shared: dict) -> st
 
 def _render(blocks: list[dict], json_lines: bool):
     """The text of each block in turn, the CSV header before the first; a
-    block's own columns are freed before the next is rendered."""
-    uses = Counter((name, id(value)) for block in blocks
-                   for name, value in block.items() if isinstance(value, list))
-    shared = {key: None for key, count in uses.items() if count > 1}
+    block's own columns are freed before the next is rendered.  A list that
+    several blocks hold is looked for only when there are several."""
+    shared = {}
+    if len(blocks) > 1:
+        uses = Counter((name, id(value)) for block in blocks
+                       for name, value in block.items() if isinstance(value, list))
+        shared = {key: None for key, count in uses.items() if count > 1}
     for i, block in enumerate(blocks):
         yield _block_text(block, json_lines, i == 0 and not json_lines, shared)
 
@@ -177,7 +188,11 @@ def _write_rows(args) -> int:
 _MAX_SECTION_ROWS = 10**6
 
 
-# check draws each cloud whole: 10^7 coordinates are 80 MB
+# check draws each cloud whole: 10^7 coordinates are 76 MiB.  At the cap,
+# check avgdist --n 50 --samples 200000 peaks 159 MiB above the imports,
+# its two clouds and a chunk (308 MiB with x - y and its square formed
+# apart), and check transfer --n 10 --samples 1000000 at 258 MiB (495 with
+# every cloud kept and the mapped one sorted in a copy)
 _MAX_CHECK_COORDS = 10**7
 
 
@@ -262,8 +277,8 @@ def _spread_cloud(seed: int, name: str, count: int, n: int) -> np.ndarray:
     def fill(g, m):
         u = g.standard_exponential((m, n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = 10.0 ** g.uniform(lo, hi, (m, 1))
-        return r * u
+        u *= 10.0 ** g.uniform(lo, hi, (m, 1))
+        return u
     return generate(seed, name, count, fill)
 
 

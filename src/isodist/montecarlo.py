@@ -21,7 +21,11 @@ All batches go through the chunked SFC64 streams in rng.py, whose chunk
 size is fixed, so a batch is a deterministic function of (seed,
 parameters).  They replaced Philox streams, whose per-draw cost was a
 large share of a sampler's time and bought a jump-ahead that nothing
-here uses.
+here uses.  A batch is allocated once and its chunks are copied in, so
+a sampler peaks at the batch plus one chunk.  The fills and the
+experiments work in place, in arrays they own, with the same
+floating-point operations as the out-of-place expressions that
+tests/oracles.py keeps, so their values are those bit for bit.
 
 The check functions make the analytic machinery falsifiable at finite
 samples: the normalization map T(x) = x/||x||_1 against the bound
@@ -129,7 +133,10 @@ def _fill_for(family: BodyFamily, n: int):
     if family.kind == "simplex":
         def fill(g, m):
             e = g.standard_exponential((m, n))
-            return omega * e / e.sum(axis=1, keepdims=True)
+            s = e.sum(axis=1, keepdims=True)
+            e *= omega
+            e /= s
+            return e
         return fill
     p = family.p or 2.0
 
@@ -498,8 +505,12 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
 def sample_gaussian(n: int, count: int, seed: int) -> np.ndarray:
     """Points with density exp(-pi ||x||^2): normals scaled by 1/sqrt(2 pi)."""
     n = validate_n(n, 1)
-    return generate(seed, f"gaussian-{n}", count,
-                    lambda g, m: g.standard_normal((m, n)) / math.sqrt(2.0 * math.pi))
+
+    def fill(g, m):
+        x = g.standard_normal((m, n))
+        x /= math.sqrt(2.0 * math.pi)
+        return x
+    return generate(seed, f"gaussian-{n}", count, fill)
 
 
 def gaussian_to_cube_map(points: np.ndarray) -> np.ndarray:
@@ -540,17 +551,31 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     from scipy import stats  # the only user; kept off `import isodist`
 
     n = validate_n(n, 1)
-    pts = sample_gaussian(n, count, seed)
-    mapped = gaussian_to_cube_map(pts)
-    cdf = np.sort(mapped.T, axis=1)
+    x = sample_gaussian(n, count, seed)
+    y = sample_gaussian(n, count, seed + 1)
+    # ||phi(y) - phi(x)|| / ||y - x|| by subtract, square and row sum in the
+    # arrays drawn here, the operations of np.linalg.norm(a - b, axis=1);
+    # each batch is dropped once read, so at most three are alive
+    num = gaussian_to_cube_map(y)
+    y -= x
+    y *= y
+    den = np.sqrt(y.sum(axis=1))
+    del y
+    mapped = gaussian_to_cube_map(x)
+    del x
+    num -= mapped
+    num *= num
+    ratio = float(np.max(np.sqrt(num.sum(axis=1)) / den))
+    del num
+    # each coordinate's mapped values sorted in place, and both one-sided
+    # statistics through one buffer
+    cdf = mapped.T
+    cdf.sort(axis=1)
     m = cdf.shape[1]
-    d = max(float(np.max(np.arange(1.0, m + 1) / m - cdf)),
-            float(np.max(cdf - np.arange(0.0, m) / m)))
+    gap = np.subtract(np.arange(1.0, m + 1) / m, cdf)
+    d_plus = float(np.max(gap))
+    d = max(d_plus, float(np.max(np.subtract(cdf, np.arange(0.0, m) / m, out=gap))))
     min_p = float(np.clip(stats.kstwo.sf(d, m), 0.0, 1.0))
-    other = sample_gaussian(n, count, seed + 1)
-    num = np.linalg.norm(gaussian_to_cube_map(other) - mapped, axis=1)
-    den = np.linalg.norm(other - pts, axis=1)
-    ratio = float(np.max(num / den))
     uniform_ok = min_p >= 1.0 - (1.0 - _MC_TAIL) ** (1.0 / n)
     contraction_ok = ratio <= 1.0 + 1e-6
     return TransferCheck(int(count), min_p, ratio, uniform_ok, contraction_ok,
@@ -578,8 +603,10 @@ def average_distance_experiment(n: int, count: int, seed: int) -> AvgDistanceRes
     n = validate_n(n, 1)
     x = generate(seed, f"avgdist-x-{n}", count, lambda g, m: g.random((m, n)))
     y = generate(seed, f"avgdist-y-{n}", count, lambda g, m: g.random((m, n)))
-    dist = np.linalg.norm(x - y, axis=1)
-    est = EstimateWithCI.from_samples(dist)
+    # ||x - y|| in x's own memory, by the operations of np.linalg.norm
+    x -= y
+    x *= x
+    est = EstimateWithCI.from_samples(np.sqrt(x.sum(axis=1)))
     lower = math.sqrt(n / (2.0 * math.pi * math.e))
     return AvgDistanceResult(n, int(count), est, lower,
                              est.estimate - est.half_width_95 >= lower)

@@ -7,7 +7,8 @@ The streams were Philox, a counter-based generator whose cost per word
 was a large share of every sampler's time and bought jumping and
 advancing a stream, which nothing here does.
 Work is split into fixed-size chunks of DEFAULT_CHUNK points; each chunk
-owns an independent stream and the results are assembled in chunk order.
+owns an independent stream and its points are copied, in chunk order,
+into a batch allocated once.
 The chunks are filled one after another, so outputs are a pure
 function of (seed, tag, parameters).
 
@@ -42,13 +43,24 @@ def generate(seed: int, name: str, count: int,
     """Assemble fill(generator, m) over DEFAULT_CHUNK chunks, in index order.
 
     fill must draw exactly the same variates for a given m regardless of
-    context; it receives the chunk's own generator.  count >= 1 and
-    seed >= 0 are read like a dimension n: a fractional, infinite or
-    NaN value raises DomainError instead of being truncated.
+    context; it receives the chunk's own generator.  A batch of one chunk
+    is the fill's own array.  A longer batch is allocated once, with the
+    first chunk's trailing shape and dtype, and each chunk is copied into
+    its rows and dropped, so the peak is the batch plus one chunk and
+    whatever else the fill holds while it draws.
+    count >= 1 and seed >= 0 are read like a dimension n: a fractional,
+    infinite or NaN value raises DomainError instead of being truncated.
     """
     count = validate_n(count, 1)
     seed = validate_n(seed, 0)
     tag = stream_tag(name)
-    parts = [np.asarray(fill(chunk_generator(seed, tag, i), min(DEFAULT_CHUNK, count - lo)))
-             for i, lo in enumerate(range(0, count, DEFAULT_CHUNK))]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    for i, lo in enumerate(range(0, count, DEFAULT_CHUNK)):
+        m = min(DEFAULT_CHUNK, count - lo)
+        part = np.asarray(fill(chunk_generator(seed, tag, i), m))
+        if m == count:
+            return part
+        if lo == 0:
+            out = np.empty((count, *part.shape[1:]), dtype=part.dtype)
+        out[lo:lo + m] = part
+        del part  # dropped before the next chunk is drawn
+    return out

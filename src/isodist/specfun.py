@@ -46,11 +46,16 @@ def phi(a):
     """Distribution function of exp(-pi x^2); accepts scalars or arrays.
 
     Computed as erfc(-sqrt(pi) a)/2, which is stable in both tails and
-    maps -inf/+inf to 0/1.
+    maps -inf/+inf to 0/1.  An array comes back in one new array; a's
+    own is never written.
     """
     a = np.asarray(a, dtype=float)
-    out = 0.5 * sp.erfc(-SQRT_PI * a)
-    return float(out) if out.ndim == 0 else out
+    if a.ndim == 0:
+        return float(0.5 * sp.erfc(-SQRT_PI * a))
+    out = np.multiply(a, -SQRT_PI)
+    sp.erfc(out, out=out)
+    out *= 0.5
+    return out
 
 
 def phi_inv(eps):

@@ -40,6 +40,12 @@ simplicial_segment_sorted sorts cell tuples by (sum, -c).
 The CLI formats whole columns and joins their text; cli_text writes the
 same rows one at a time, each value through csv.writer or each row
 through json.dumps.
+
+The samplers copy each chunk into a batch allocated once and then work in
+place; generate_concat keys the same SFC64 streams by hand and joins the
+chunks with np.concatenate, and simplex_fill, gaussian_fill, phi_erfc,
+row_distances, avgdist_distances, transfer_ratio and exp_tail_sums are
+the out-of-place expressions the in-place code must match bit for bit.
 """
 
 import csv
@@ -48,6 +54,7 @@ import itertools
 import json
 import math
 import operator
+import zlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -595,3 +602,60 @@ def cli_text(rows: list, json_lines: bool) -> str:
     for row in rows:
         writer.writerow([_cli_fmt(v) for v in row.values()])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------- batches
+
+def generate_concat(seed: int, name: str, count: int, fill, chunk: int) -> np.ndarray:
+    """fill(g, m) over chunks of `chunk` points, chunk i drawn from SFC64
+    keyed by SeedSequence(seed, spawn_key=(crc32(name), i)), the parts kept
+    in a list and joined by np.concatenate."""
+    tag = zlib.crc32(name.encode("ascii"))
+    parts = []
+    for i, lo in enumerate(range(0, count, chunk)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, i))
+        parts.append(np.asarray(fill(np.random.Generator(np.random.SFC64(ss)),
+                                     min(chunk, count - lo))))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+
+def simplex_fill(omega: float, n: int):
+    """Uniform points of the simplex of scale omega, omega E / ||E||_1."""
+    def fill(g, m):
+        e = g.standard_exponential((m, n))
+        return omega * e / e.sum(axis=1, keepdims=True)
+    return fill
+
+
+def gaussian_fill(n: int):
+    """Points of density exp(-pi ||x||^2), normals over sqrt(2 pi)."""
+    return lambda g, m: g.standard_normal((m, n)) / math.sqrt(2.0 * math.pi)
+
+
+def phi_erfc(a):
+    """phi(a) = erfc(-sqrt(pi) a)/2 of an array."""
+    return 0.5 * sp.erfc(-math.sqrt(math.pi) * np.asarray(a, dtype=float))
+
+
+def row_distances(x, y) -> np.ndarray:
+    return np.linalg.norm(x - y, axis=1)
+
+
+def avgdist_distances(n: int, count: int, seed: int, chunk: int) -> np.ndarray:
+    """The pair distances of the average-distance experiment."""
+    x = generate_concat(seed, f"avgdist-x-{n}", count, lambda g, m: g.random((m, n)), chunk)
+    y = generate_concat(seed, f"avgdist-y-{n}", count, lambda g, m: g.random((m, n)), chunk)
+    return row_distances(x, y)
+
+
+def transfer_ratio(n: int, count: int, seed: int, chunk: int) -> float:
+    """The largest ||phi(x) - phi(y)|| / ||x - y|| of the transfer check."""
+    x = generate_concat(seed, f"gaussian-{n}", count, gaussian_fill(n), chunk)
+    y = generate_concat(seed + 1, f"gaussian-{n}", count, gaussian_fill(n), chunk)
+    return float(np.max(row_distances(phi_erfc(y), phi_erfc(x)) / row_distances(y, x)))
+
+
+def exp_tail_sums(n: int, count: int, seed: int, chunk: int) -> np.ndarray:
+    """The sums E_1 + ... + E_n of the exponential-tail check."""
+    return generate_concat(seed, f"exp-sum-{n}", count,
+                           lambda g, m: g.standard_exponential((m, n)).sum(axis=1), chunk)

@@ -12,10 +12,12 @@ import oracles
 import isodist.montecarlo
 from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
                      cutoff_gradient_check, cutoff_product_check,
-                     estimate_cap_volume, exp_tail_check, gaussian_to_cube_map,
+                     estimate_cap_volume, exp_tail_check, gaussian_to_cube_map, phi,
                      sample_gaussian, sample_uniform, t_map_lipschitz_check,
                      transfer_map_check, unit_volume_radius)
-from isodist.montecarlo import FD_STEP, _cutoffs, _radii, _t, _t_differences, _t_norms
+from isodist.montecarlo import (FD_STEP, _cutoffs, _fill_for, _radii, _t, _t_differences,
+                                _t_norms)
+from isodist.rng import DEFAULT_CHUNK
 
 
 def _h(x, c1, c2):
@@ -769,3 +771,99 @@ def test_transfer_pvalue_is_the_least_column_kstest(count):
     mapped = gaussian_to_cube_map(sample_gaussian(n, count, seed))
     least = min(stats.kstest(mapped[:, i], "uniform").pvalue for i in range(n))
     assert transfer_map_check(n, count, seed).min_ks_pvalue == least
+
+
+# ---------------------------------------------------------------- batches built in place
+
+# three chunks, the last one partial
+BATCH = 2 * DEFAULT_CHUNK + 777
+
+
+def _peak(call):
+    """call()'s peak of traced memory, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", [BodyFamily.cube(), BodyFamily.simplex(), BodyFamily.ball(),
+                                    BodyFamily.lp(1.0), BodyFamily.lp(1.5)],
+                         ids=["cube", "simplex", "ball", "lp1", "lp1.5"])
+def test_batches_are_the_concatenated_out_of_place_fills(family):
+    # the simplex fill against its out-of-place expression; the cube's is the
+    # generator's own array and the l_p fills work in place as before, so
+    # those are held to the concatenated chunks of the package's fill
+    n, seed = 3, 21
+    if family.kind == "simplex":
+        fill = oracles.simplex_fill(unit_volume_radius(family, n), n)
+    else:
+        fill = _fill_for(family, n)
+    want = oracles.generate_concat(seed, f"uniform-{family.label()}-{n}", BATCH, fill,
+                                   DEFAULT_CHUNK)
+    assert np.array_equal(sample_uniform(family, n, BATCH, seed).points, want)
+
+
+@pytest.mark.parametrize("count", [5, DEFAULT_CHUNK, BATCH])
+def test_experiments_match_their_out_of_place_expressions(count):
+    n, seed = 4, 23
+    want = oracles.generate_concat(seed, f"gaussian-{n}", count, oracles.gaussian_fill(n),
+                                   DEFAULT_CHUNK)
+    assert np.array_equal(sample_gaussian(n, count, seed), want)
+    res = average_distance_experiment(n, count, seed)
+    dist = oracles.avgdist_distances(n, count, seed, DEFAULT_CHUNK)
+    assert res.mean_distance == EstimateWithCI.from_samples(dist)
+    chk = transfer_map_check(n, count, seed)
+    assert chk.max_direction_ratio == oracles.transfer_ratio(n, count, seed, DEFAULT_CHUNK)
+    sums = oracles.exp_tail_sums(n, count, seed, DEFAULT_CHUNK)
+    hits = int(np.count_nonzero(sums <= 0.7 * n))
+    assert exp_tail_check(n, 0.7, count, seed).mc == EstimateWithCI.from_proportion(hits, count)
+
+
+def test_phi_and_the_transfer_map_leave_their_inputs_alone():
+    a = np.array([[-np.inf, -40.0, -1.5, -0.0], [0.0, 1e-300, 2.5, np.inf]])
+    a.setflags(write=False)
+    for x in (a, a.T, a.tolist()):
+        keep = np.array(x, dtype=float)
+        for f in (phi, gaussian_to_cube_map):
+            assert np.array_equal(f(x), oracles.phi_erfc(x))
+            assert np.array_equal(np.asarray(x), keep)
+    assert phi(np.float64(-1.5)) == float(oracles.phi_erfc(-1.5))
+    pts = sample_gaussian(3, 1000, seed=5)
+    keep = pts.copy()
+    mapped = gaussian_to_cube_map(pts)
+    assert np.array_equal(pts, keep) and not np.shares_memory(mapped, pts)
+    # every call draws a batch of its own, which its caller may write into
+    pts *= 2.0
+    assert np.array_equal(sample_gaussian(3, 1000, seed=5), keep)
+
+
+@pytest.mark.parametrize("family,fill_chunks", [(BodyFamily.cube(), 1), (BodyFamily.simplex(), 1),
+                                                (BodyFamily.ball(), 1), (BodyFamily.lp(1.5), 2)],
+                         ids=["cube", "simplex", "ball", "lp1.5"])
+def test_a_batch_peaks_at_itself_plus_a_chunk(family, fill_chunks):
+    # the batch is allocated once and each chunk copied in and dropped, so the
+    # peak is the batch plus what one fill holds: one chunk-sized array, two
+    # for l_p at p != 2 (magnitudes and signs), plus per-point vectors.  A
+    # list of parts joined by np.concatenate peaks at two batches
+    n, count = 8, 3 * DEFAULT_CHUNK
+    batch, chunk = count * n * 8, DEFAULT_CHUNK * n * 8
+    peak = _peak(lambda: sample_uniform(family, n, count, 3))
+    assert peak < batch + (fill_chunks + 1) * chunk, (peak, batch, chunk)
+
+
+@pytest.mark.parametrize("check,batches", [(average_distance_experiment, 2),
+                                           (transfer_map_check, 3)],
+                         ids=["avgdist", "transfer"])
+def test_experiments_peak_at_a_few_batches(check, batches):
+    # the average distance takes x - y, squares and sums it in x's own memory,
+    # where np.linalg.norm(x - y, axis=1) would hold four batches; the
+    # transfer check drops each batch once read and sorts the mapped values
+    # in place, where sorting a copy first would hold five
+    n, count = 8, 3 * DEFAULT_CHUNK
+    batch, chunk = count * n * 8, DEFAULT_CHUNK * n * 8
+    check(2, 10, 0)  # scipy.stats is imported on the transfer check's first call
+    peak = _peak(lambda: check(n, count, 3))
+    assert peak < batches * batch + 2 * chunk, (peak, batch, chunk)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from isodist import DomainError
 from isodist.rng import DEFAULT_CHUNK, chunk_generator, generate, stream_tag
 
@@ -102,3 +104,25 @@ def test_streams_are_uncorrelated():
     ]
     for a, b in pairs:
         assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(m)
+
+
+@pytest.mark.parametrize("count", [1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1, 3 * DEFAULT_CHUNK + 5])
+def test_generate_is_the_concatenated_chunks(count):
+    # the batch is allocated once, with the first chunk's trailing shape and
+    # dtype, and each chunk copied into its rows
+    fills = (unit_fill, lambda g, m: g.random((m, 2, 3)),
+             lambda g, m: g.integers(0, 2**40, (m, 2)), lambda g, m: g.random((m, 1)) < 0.5)
+    for fill in fills:
+        got = generate(9, "demo", count, fill)
+        want = oracles.generate_concat(9, "demo", count, fill, DEFAULT_CHUNK)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_one_chunk_is_the_fills_own_array():
+    made = []
+
+    def fill(g, m):
+        made.append(g.random((m, 4)))
+        return made[-1]
+    for count in (1, 777, DEFAULT_CHUNK):
+        assert generate(1, "demo", count, fill) is made[-1]
