@@ -13,8 +13,12 @@ block by block of colex ranks into batched numpy work so that memory
 stays bounded however many there are.  It needs only the sizes |N_t(A)|
 of the t-neighbourhoods, which it counts as popcounts of ORed ball masks.
 
-Subsets are bit masks over the row-major cell index.  The segments come
-from one stable sort of the cells' coordinate sums.  t_boundary and
+Subsets are bit masks over the row-major cell index.  The segments read
+the simplicial order from one stable sort of the cells' coordinate sums,
+made once per grid and cached, so initial_segment, final_segment and
+the two segments of verify_extremal_pairs share it.  That cache and the
+dilation's axis masks each keep the last two grids: 8 k^n bytes of
+order and n k^n / 4 bytes of masks per grid.  t_boundary and
 set_distance grow a mask one step of N_1 at a time: a shift by the
 axis stride and an OR per axis, with the cells on the axis's first or
 last layer masked off so that no bit wraps into the next row.  A step
@@ -45,7 +49,7 @@ import numpy as np
 from .bodies import validate_epsilon, validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
-from .specfun import phi_inv
+from .specfun import _gauss_tail_inv
 
 Cell = Tuple[int, ...]
 
@@ -56,6 +60,7 @@ _SWEEP_BLOCK = 1024  # subsets per block of the exhaustive sweep
 _BINOM = np.array([[math.comb(c, i) for c in range(_EXACT_CELL_LIMIT + 1)]
                    for i in range(_EXACT_CELL_LIMIT // 2 + 1)], dtype=np.int64)
 DEFAULT_PAIR_BUDGET = 10_000_000
+_GRID_CACHE = 2  # grids each per-grid cache keeps, so two can alternate
 
 
 @dataclass(frozen=True)
@@ -161,17 +166,26 @@ class SubsetHandle:
         return cls(grid, mask)
 
 
+@lru_cache(maxsize=_GRID_CACHE)
+def _simplicial_order(k: int, n: int) -> np.ndarray:
+    """The row-major indices of the cells of [k]^n in the simplicial order,
+    read-only.  Each cached grid holds 8 k^n bytes."""
+    # level[i] is the coordinate sum of cell i, in the smallest unsigned dtype
+    # holding n(k-1)
+    dtype = np.min_scalar_type(n * (k - 1))
+    level = np.indices((k,) * n, dtype=dtype).sum(axis=0, dtype=dtype).ravel()
+    # inside a level the order runs down the row-major index, so a stable sort
+    # of the reversed levels, read back from the end, is the simplicial order
+    order = k**n - 1 - np.argsort(level[::-1], kind="stable")
+    order.flags.writeable = False
+    return order
+
+
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
     count = validate_n(count, 0)
-    # level[i] is the coordinate sum of cell i, in the smallest unsigned dtype
-    # holding n(k-1)
-    dtype = np.min_scalar_type(grid.n * (grid.k - 1))
-    level = np.indices((grid.k,) * grid.n, dtype=dtype).sum(axis=0, dtype=dtype).ravel()
-    # inside a level the order runs down the row-major index, so a stable sort
-    # of the reversed levels, read back from the end, is the simplicial order
-    order = grid.size - 1 - np.argsort(level[::-1], kind="stable")
+    order = _simplicial_order(grid.k, grid.n)
     bits = np.zeros(grid.size, dtype=bool)
     bits[order[grid.size - count:] if final else order[:count]] = True
     return SubsetHandle(grid, _bits_mask(bits))
@@ -187,11 +201,12 @@ def final_segment(grid: Grid, s: int) -> SubsetHandle:
     return _segment(grid, s, final=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRID_CACHE)
 def _axis_masks(k: int, n: int) -> tuple:
     """(stride, not_first, not_last) per axis: stride k^(n-1-axis) moves one
     step along the axis, and the masks clear the cells whose coordinate on
-    it is 0 or k-1, where a shifted bit would wrap into the next row."""
+    it is 0 or k-1, where a shifted bit would wrap into the next row.  Each
+    cached grid holds its 2n masks, n k^n / 4 bytes."""
     size = k**n
     full = (1 << size) - 1
     out = []
@@ -389,7 +404,8 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     def enough(s):
         return count_cells_sum_le(k, n, s) >= need
 
-    z = math.sqrt(2.0 * math.pi) * phi_inv(eps)  # standard normal quantile
+    # the standard normal quantile; eps < 1/2 is already checked
+    z = math.sqrt(2.0 * math.pi) * -float(_gauss_tail_inv(eps))
     guess = max(0, round(n * m / 2 + z * math.sqrt(n * m * (m + 2) / 12)))
     # lo fails and hi holds; s = -1 fails (no cells) and s = nm holds (all)
     lo, hi, s, step = -1, n * m, guess, 1

@@ -16,6 +16,8 @@ the cap itself, and lp_tail_mp evaluates the incomplete beta in 50-digit
 mpmath, in its lower form so that tiny caps keep their relative
 accuracy.  lp_cap_beta_mp is that lower form at 40 digits for a given
 float z, so the incomplete-beta step is judged apart from the radius.
+lp_cap_two_form evaluates both betainc forms at every height, the
+expression the package's cheaper evaluation order must reproduce.
 Likewise phi_p_inv_mp inverts the distribution functions through
 mpmath's incomplete gamma functions at 50 digits, not through the scipy
 inverses the package calls, and cube_profile_mp forms the cube's
@@ -265,6 +267,18 @@ def lp_tail_betainc(x: float, p: float, n: int) -> float:
         return 0.0
     z = (x / om) ** p
     return 0.5 * (1.0 - sp.betainc(1.0 / p, (n - 1.0) / p + 1.0, z))
+
+
+def lp_cap_two_form(x, p: float, n: int, omega: float):
+    """Cap volume past x on a body of radius omega, with both betainc forms
+    evaluated at every height: 1 - I_z(a, b) where I_z <= 1/2, the swapped
+    lower form I_{1-z}(b, a) elsewhere.  The package evaluates the first
+    form only where the second is at least 1/4, and must match this bit
+    for bit."""
+    a, b = 1.0 / p, (n - 1.0) / p + 1.0
+    z = np.minimum((x / omega) ** p, 1.0)
+    lower = sp.betainc(a, b, z)
+    return 0.5 * np.where(lower <= 0.5, 1.0 - lower, sp.betainc(b, a, 1.0 - z))
 
 
 def lp_tail_quad(x: float, p: float, n: int) -> float:

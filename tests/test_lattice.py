@@ -165,6 +165,24 @@ def test_segments_match_sorted_cells_on_wide_grids(k, n, counts):
             assert segment(g, count).cells() == expect
 
 
+def test_simplicial_order_is_cached_and_read_only():
+    order = lattice._simplicial_order(5, 4)
+    assert lattice._simplicial_order(5, 4) is order
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 1
+
+
+@pytest.mark.parametrize("name", ["_simplicial_order", "_axis_masks"])
+def test_grid_caches_are_bounded(name):
+    cache = getattr(lattice, name)
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 2
+    for k in range(2, 2 + 2 * maxsize):
+        cache(k, 2)
+    assert cache.cache_info().currsize == maxsize
+
+
 def test_final_segment_is_reflected_initial_segment():
     for g in (Grid(3, 2), Grid(2, 3)):
         for s in range(g.size + 1):
@@ -174,13 +192,25 @@ def test_final_segment_is_reflected_initial_segment():
             assert set(fin.cells()) == reflected
 
 
-@pytest.mark.parametrize("k, n", [(5, 4), (3, 3), (2, 5), (7, 1)])
+# [5]^4, [5]^5 and every grid small enough for verify_extremal_pairs
+@pytest.mark.parametrize("k, n", [(5, 4), (5, 5)] + [
+    (k, n) for k in range(2, 33) for n in range(1, 6) if k**n <= 32])
 def test_segments_match_sorted_cells(k, n):
+    # each segment from a cleared order cache, then again from the warm one
     g = Grid(k, n)
+    order = [sum(c * k ** (n - 1 - j) for j, c in enumerate(cell))
+             for cell in oracles.simplicial_segment_sorted(k, n, g.size, False)]
+    heads, tails = [0], [0]
+    for head, tail in zip(order, reversed(order)):
+        heads.append(heads[-1] | 1 << head)
+        tails.append(tails[-1] | 1 << tail)
     for count in range(g.size + 1):
-        for final, segment in ((False, initial_segment), (True, final_segment)):
-            expect = sorted(oracles.simplicial_segment_sorted(k, n, count, final))
-            assert segment(g, count).cells() == expect
+        lattice._simplicial_order.cache_clear()
+        assert initial_segment(g, count).mask == heads[count]
+        lattice._simplicial_order.cache_clear()
+        assert final_segment(g, count).mask == tails[count]
+        assert initial_segment(g, count).mask == heads[count]
+        assert final_segment(g, count).mask == tails[count]
 
 
 def test_t_boundary_examples():

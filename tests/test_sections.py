@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 import oracles
 from isodist import (BodyFamily, DomainError, convergence_report, cube_diagonal_witness,
                      cube_sum_cdf, lp_section_area, lp_tail_volume, phi_p, psi_p,
                      psi_p_density_limit, section_curve, sphere_projection_cdf,
                      unit_volume_radius)
+from isodist import sections, specfun
 from isodist.sections import _lp_cap_volume
 
 
@@ -100,6 +102,46 @@ def test_cap_volume_formula_against_mpmath_sweep():
         rounds_to_one += z < 2.0**-53
     assert rounds_to_one >= 10
     assert max(errs) <= 5e-13
+
+
+def test_cap_volume_matches_both_forms_bit_for_bit():
+    # the lower form runs only where the swapped one is at least 1/4; the
+    # values must be those of evaluating both at every height, for arrays
+    # and scalars, at 0, z < 2^-53, the tip, past it, NaN and inf
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        p, n = rng.uniform(1.0, 2.0), int(rng.integers(2, 2001))
+        omega = specfun._lp_radius(n, p)
+        x = np.concatenate([
+            [0.0, 1e-300, omega * 2.0**-60, np.nextafter(omega, 0.0), omega,
+             1.5 * omega, math.nan, math.inf],
+            omega * 10.0 ** rng.uniform(-6.0, 0.0, 25), rng.uniform(0.0, omega, 20)])
+        want = oracles.lp_cap_two_form(x, p, n, omega)
+        assert _lp_cap_volume(x, p, n, omega).tobytes() == want.tobytes()
+        for xi in x.tolist():
+            # a float height takes float ** p, which may round apart from
+            # numpy's array power, so each side gets the same scalar
+            one = oracles.lp_cap_two_form(xi, p, n, omega)
+            assert np.float64(_lp_cap_volume(xi, p, n, omega)).tobytes() == \
+                one.tobytes()
+
+
+def test_slab_solve_builds_its_spline_once(monkeypatch):
+    for cached in vars(sections).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    builds = []
+    build = BSpline.construct_fast
+
+    def counting(cls, *args, **kwargs):
+        builds.append(args[-1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(BSpline, "construct_fast", classmethod(counting))
+    w = cube_diagonal_witness(30, 1e-3)
+    assert builds == [29]
+    assert oracles.irwin_hall_exact(30, w.region_a.params["threshold"]) == \
+        pytest.approx(1e-3, rel=1e-9, abs=0.0)
 
 
 # the heights lp_caps_witness finds for the caps of volume 1e-150 and
