@@ -32,7 +32,8 @@ count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
 approaches the continuous diagonal-slab value -2 sqrt(pi/6) phi_inv(eps);
 the count is an exact inclusion-exclusion sum, and the slab threshold is
-searched from the normal guess, decided by exact counts.
+searched outward from the normal guess and decided by exact counts, each
+probe one pass of the sum that gives the counts at three adjacent levels.
 """
 
 from __future__ import annotations
@@ -361,12 +362,41 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
     return ExtremalCheck(grid.k, grid.n, r, s, brute, seg, brute == seg, space)
 
 
+def _slab_counts(k: int, n: int, s: int) -> tuple:
+    """Cells of [k]^n with coordinate sum <= s - 1, <= s and <= s + 1, for
+    an integer s >= -1, from one pass over the inclusion-exclusion terms.
+
+    Term j of the count at s is (-1)^j C(n, j) C(N, n) with N = s - jk + n.
+    One math.comb gives C(N, n); its neighbours C(N - 1, n) = C(N, n)(N - n)/N
+    and C(N + 1, n) = C(N, n)(N + 1)/(N + 1 - n) follow by exact integer
+    steps, and b = (-1)^j C(n, j) is carried from the term before, times
+    -(n - j)/(j + 1).
+    The last term of the count at s + 1 can have N = n - 1, where C(N, n) is
+    0 and C(N + 1, n) is 1.
+    """
+    below = at = above = 0
+    b = 1  # (-1)^j C(n, j)
+    for j in range(min(n, (s + 1) // k) + 1):
+        big = s - j * k + n
+        term = b * math.comb(big, n)
+        if term:
+            below += term * (big - n) // big
+            at += term
+            above += term * (big + 1) // (big + 1 - n)
+        else:
+            above += b
+        b = -b * (n - j) // (j + 1)
+    return below, at, above
+
+
 def count_cells_sum_le(k: int, n: int, s: int) -> int:
     """Number of cells of [k]^n with coordinate sum <= s, exactly.
 
     Inclusion-exclusion over the j coordinates forced to k or more,
     sum_j (-1)^j C(n, j) C(s - jk + n, n) with s clipped to n(k-1), on
-    python integers, so the count stays exact far beyond 2^53.  A
+    python integers, so the count stays exact far beyond 2^53.  It is the
+    middle count of the one pass that gives the counts at s - 1, s and
+    s + 1 together, the pass each probe of scaled_max_distance makes.  A
     fractional s counts the cells with sum <= floor(s); s = +inf counts
     every cell and s = -inf none; NaN raises DomainError.
     """
@@ -375,9 +405,7 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
         raise DomainError("s must be a number, got NaN")
     if s < 0:
         return 0
-    s = math.floor(min(s, n * (k - 1)))
-    return sum((-1) ** j * math.comb(n, j) * math.comb(s - j * k + n, n)
-               for j in range(s // k + 1))
+    return _slab_counts(k, n, math.floor(min(s, n * (k - 1))))[1]
 
 
 def scaled_max_distance(n: int, m: int, eps: float) -> float:
@@ -390,10 +418,14 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
 
     s_lo is the least s with count_cells_sum_le(m+1, n, s) >= eps (m+1)^n,
     an exact comparison of integers with the binary value of eps.  One
-    loop keeps a failing lo and a holding hi: it starts at the normal
-    guess for the level sum (mean nm/2, variance nm(m+2)/12), steps away
-    from it by 1, 2, 4, ... and bisects (lo, hi) once the next probe would
-    leave it; the guess only decides where the counting starts.
+    loop keeps a failing lo and a holding hi.  Each probe is one
+    inclusion-exclusion pass that gives the exact counts at s - 1, s and
+    s + 1, and the three of them set lo and hi.  The first probe is at the
+    normal guess for the level sum (mean nm/2, variance nm(m+2)/12), so a
+    threshold within one level of it takes a single pass.  Later probes
+    step away from the decided levels by 2, 4, 8, ... and bisect (lo, hi)
+    once the next probe would leave it; the guess only decides where the
+    counting starts.
     """
     eps = validate_epsilon(eps)
     n, m = validate_n(n, 1), validate_n(m, 1)
@@ -401,19 +433,21 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     p, q = eps.as_integer_ratio()
     need = -(-p * k**n // q)  # ceil(eps k^n): counts are integers
 
-    def enough(s):
-        return count_cells_sum_le(k, n, s) >= need
-
     # the standard normal quantile; eps < 1/2 is already checked
     z = math.sqrt(2.0 * math.pi) * -float(_gauss_tail_inv(eps))
     guess = max(0, round(n * m / 2 + z * math.sqrt(n * m * (m + 2) / 12)))
     # lo fails and hi holds; s = -1 fails (no cells) and s = nm holds (all)
-    lo, hi, s, step = -1, n * m, guess, 1
+    lo, hi, s, step = -1, n * m, guess, 2
     while hi - lo > 1:
-        if enough(s):
-            hi, s = s, s - step
+        below, at, above = _slab_counts(k, n, s)
+        if below >= need:
+            hi, s = s - 1, s - 1 - step
+        elif at >= need:
+            lo, hi = s - 1, s
+        elif above >= need:
+            lo, hi = s, s + 1
         else:
-            lo, s = s, s + step
+            lo, s = s + 1, s + 1 + step
         step *= 2
         if not lo < s < hi:
             s = (lo + hi) // 2

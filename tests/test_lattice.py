@@ -562,15 +562,16 @@ def scaled_max_distance_by_scan(n, m, eps):
 
 
 def _recorded_counts(monkeypatch) -> list:
-    """The s of every count_cells_sum_le call the slab search makes."""
-    counted = lattice.count_cells_sum_le
+    """The centre s of every counting pass the slab search makes; each pass
+    gives the counts at s - 1, s and s + 1."""
+    counted = lattice._slab_counts
     calls = []
 
     def count(k, n, s):
         calls.append(s)
         return counted(k, n, s)
 
-    monkeypatch.setattr(lattice, "count_cells_sum_le", count)
+    monkeypatch.setattr(lattice, "_slab_counts", count)
     return calls
 
 
@@ -583,20 +584,45 @@ def test_scaled_max_distance_matches_a_scan_in_few_counts(monkeypatch, n):
         for eps in (1e-15, 1e-4, 0.1, 0.3, 0.4999):
             calls.clear()
             assert scaled_max_distance(n, m, eps) == scaled_max_distance_by_scan(n, m, eps)
-            # a gallop and a bisection of about log2(nm) counts each, not a scan
+            # a gallop and a bisection of about log2(nm) passes each, not a scan
             assert len(calls) <= 2 * math.log2(n * m) + 4
 
 
-# the counts probed from the normal guess: one step down to the threshold,
-# a clamped guess at 0, and a gallop up by 1, 2, 4, 8 then a bisection back
+# the centres probed from the normal guess: the threshold within one level
+# of the guess, a clamped guess at 0, and a gallop up by 2 then 4 past the
+# window, each pass deciding the three levels around its centre
 @pytest.mark.parametrize("n, m, eps, probes", [
-    (30, 64, 0.1, [828, 827]),
-    (2, 10, 0.1, [4, 3]),
-    (50, 2, 0.3, [47, 46]),
-    (200, 16, 1e-15, [1050, 1051, 1053, 1057, 1065, 1061, 1059, 1058]),
+    (30, 64, 0.1, [828]),
+    (2, 10, 0.1, [4]),
+    (50, 2, 0.3, [47]),
+    (200, 16, 1e-15, [1050, 1053, 1058]),
     (1, 64, 1e-15, [0]),
 ])
 def test_scaled_max_distance_probe_path(monkeypatch, n, m, eps, probes):
     calls = _recorded_counts(monkeypatch)
     scaled_max_distance(n, m, eps)
     assert calls == probes
+
+
+def test_slab_counts_match_the_recurrence(rng):
+    """One pass gives the counts at s - 1, s and s + 1, against the
+    dimension recurrence, at random (k, n, s) and at both ends of the sum
+    range; the search built on it agrees with a scan over the lattice
+    workload's strata."""
+    def check(k, n, s):
+        expect = tuple(oracles.count_cells_recurrence(k, n, t) for t in (s - 1, s, s + 1))
+        assert lattice._slab_counts(k, n, s) == expect
+
+    for _ in range(300):
+        k, n = int(rng.integers(2, 40)), int(rng.integers(1, 40))
+        check(k, n, int(rng.integers(-1, n * (k - 1) + 2)))
+    for k, n in ((2, 1), (2, 7), (17, 1), (65, 30)):
+        top = n * (k - 1)
+        for s in (-1, 0, 1, top - 1, top, top + 1):
+            check(k, n, s)
+    for m, n_max in ((16, 200), (64, 100)):
+        for _ in range(6):
+            n = int(rng.integers(1, n_max + 1))
+            eps = float(10 ** rng.uniform(-3, math.log10(0.4)))
+            assert scaled_max_distance(n, m, eps) == scaled_max_distance_by_scan(n, m, eps)
+    assert scaled_max_distance(200, 16, 0.4) == scaled_max_distance_by_scan(200, 16, 0.4)
