@@ -15,8 +15,7 @@ their sharpness, and the discrete and Monte Carlo checks around them:
     cli          the `isodist` command
 """
 
-from .bodies import (BodyFamily, validate_epsilon, validate_n,
-                     validate_open_interval, validate_p)
+from .bodies import BodyFamily
 from .enlargement import (EnlargementResult, delta_closed_form,
                           distance_upper_bound, time_to_half)
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
@@ -30,11 +29,9 @@ from .montecarlo import (AvgDistanceResult, CutoffCheck, EstimateWithCI,
                          ExpTailCheck, SampleBatch, TMapCheck, TransferCheck,
                          average_distance_experiment, cutoff_gradient_check,
                          cutoff_product_check, estimate_cap_volume,
-                         exp_tail_check, gaussian_to_cube_map, sample_gaussian,
-                         sample_uniform, t_map_lipschitz_check,
+                         exp_tail_check, sample_uniform, t_map_lipschitz_check,
                          transfer_map_check)
-from .profiles import (IsoProfile, make_profile, unit_volume_radius,
-                       xlog_power_derivative)
+from .profiles import IsoProfile, make_profile, unit_volume_radius
 from .sections import (ConvergenceReport, SectionCurve, convergence_report,
                        cube_sum_cdf, lp_section_area, lp_tail_volume,
                        psi_p_density_limit, section_curve,

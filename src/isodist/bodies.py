@@ -6,6 +6,11 @@ unit-volume radius computed in profiles.  p is restricted to [1, 2]; the
 p = 1 member is the cross-polytope, and lp(2) is built as the euclidean
 ball itself, so BodyFamily.lp(2.0) == BodyFamily.ball() and every formula
 reads the ball's row for it.
+
+The private _validate_* helpers below are the shared input checks that
+the other modules import; a public function runs each of its inputs
+through at most one of them, once, and they raise DomainError outside
+the domain.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import DomainError
 _KINDS = ("ball", "cube", "simplex", "lp")
 
 
-def validate_p(p: float) -> float:
+def _validate_p(p: float) -> float:
     p = float(p)
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"p must lie in [1, 2], got {p}")
@@ -38,7 +43,7 @@ class BodyFamily:
         if self.kind == "lp":
             if self.p is None:
                 raise DomainError("lp family needs an exponent p")
-            object.__setattr__(self, "p", validate_p(self.p))
+            object.__setattr__(self, "p", _validate_p(self.p))
             if self.p == 2.0:
                 object.__setattr__(self, "kind", "ball")
                 object.__setattr__(self, "p", None)
@@ -67,7 +72,7 @@ class BodyFamily:
         return self.kind
 
 
-def validate_epsilon(eps: float) -> float:
+def _validate_epsilon(eps: float) -> float:
     """Volume fractions must sit strictly between 0 and 1/2."""
     eps = float(eps)
     if not 0.0 < eps < 0.5:
@@ -75,7 +80,7 @@ def validate_epsilon(eps: float) -> float:
     return eps
 
 
-def validate_open_interval(x, lo: float, hi: float, name: str):
+def _validate_open_interval(x, lo: float, hi: float, name: str):
     """x as a float array with every entry in (lo, hi); a NaN entry fails."""
     x = np.asarray(x, dtype=float)
     if not np.all((x > lo) & (x < hi)):
@@ -83,7 +88,7 @@ def validate_open_interval(x, lo: float, hi: float, name: str):
     return x
 
 
-def validate_n(n, least: int) -> int:
+def _validate_n(n, least: int) -> int:
     """A dimension or lattice size n >= least, as an int.
 
     Python and numpy integers pass, and so do integral floats such as

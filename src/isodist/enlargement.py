@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodyFamily, validate_epsilon
+from .bodies import BodyFamily, _validate_epsilon
 from .errors import DomainError, NonConvergenceError
 from .profiles import _FAMILIES, _LN2, IsoProfile, make_profile
 
@@ -58,7 +58,7 @@ def time_to_half(profile: IsoProfile, eps: float) -> float:
     does).  Raises NonConvergenceError if more than 200 subintervals
     would be needed or the integrand is not finite.
     """
-    return _time_to_half(profile, validate_epsilon(eps))
+    return _time_to_half(profile, _validate_epsilon(eps))
 
 
 def _time_to_half(profile, eps):
@@ -112,7 +112,7 @@ def _time_to_half(profile, eps):
 
 def delta_closed_form(family: BodyFamily, eps: float) -> float:
     """Closed form of the enlargement integral for one family."""
-    return _FAMILIES[family.kind].delta(validate_epsilon(eps), family.p)
+    return _FAMILIES[family.kind].delta(_validate_epsilon(eps), family.p)
 
 
 def distance_upper_bound(family: BodyFamily, eps: float,
@@ -124,7 +124,7 @@ def distance_upper_bound(family: BodyFamily, eps: float,
     profile's flag, set for the simplex and every l_p member but lp(2),
     which is the ball.
     """
-    eps = validate_epsilon(eps)
+    eps = _validate_epsilon(eps)
     rec = _FAMILIES[family.kind]
     if method == "closed_form":
         delta = rec.delta(eps, family.p)

@@ -47,7 +47,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .bodies import validate_epsilon, validate_n
+from .bodies import _validate_epsilon, _validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
 from .specfun import _gauss_tail_inv
@@ -70,8 +70,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", validate_n(self.k, 2))
-        object.__setattr__(self, "n", validate_n(self.n, 1))
+        object.__setattr__(self, "k", _validate_n(self.k, 2))
+        object.__setattr__(self, "n", _validate_n(self.n, 1))
 
     @property
     def size(self) -> int:
@@ -99,7 +99,7 @@ class Grid:
     def cell(self, index: int) -> Cell:
         if not 0 <= index < self.size:
             raise RangeError(f"index {index} outside grid of size {self.size}")
-        index = validate_n(index, 0)
+        index = _validate_n(index, 0)
         out = []
         for _ in range(self.n):
             index, c = divmod(index, self.k)
@@ -143,7 +143,7 @@ class SubsetHandle:
 
     def __post_init__(self):
         # a negative mask is out of range, a fractional or NaN one malformed
-        mask = self.mask if self.mask < 0 else validate_n(self.mask, 0)
+        mask = self.mask if self.mask < 0 else _validate_n(self.mask, 0)
         if mask < 0 or mask >> self.grid.size:
             raise RangeError(f"mask {mask} has bits outside a grid of "
                              f"{self.grid.size} cells")
@@ -185,7 +185,7 @@ def _simplicial_order(k: int, n: int) -> np.ndarray:
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
-    count = validate_n(count, 0)
+    count = _validate_n(count, 0)
     order = _simplicial_order(grid.k, grid.n)
     bits = np.zeros(grid.size, dtype=bool)
     bits[order[grid.size - count:] if final else order[:count]] = True
@@ -233,7 +233,7 @@ def t_boundary(handle: SubsetHandle, t: int) -> SubsetHandle:
     Grows the bit mask by min(t, n(k-1)) dilations, each a shift and OR
     per axis; t = 0 returns the set itself.
     """
-    t = validate_n(t, 0)
+    t = _validate_n(t, 0)
     if handle.mask == 0:
         raise EmptySetError("t-boundary of an empty set")
     grid = handle.grid
@@ -351,7 +351,7 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")
     if not (1 <= r <= grid.size and 1 <= s <= grid.size):
         raise RangeError(f"need 1 <= r, s <= {grid.size}")
-    r, s, budget = validate_n(r, 1), validate_n(s, 1), validate_n(budget, 0)
+    r, s, budget = _validate_n(r, 1), _validate_n(s, 1), _validate_n(budget, 0)
     space = math.comb(grid.size, r) * math.comb(grid.size, s)
     if space > budget:
         raise BudgetExceededError(
@@ -400,7 +400,7 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
     fractional s counts the cells with sum <= floor(s); s = +inf counts
     every cell and s = -inf none; NaN raises DomainError.
     """
-    k, n = validate_n(k, 2), validate_n(n, 1)
+    k, n = _validate_n(k, 2), _validate_n(n, 1)
     if s != s:
         raise DomainError("s must be a number, got NaN")
     if s < 0:
@@ -427,8 +427,8 @@ def scaled_max_distance(n: int, m: int, eps: float) -> float:
     once the next probe would leave it; the guess only decides where the
     counting starts.
     """
-    eps = validate_epsilon(eps)
-    n, m = validate_n(n, 1), validate_n(m, 1)
+    eps = _validate_epsilon(eps)
+    n, m = _validate_n(n, 1), _validate_n(m, 1)
     k = m + 1
     p, q = eps.as_integer_ratio()
     need = -(-p * k**n // q)  # ceil(eps k^n): counts are integers

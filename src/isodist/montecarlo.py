@@ -33,8 +33,9 @@ samples: the normalization map T(x) = x/||x||_1 against the bound
 two radial cutoffs with exact plateau characterizations and gradient
 bounds, the product-rule gradient inequality, the Erlang small-sum tail
 against its closed bound, the coordinatewise gaussian-to-cube transfer
-(1-Lipschitz, uniform output), and the mean-distance lower bound
-sqrt(n/(2 pi e)) in high dimension.
+phi (1-Lipschitz, uniform output) on a Gaussian cloud that the check
+draws and maps itself, and the mean-distance lower bound sqrt(n/(2 pi e))
+in high dimension.
 The tail and transfer checks report their exact part and their Monte
 Carlo part apart; the latter is judged at 5 standard errors.
 
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_n, validate_open_interval
+from .bodies import BodyFamily, _validate_n, _validate_open_interval
 from .errors import DomainError
 from .profiles import _FAMILIES
 from .rng import generate
@@ -168,7 +169,7 @@ def _fill_for(family: BodyFamily, n: int):
 
 def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleBatch:
     """Uniform points in the unit-volume body of the family."""
-    n = validate_n(n, _FAMILIES[family.kind].least_n)
+    n = _validate_n(n, _FAMILIES[family.kind].least_n)
     pts = generate(seed, f"uniform-{family.label()}-{n}", count,
                    _fill_for(family, n))
     return SampleBatch(family.label(), n, int(count), int(seed), pts)
@@ -177,7 +178,7 @@ def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleB
 def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
                         seed: int) -> EstimateWithCI:
     """Fraction of sampled points with first coordinate >= a."""
-    a = validate_open_interval(a, -math.inf, math.inf, "cap height a").tolist()
+    a = _validate_open_interval(a, -math.inf, math.inf, "cap height a").tolist()
     batch = sample_uniform(family, n, count, seed)
     hits = int(np.count_nonzero(batch.points[:, 0] >= a))
     return EstimateWithCI.from_proportion(hits, batch.count)
@@ -425,7 +426,7 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     (c2/n) sqrt(#{x_i != 0}), and each is 0 off its slope.
     """
     pts = _cloud(points)
-    c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
+    c1, c2 = _validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     n = pts.shape[1]
     sq = math.sqrt(n)
     cut = _cloud_cutoffs(pts, c1, c2)
@@ -452,7 +453,7 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     k = #{x_i != 0}.
     """
     pts = _cloud(points)
-    c1, c2 = validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
+    c1, c2 = _validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
     near, g1, g2, gp = _cutoff_gradients(*_cloud_cutoffs(pts, c1, c2), pts.shape[1], c1, c2)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
@@ -483,8 +484,8 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     within 5 standard errors sqrt(max(p(1-p), 1/count)/count) of the
     exact value p; ok says both.
     """
-    n = validate_n(n, 1)
-    alpha = validate_open_interval(alpha, 0.0, math.inf, "alpha").tolist()
+    n = _validate_n(n, 1)
+    alpha = _validate_open_interval(alpha, 0.0, math.inf, "alpha").tolist()
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))
@@ -502,24 +503,14 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
 
 # ---------------------------------------------------------------- transfer
 
-def sample_gaussian(n: int, count: int, seed: int) -> np.ndarray:
-    """Points with density exp(-pi ||x||^2): normals scaled by 1/sqrt(2 pi)."""
-    n = validate_n(n, 1)
-
+def _gaussian_fill(n: int):
+    """A fill of points with density exp(-pi ||x||^2): normals over
+    sqrt(2 pi)."""
     def fill(g, m):
         x = g.standard_normal((m, n))
         x /= math.sqrt(2.0 * math.pi)
         return x
-    return generate(seed, f"gaussian-{n}", count, fill)
-
-
-def gaussian_to_cube_map(points: np.ndarray) -> np.ndarray:
-    """Coordinatewise phi: pushes the exp(-pi ||x||^2) law to uniform (0,1)^n.
-
-    Each coordinate map has derivative exp(-pi x^2) <= 1, so the whole
-    map is 1-Lipschitz in the euclidean metric.
-    """
-    return phi(np.asarray(points, dtype=float))
+    return fill
 
 
 @dataclass(frozen=True)
@@ -535,10 +526,15 @@ class TransferCheck:
 def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     """Uniformity and contraction of the gaussian-to-cube transfer.
 
-    Kolmogorov-Smirnov per coordinate on the mapped sample against
-    uniform(0,1), plus difference quotients ||phi(x)-phi(y)|| / ||x-y||
-    over sampled pairs.  uniform_ok says the smallest of the n p-values is
-    at least 1 - (1 - P)^{1/n}, where P = 5.7e-7 is the two-sided normal
+    The transfer is phi taken coordinatewise: it pushes the law of
+    density exp(-pi ||x||^2) to uniform (0,1)^n, and since each
+    coordinate map has derivative exp(-pi x^2) <= 1 it is 1-Lipschitz.
+    The check draws its own two Gaussian clouds x and y of count points,
+    from the streams gaussian-{n} at seed and seed + 1, and maps them:
+    Kolmogorov-Smirnov per coordinate on phi(x) against uniform(0,1),
+    plus the difference quotients ||phi(x)-phi(y)|| / ||x-y|| of the
+    pairs of rows.  uniform_ok says the smallest of the n p-values is at
+    least 1 - (1 - P)^{1/n}, where P = 5.7e-7 is the two-sided normal
     tail beyond 5 standard errors, so a uniform sample fails with chance P;
     contraction_ok says every quotient is at most 1 + 1e-6; ok says both.
 
@@ -550,18 +546,19 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     """
     from scipy import stats  # the only user; kept off `import isodist`
 
-    n = validate_n(n, 1)
-    x = sample_gaussian(n, count, seed)
-    y = sample_gaussian(n, count, seed + 1)
+    n = _validate_n(n, 1)
+    fill = _gaussian_fill(n)
+    x = generate(seed, f"gaussian-{n}", count, fill)
+    y = generate(seed + 1, f"gaussian-{n}", count, fill)
     # ||phi(y) - phi(x)|| / ||y - x|| by subtract, square and row sum in the
     # arrays drawn here, the operations of np.linalg.norm(a - b, axis=1);
     # each batch is dropped once read, so at most three are alive
-    num = gaussian_to_cube_map(y)
+    num = phi(y)
     y -= x
     y *= y
     den = np.sqrt(y.sum(axis=1))
     del y
-    mapped = gaussian_to_cube_map(x)
+    mapped = phi(x)
     del x
     num -= mapped
     num *= num
@@ -602,7 +599,7 @@ def average_distance_experiment(n: int, count: int, seed: int) -> AvgDistanceRes
     radius scale of the optimal (ball) family; at n = 1 the exact mean
     is 1/3 and E||X-Y||^2 = n/6 in every dimension.
     """
-    n = validate_n(n, 1)
+    n = _validate_n(n, 1)
     x = generate(seed, f"avgdist-x-{n}", count, lambda g, m: g.random((m, n)))
     y = generate(seed, f"avgdist-y-{n}", count, lambda g, m: g.random((m, n)))
     # ||x - y|| in x's own memory, by the operations of np.linalg.norm

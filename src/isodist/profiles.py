@@ -9,7 +9,9 @@ form, witness limit, upper bound and radius built from it.
 
 The profile values are treated directly as the isoperimetric lower
 envelope fed into the enlargement integral; no separate boundary-content
-object is kept.
+object is kept.  Every profile increases on (0, 1/2]: the cube and ball
+ones as erfcinv(2t) falls to 0 at t = 1/2, the linear one plainly, and
+the l_p one by the derivative in _lp_profile's docstring.
 
 The linear and l_p profiles hold up to dimension-free constants c_lambda
 and c_iso that the underlying estimates do not pin down.  Both are fixed
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_n, validate_open_interval, validate_p
+from .bodies import BodyFamily, _validate_n, _validate_open_interval
 from .specfun import (SQRT_E, _gauss_tail_inv, _lp_radius, _psi_p_inv,
                       _simplex_radius)
 
@@ -65,24 +67,14 @@ def _simplex_profile(t, p):
 
 def _lp_profile(t, p):
     """c_iso * t * (-ln t)^{1-1/p}, at the placeholder c_iso = 1; reduces
-    to linear at p = 1."""
-    return t * (-np.log(t)) ** (1.0 - 1.0 / p)
+    to linear at p = 1.
 
-
-def xlog_power_derivative(x, p: float):
-    """Derivative of x (-ln x)^{1-1/p}, in the factored form
-
-        (-ln x)^{-1/p} * ((-ln x) - (1 - 1/p)).
-
-    Strictly positive on (0, 1/2] for every p in [1, 2] since
-    -ln x >= ln 2 > 1 - 1/p there, so the l_p profile is increasing up
-    to the half-volume mark.
+    It increases on (0, 1/2] for every p in [1, 2]: its derivative is
+    (-ln t)^{-1/p} ((-ln t) - (1 - 1/p)), and -ln t >= ln 2 > 1 - 1/p
+    there.  That is what lets the enlargement integral of dt / I(t) up
+    to the half-volume mark bound the distance.
     """
-    p = validate_p(p)
-    x = validate_open_interval(x, 0.0, 1.0, "x")
-    L = -np.log(x)
-    out = L ** (-1.0 / p) * (L - (1.0 - 1.0 / p))
-    return float(out) if out.ndim == 0 else out
+    return t * (-np.log(t)) ** (1.0 - 1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,7 @@ def make_profile(family: BodyFamily) -> IsoProfile:
     rec, p = _FAMILIES[family.kind], family.p
 
     def profile(t):
-        out = rec.profile(validate_open_interval(t, 0.0, 0.5, "profile argument"), p)
+        out = rec.profile(_validate_open_interval(t, 0.0, 0.5, "profile argument"), p)
         return float(out) if out.ndim == 0 else out
     return IsoProfile(family.label(), rec.tag, profile, rec.parametric)
 
@@ -210,4 +202,4 @@ def unit_volume_radius(family: BodyFamily, n: int) -> float:
     """Scaling factor omega_n that gives the family's body volume one (see
     _Family), through log-gamma so large n does not overflow."""
     rec = _FAMILIES[family.kind]
-    return rec.radius(validate_n(n, rec.least_n), family.p)
+    return rec.radius(_validate_n(n, rec.least_n), family.p)

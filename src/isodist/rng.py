@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import validate_n
+from .bodies import _validate_n
 
 DEFAULT_CHUNK = 16384
 
@@ -51,8 +51,8 @@ def generate(seed: int, name: str, count: int,
     count >= 1 and seed >= 0 are read like a dimension n: a fractional,
     infinite or NaN value raises DomainError instead of being truncated.
     """
-    count = validate_n(count, 1)
-    seed = validate_n(seed, 0)
+    count = _validate_n(count, 1)
+    seed = _validate_n(seed, 0)
     tag = stream_tag(name)
     for i, lo in enumerate(range(0, count, DEFAULT_CHUNK)):
         m = min(DEFAULT_CHUNK, count - lo)

@@ -51,7 +51,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.interpolate import BSpline
 
-from .bodies import validate_n, validate_p
+from .bodies import _validate_n, _validate_p
 from .errors import DomainError
 from .specfun import _lp_radius, psi_p
 
@@ -72,8 +72,8 @@ def lp_section_area(x, p: float, n: int):
     Evaluated in log space so large n neither overflows nor loses the
     (1 - (x/omega)^p)^{(n-1)/p} decay.  Zero for x beyond omega_n.
     """
-    p = validate_p(p)
-    n = validate_n(n, 2)
+    p = _validate_p(p)
+    n = _validate_n(n, 2)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise DomainError("section height must be >= 0")
@@ -83,7 +83,9 @@ def lp_section_area(x, p: float, n: int):
 
 def _lp_cap_volume(x, p: float, n: int, omega: float):
     a, b = 1.0 / p, (n - 1.0) / p + 1.0
-    z = np.minimum((x / omega) ** p, 1.0)
+    # np.power for a float height too: Python's pow can round z apart from
+    # numpy's array power, and a height's volume must not depend on its form
+    z = np.minimum(np.power(x / omega, p), 1.0)
     # I^c_z(a, b) as the swapped lower form I_{1-z}(b, a), replaced by
     # 1 - I_z(a, b) where I_z <= 1/2, which also covers z < 2^-53, where
     # 1 - z rounds to 1.  There I^c_z >= 1/2, so I_z is only evaluated
@@ -121,15 +123,9 @@ def lp_tail_volume(x: float, p: float, n: int) -> float:
     can lie past the true tip, where the true volume is 0.  The value is
     returned all the same; lp_caps_witness checks its caps against this
     allowance and raises where it does not hold.
-
-    A float height here and the same height in section_curve's grid can
-    give slightly different volumes.  This path rounds z = (x/omega_n)^p
-    with Python's pow and section_curve with numpy's array power, and the
-    two can round z apart, so the volumes can differ by up to about 2e-12
-    relative (1.8e-12 at p = 1.178, n = 144, a 1.5e-259 cap).
     """
-    p = validate_p(p)
-    n = validate_n(n, 2)
+    p = _validate_p(p)
+    n = _validate_n(n, 2)
     x = float(x)
     if not x >= 0.0:
         raise DomainError("cap height must be >= 0")
@@ -141,7 +137,7 @@ def psi_p_density_limit(x, p: float):
 
     Integrates to 1/2 over [0, inf); at p = 2 this is sqrt(e) e^{-pi e x^2}.
     """
-    p = validate_p(p)
+    p = _validate_p(p)
     x = np.asarray(x, dtype=float)
     scale = 2.0 * math.gamma(1.0 + 1.0 / p) * math.exp(1.0 / p)
     out = math.exp(1.0 / p) * np.exp(-np.abs(scale * x) ** p)
@@ -167,8 +163,8 @@ def section_curve(p: float, n: int, grid: Sequence[float]) -> SectionCurve:
     if not (grid.ndim == 1 and grid.size >= 2 and grid[0] >= 0.0
             and np.all(np.diff(grid) > 0.0)):
         raise DomainError("grid must be increasing and nonnegative")
-    p = validate_p(p)
-    n = validate_n(n, 2)
+    p = _validate_p(p)
+    n = _validate_n(n, 2)
     omega = _lp_radius(n, p)
     areas = _section_area(grid, p, n, omega)
     tails = _lp_cap_volume(grid, p, n, omega)
@@ -191,8 +187,8 @@ def convergence_report(p: float, n_list: Sequence[int],
     Both gap sequences should decrease along an increasing n_list; the
     report records whether they do.
     """
-    p = validate_p(p)
-    n_list = tuple(validate_n(n, 2) for n in n_list)
+    p = _validate_p(p)
+    n_list = tuple(_validate_n(n, 2) for n in n_list)
     grid = np.asarray(grid, dtype=float)
     tail_limit = psi_p(-grid, p)
     area_limit = psi_p_density_limit(grid, p)
@@ -249,7 +245,7 @@ def cube_sum_cdf(n: int, s: float) -> float:
     point operations: about 2 ms at n = 1000 and 9 ms at n = 2000 on a
     2-vCPU x86 VM.
     """
-    n = validate_n(n, 1)
+    n = _validate_n(n, 1)
     s = float(s)
     if s <= 0.0:
         return 0.0
@@ -268,7 +264,7 @@ def sphere_projection_cdf(n: int, x: float) -> float:
     regularized incomplete beta in t^2.  At n = 3 the coordinate is
     uniform on [-1, 1] and the formula collapses to (1 + x/sqrt(3))/2.
     """
-    n = validate_n(n, 2)
+    n = _validate_n(n, 2)
     y = float(x) / math.sqrt(n)
     if y <= -1.0:
         return 0.0

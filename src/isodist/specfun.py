@@ -35,8 +35,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import validate_epsilon, validate_open_interval, validate_p
-from .errors import DomainError
+from .bodies import _validate_epsilon, _validate_open_interval, _validate_p
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_E = math.sqrt(math.e)
@@ -66,7 +65,7 @@ def phi_inv(eps):
     in floating point on [1/2, 1)), so both tails keep full relative
     accuracy and phi_inv(1 - eps) = -phi_inv(eps) by construction.
     """
-    eps = validate_open_interval(eps, 0.0, 1.0, "phi_inv's eps")
+    eps = _validate_open_interval(eps, 0.0, 1.0, "phi_inv's eps")
     out = np.where(eps <= 0.5, -1.0, 1.0) * _gauss_tail_inv(np.minimum(eps, 1.0 - eps))
     return float(out) if out.ndim == 0 else out
 
@@ -78,7 +77,7 @@ def _gauss_tail_inv(e):
 
 def kappa(p: float) -> float:
     """Normalizing constant 2^p Gamma(1+1/p)^p of the exponent-p density."""
-    return _kappa(validate_p(p))
+    return _kappa(_validate_p(p))
 
 
 def _kappa(p):
@@ -93,7 +92,7 @@ def phi_p(a, p: float):
     1/2 + P(1/p, kappa_p a^p)/2, with P, Q the regularized pair.
     phi_p(0, p) = 1/2 exactly and phi_2 coincides with phi.
     """
-    return _phi_p(a, validate_p(p))
+    return _phi_p(a, _validate_p(p))
 
 
 def _phi_p(a, p):
@@ -105,18 +104,10 @@ def _phi_p(a, p):
     return float(out) if out.ndim == 0 else out
 
 
-def _inverse_args(eps, p, name):
-    # the one check of phi_p_inv's and psi_p_inv's inputs
-    p = validate_p(p)
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"{name} needs eps in (0, 1), got {eps}")
-    return eps, p
-
-
 def phi_p_inv(eps: float, p: float) -> float:
     """Inverse of phi_p(., p) on (0, 1)."""
-    return _phi_p_inv(*_inverse_args(eps, p, "phi_p_inv"))
+    p = _validate_p(p)
+    return _phi_p_inv(float(_validate_open_interval(eps, 0.0, 1.0, "phi_p_inv's eps")), p)
 
 
 def _phi_p_inv(eps, p):
@@ -127,13 +118,14 @@ def _phi_p_inv(eps, p):
 
 def psi_p(a, p: float):
     """Section-limit distribution function phi_p(e^{1/p} a)."""
-    p = validate_p(p)
+    p = _validate_p(p)
     return _phi_p(math.exp(1.0 / p) * np.asarray(a, dtype=float), p)
 
 
 def psi_p_inv(eps: float, p: float) -> float:
     """Inverse of psi_p(., p); equals phi_p_inv(eps, p) / e^{1/p}."""
-    return _psi_p_inv(*_inverse_args(eps, p, "psi_p_inv"))
+    p = _validate_p(p)
+    return _psi_p_inv(float(_validate_open_interval(eps, 0.0, 1.0, "psi_p_inv's eps")), p)
 
 
 def _psi_p_inv(eps, p):
@@ -146,7 +138,7 @@ def phi_inv_asymptote(eps: float) -> float:
     The ratio asymptote/actual tends to 1; the approach is slow because
     the neglected log-correction decays like ln(-ln eps)/(-ln eps).
     """
-    eps = validate_epsilon(eps)
+    eps = _validate_epsilon(eps)
     return -math.sqrt(-math.log(eps)) / SQRT_PI
 
 
@@ -156,8 +148,8 @@ def psi_p_inv_asymptote(eps: float, p: float) -> float:
     With L = -ln eps, the ratio asymptote/actual exceeds 1 by about
     ln(2 sqrt(pi L))/(2L) at p = 2 and by exactly ln 2/(L - ln 2) at p = 1.
     """
-    p = validate_p(p)
-    eps = validate_epsilon(eps)
+    p = _validate_p(p)
+    eps = _validate_epsilon(eps)
     return -((-math.log(eps)) ** (1.0 / p)) / (
         2.0 * math.exp(1.0 / p) * math.gamma(1.0 + 1.0 / p)
     )

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from scipy import special as sp
 
-from .bodies import BodyFamily, validate_epsilon, validate_n
+from .bodies import BodyFamily, _validate_epsilon, _validate_n
 from .errors import DomainError
 from .profiles import _FAMILIES
 from .sections import _irwin_hall_lower, _lp_cap_volume, _section_area
@@ -98,8 +98,8 @@ def lp_caps_witness(n: int, p: float, eps: float) -> RegionPair:
     """
     family = BodyFamily.lp(p)  # checks p; lp(2) is the ball, with p None
     p = family.p or 2.0
-    eps = validate_epsilon(eps)
-    n = validate_n(n, 1)
+    eps = _validate_epsilon(eps)
+    n = _validate_n(n, 1)
     if n == 1:
         a = 0.5 - eps
         miss = abs((0.5 - a) - eps)  # exact: the cap's true volume error
@@ -199,8 +199,8 @@ def cube_diagonal_witness(n: int, eps: float) -> RegionPair:
     solve does not settle; that happens only for subnormal eps at large
     n (eps <= 1e-315 at n = 500, 1e-310 at n = 2000).
     """
-    eps = validate_epsilon(eps)
-    n = validate_n(n, 1)
+    eps = _validate_epsilon(eps)
+    n = _validate_n(n, 1)
     s = _slab_threshold(n, eps)
     a = (0.5 * n - s) / math.sqrt(n)
     return RegionPair(
@@ -221,8 +221,8 @@ def simplex_corner_witness(n: int, eps: float) -> RegionPair:
     eps, likewise at Q, and the two copies end up exactly
     sqrt(2) omega_n (1 - alpha) apart (through expm1, as alpha nears 1).
     """
-    eps = validate_epsilon(eps)
-    n = validate_n(n, 2)
+    eps = _validate_epsilon(eps)
+    n = _validate_n(n, 2)
     alpha = (2.0 * eps) ** (1.0 / (n - 1.0))
     omega = _simplex_radius(n)
     distance = -math.sqrt(2.0) * omega * math.expm1(math.log(2.0 * eps) / (n - 1.0))
@@ -246,7 +246,7 @@ def bound_report(family: BodyFamily, eps: float) -> BoundReport:
     l_p rows use the placeholder constants c_lambda = c_iso = 1 and are
     flagged parametric.
     """
-    eps = validate_epsilon(eps)
+    eps = _validate_epsilon(eps)
     rec = _FAMILIES[family.kind]
     lower = rec.limit(eps, family.p)
     if rec.upper is None:

@@ -21,7 +21,9 @@ expression the package's cheaper evaluation order must reproduce.
 Likewise phi_p_inv_mp inverts the distribution functions through
 mpmath's incomplete gamma functions at 50 digits, not through the scipy
 inverses the package calls, and cube_profile_mp forms the cube's
-isoperimetric profile from a 50-digit root of phi.
+isoperimetric profile from a 50-digit root of phi.  xlog_power_derivative
+is the l_p profile's derivative written out, against which the profile's
+finite differences are held.
 
 The lemma checks work on whole clouds at once; t_map_check_pointwise,
 cutoff_check_pointwise and cutoff_product_pointwise redo them one point
@@ -175,6 +177,13 @@ def cube_profile_mp(t: float) -> float:
                 break
         z = -u / mpmath.sqrt(mpmath.pi)
         return float(mpmath.exp(-mpmath.pi * z * z))
+
+
+def xlog_power_derivative(x: float, p: float) -> float:
+    """Derivative of the l_p profile x (-ln x)^{1-1/p}, in the factored
+    form (-ln x)^{-1/p} ((-ln x) - (1 - 1/p)), for 0 < x < 1."""
+    L = -math.log(x)
+    return L ** (-1.0 / p) * (L - (1.0 - 1.0 / p))
 
 
 def gaussian_asymptote_ratio_bracket(eps: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
                      delta_closed_form, distance_upper_bound, estimate_cap_volume,
                      exp_tail_check, kappa, lp_caps_witness, lp_section_area,
                      lp_tail_volume, make_profile, phi_p, phi_p_inv, psi_p,
-                     psi_p_inv, sample_gaussian, sample_uniform,
+                     psi_p_inv, sample_uniform,
                      scaled_max_distance, section_curve, simplex_corner_witness,
                      sphere_projection_cdf, transfer_map_check, unit_volume_radius)
 
@@ -49,15 +49,14 @@ PUBLIC = {
     "cube_diagonal_witness", "cube_sum_cdf",
     "cutoff_gradient_check", "cutoff_product_check", "delta_closed_form",
     "distance_upper_bound", "estimate_cap_volume", "exp_tail_check", "final_segment",
-    "gaussian_to_cube_map", "initial_segment", "kappa", "lp_caps_witness",
+    "initial_segment", "kappa", "lp_caps_witness",
     "lp_section_area", "lp_tail_volume", "make_profile", "phi", "phi_inv",
     "phi_inv_asymptote", "phi_p", "phi_p_inv", "psi_p",
-    "psi_p_density_limit", "psi_p_inv", "psi_p_inv_asymptote", "sample_gaussian",
+    "psi_p_density_limit", "psi_p_inv", "psi_p_inv_asymptote",
     "sample_uniform", "scaled_max_distance", "section_curve", "set_distance",
     "simplex_corner_witness", "simplicial_cmp", "sphere_projection_cdf", "t_boundary",
     "t_map_lipschitz_check", "time_to_half", "transfer_map_check", "unit_volume_radius",
-    "validate_epsilon", "validate_n", "validate_open_interval", "validate_p",
-    "verify_extremal_pairs", "xlog_power_derivative",
+    "verify_extremal_pairs",
 }
 
 
@@ -171,7 +170,6 @@ TAKES_N = {
     "sample_uniform": lambda n: sample_uniform(BodyFamily.simplex(), n, 8, 1),
     "estimate_cap_volume": lambda n: estimate_cap_volume(BodyFamily.ball(), n, 0.1, 8, 1),
     "exp_tail_check": lambda n: exp_tail_check(n, 0.5, 8, 1),
-    "sample_gaussian": lambda n: sample_gaussian(n, 8, 1),
     "transfer_map_check": lambda n: transfer_map_check(n, 8, 1),
     "average_distance_experiment": lambda n: average_distance_experiment(n, 8, 1),
     "Grid": lambda n: Grid(3, n),
@@ -198,7 +196,7 @@ FAMILIES = {f.label(): f for f in (BodyFamily.ball(), BodyFamily.cube(),
                                     BodyFamily.simplex(), BodyFamily.lp(1.5))}
 PROFILES = {label: make_profile(f) for label, f in FAMILIES.items()}
 
-# each public call with the number of inputs it takes that a bodies.validate_*
+# each public call with the number of inputs it takes that a bodies._validate_*
 # function checks; the families are built beforehand and not counted
 CHECKS_ONCE = {
     **{f"bound_report({k})": (lambda f=f: bound_report(f, 0.1), 1)
@@ -217,11 +215,13 @@ CHECKS_ONCE = {
     "kappa": (lambda: kappa(1.5), 1),
     "phi_p": (lambda: phi_p(0.3, 1.5), 1),
     "psi_p": (lambda: psi_p(0.3, 1.5), 1),
-    "phi_p_inv": (lambda: phi_p_inv(0.1, 1.5), 1),
-    "psi_p_inv": (lambda: psi_p_inv(0.1, 1.5), 1),
+    "phi_p_inv": (lambda: phi_p_inv(0.1, 1.5), 2),
+    "psi_p_inv": (lambda: psi_p_inv(0.1, 1.5), 2),
     "section_curve": (lambda: section_curve(1.5, 10, GRID), 2),
+    # n once, and each of the two Gaussian streams its count and seed
+    "transfer_map_check": (lambda: transfer_map_check(3, 8, 1), 5),
 }
-VALIDATORS = ("validate_epsilon", "validate_n", "validate_open_interval", "validate_p")
+VALIDATORS = ("_validate_epsilon", "_validate_n", "_validate_open_interval", "_validate_p")
 
 
 def test_each_input_is_checked_once(monkeypatch):

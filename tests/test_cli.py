@@ -202,8 +202,8 @@ def test_check_names_the_part_that_failed(capsys, monkeypatch):
     bound, sampled = out.splitlines()
     assert bound.startswith("PASS exponential-sum tail below")
     assert sampled.startswith("FAIL Monte Carlo tails") and "off at n=3 alpha=0.1" in sampled
-    patch_map = lambda x: montecarlo.phi(x) / 2  # noqa: E731
-    monkeypatch.setattr(montecarlo, "gaussian_to_cube_map", patch_map)
+    phi = montecarlo.phi
+    monkeypatch.setattr(montecarlo, "phi", lambda x: phi(x) / 2)
     code, out = run(capsys, "check", "transfer", "--n", "3", "--samples", "1000")
     assert code == 1
     uniform, contraction = out.splitlines()

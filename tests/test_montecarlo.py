@@ -12,12 +12,11 @@ import oracles
 import isodist.montecarlo
 from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_experiment,
                      cutoff_gradient_check, cutoff_product_check,
-                     estimate_cap_volume, exp_tail_check, gaussian_to_cube_map, phi,
-                     sample_gaussian, sample_uniform, t_map_lipschitz_check,
-                     transfer_map_check, unit_volume_radius)
-from isodist.montecarlo import (FD_STEP, _cutoffs, _fill_for, _radii, _t, _t_differences,
-                                _t_norms)
-from isodist.rng import DEFAULT_CHUNK
+                     estimate_cap_volume, exp_tail_check, phi, sample_uniform,
+                     t_map_lipschitz_check, transfer_map_check, unit_volume_radius)
+from isodist.montecarlo import (FD_STEP, _cutoffs, _fill_for, _gaussian_fill, _radii, _t,
+                                _t_differences, _t_norms)
+from isodist.rng import DEFAULT_CHUNK, generate
 
 
 def _h(x, c1, c2):
@@ -519,17 +518,19 @@ def test_exp_tail_mc_tracks_erlang():
 
 
 def test_sample_gaussian_density_scale():
-    pts = sample_gaussian(3, 80_000, seed=4)
+    # the transfer check's cloud
+    pts = generate(4, "gaussian-3", 80_000, _gaussian_fill(3))
     # density exp(-pi ||x||^2) has coordinate variance 1/(2 pi)
     assert np.allclose(pts.var(axis=0), 1.0 / (2.0 * math.pi), atol=0.005)
 
 
 def test_gaussian_to_cube_map_range_and_lipschitz(rng):
+    # the transfer is phi taken coordinatewise
     pts = rng.normal(0.0, 0.5, (2000, 6))
-    mapped = gaussian_to_cube_map(pts)
+    mapped = phi(pts)
     assert np.all((mapped > 0.0) & (mapped < 1.0))
     other = rng.normal(0.0, 0.5, (2000, 6))
-    num = np.linalg.norm(gaussian_to_cube_map(other) - mapped, axis=1)
+    num = np.linalg.norm(phi(other) - mapped, axis=1)
     den = np.linalg.norm(other - pts, axis=1)
     assert np.max(num / den) <= 1.0 + 1e-12
 
@@ -768,7 +769,8 @@ def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
 @pytest.mark.parametrize("count", [2, 3, 8, 137, 141, 5000, 10000, 10001, 16385, 20000])
 def test_transfer_pvalue_is_the_least_column_kstest(count):
     n, seed = 3, 40 + count
-    mapped = gaussian_to_cube_map(sample_gaussian(n, count, seed))
+    mapped = oracles.phi_erfc(oracles.generate_concat(seed, f"gaussian-{n}", count,
+                                                      oracles.gaussian_fill(n), DEFAULT_CHUNK))
     least = min(stats.kstest(mapped[:, i], "uniform").pvalue for i in range(n))
     assert transfer_map_check(n, count, seed).min_ks_pvalue == least
 
@@ -811,7 +813,7 @@ def test_experiments_match_their_out_of_place_expressions(count):
     n, seed = 4, 23
     want = oracles.generate_concat(seed, f"gaussian-{n}", count, oracles.gaussian_fill(n),
                                    DEFAULT_CHUNK)
-    assert np.array_equal(sample_gaussian(n, count, seed), want)
+    assert np.array_equal(generate(seed, f"gaussian-{n}", count, _gaussian_fill(n)), want)
     res = average_distance_experiment(n, count, seed)
     dist = oracles.avgdist_distances(n, count, seed, DEFAULT_CHUNK)
     assert res.mean_distance == EstimateWithCI.from_samples(dist)
@@ -827,17 +829,16 @@ def test_phi_and_the_transfer_map_leave_their_inputs_alone():
     a.setflags(write=False)
     for x in (a, a.T, a.tolist()):
         keep = np.array(x, dtype=float)
-        for f in (phi, gaussian_to_cube_map):
-            assert np.array_equal(f(x), oracles.phi_erfc(x))
-            assert np.array_equal(np.asarray(x), keep)
+        assert np.array_equal(phi(x), oracles.phi_erfc(x))
+        assert np.array_equal(np.asarray(x), keep)
     assert phi(np.float64(-1.5)) == float(oracles.phi_erfc(-1.5))
-    pts = sample_gaussian(3, 1000, seed=5)
+    pts = generate(5, "gaussian-3", 1000, _gaussian_fill(3))
     keep = pts.copy()
-    mapped = gaussian_to_cube_map(pts)
+    mapped = phi(pts)
     assert np.array_equal(pts, keep) and not np.shares_memory(mapped, pts)
     # every call draws a batch of its own, which its caller may write into
     pts *= 2.0
-    assert np.array_equal(sample_gaussian(3, 1000, seed=5), keep)
+    assert np.array_equal(generate(5, "gaussian-3", 1000, _gaussian_fill(3)), keep)
 
 
 @pytest.mark.parametrize("family,fill_chunks", [(BodyFamily.cube(), 1), (BodyFamily.simplex(), 1),

@@ -7,7 +7,7 @@ import oracles
 from isodist import (BodyFamily, DomainError, ball_caps_witness, bound_report,
                      delta_closed_form, distance_upper_bound,
                      estimate_cap_volume, lp_caps_witness, make_profile,
-                     sample_uniform, unit_volume_radius, xlog_power_derivative)
+                     sample_uniform, unit_volume_radius)
 
 CUBE_PROFILE_01 = 0.439909080972548  # exp(-pi phi_inv(0.1)^2), quadrature oracle
 
@@ -70,29 +70,6 @@ def test_cube_and_ball_profiles_against_mpmath(t):
     assert cube_profile(t) == pytest.approx(cube, rel=tol, abs=0.0)
     assert ball_profile(t) == pytest.approx(math.sqrt(math.e) * cube,
                                                   rel=tol, abs=0.0)
-
-
-@pytest.mark.parametrize("x", [0.0, 1.0, math.nan, [0.5, math.nan]])
-def test_xlog_derivative_domain(x):
-    with pytest.raises(DomainError):
-        xlog_power_derivative(x, 1.5)
-
-
-def test_xlog_derivative_positive_up_to_half():
-    x = np.linspace(1e-9, 0.5, 2000)
-    for p in (1.0, 1.2, 1.5, 1.8, 2.0):
-        assert np.all(xlog_power_derivative(x, p) > 0.0)
-
-
-def test_xlog_derivative_finite_differences(rng):
-    # f(x) = x(-ln x)^{1-1/p}; centered difference at h = 1e-6
-    h = 1e-6
-    for _ in range(300):
-        p = float(rng.uniform(1.0, 2.0))
-        x = float(rng.uniform(0.01, 0.49))
-        f = lambda u: u * (-math.log(u)) ** (1.0 - 1.0 / p)
-        fd = (f(x + h) - f(x - h)) / (2.0 * h)
-        assert xlog_power_derivative(x, p) == pytest.approx(fd, rel=1e-5)
 
 
 def test_lp_profile_increasing_pairwise(rng):
