@@ -10,7 +10,8 @@ reads the ball's row for it.
 The private _validate_* helpers below are the shared input checks that
 the other modules import; a public function runs each of its inputs
 through at most one of them, once, and they raise DomainError outside
-the domain.
+the domain.  They read a value through _real, as montecarlo's cloud
+intake does, so a complex value raises DomainError too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,23 @@ from .errors import DomainError
 _KINDS = ("ball", "cube", "simplex", "lp")
 
 
+def _real(x, name: str):
+    """x as a float, or as a float array when it has an axis; the
+    validators pass a Python float by without the call.  A Python or
+    numpy int, float or bool goes straight through float(); anything else,
+    a 0-d array or a numeric string among them, through np.asarray(x,
+    dtype=float) first.  A complex x raises DomainError, also with a zero
+    imaginary part, where numpy would drop that part with no more than a
+    ComplexWarning and float() would raise TypeError."""
+    if not isinstance(x, (int, float, np.integer, np.floating)):
+        if np.iscomplexobj(x):
+            raise DomainError(f"{name} must be real, not complex")
+        x = np.asarray(x, dtype=float)
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
 def _validate_p(p: float) -> float:
-    p = float(p)
+    p = p if type(p) is float else float(_real(p, "p"))
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"p must lie in [1, 2], got {p}")
     return p
@@ -64,7 +80,7 @@ class BodyFamily:
 
     @classmethod
     def lp(cls, p: float) -> "BodyFamily":
-        return cls("lp", float(p))
+        return cls("lp", p)
 
     def label(self) -> str:
         if self.kind == "lp":
@@ -74,16 +90,18 @@ class BodyFamily:
 
 def _validate_epsilon(eps: float) -> float:
     """Volume fractions must sit strictly between 0 and 1/2."""
-    eps = float(eps)
+    eps = eps if type(eps) is float else float(_real(eps, "epsilon"))
     if not 0.0 < eps < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {eps}")
     return eps
 
 
 def _validate_open_interval(x, lo: float, hi: float, name: str):
-    """x as a float array with every entry in (lo, hi); a NaN entry fails."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > lo) & (x < hi)):
+    """x with every entry in (lo, hi), where a NaN entry fails, read by
+    _real: a real scalar or a 0-d input comes back as a float, anything
+    else as a float array, and a complex value raises DomainError."""
+    x = x if type(x) is float else _real(x, name)
+    if not (lo < x < hi if isinstance(x, float) else ((x > lo) & (x < hi)).all()):
         raise DomainError(f"{name} must lie in ({lo:g}, {hi:g})")
     return x
 

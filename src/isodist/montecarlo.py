@@ -43,10 +43,14 @@ Every check that takes points reads them through one intake, _cloud:
 an (n,) point or an (m, n) cloud of finite coordinates, n >= 1, and for
 T also coordinates >= 0 with row sums finite and positive, for the
 cutoffs row norms whose squares are finite, so a NaN, an infinite
-coordinate or an overflowing sum raises DomainError.  Each
-check validates its cloud and its constants c1, c2 once; T, its
-Jacobian's norm and bound, its finite differences, the row norms and the
-cutoffs h1 and h2 are each written once as unchecked array kernels.
+coordinate or an overflowing sum raises DomainError, and so does a complex
+one.  Each check validates its cloud once and its constants c1, c2 once
+each, as two floats; T, its Jacobian's norm and bound, its finite
+differences, and the cutoffs h1 and h2 with the row norms they read are
+each written once as array kernels, which check nothing but an
+overflowing squared norm.  The intake hands T's check the row sums
+it takes for T's domain, and T, the norms and the differences take them
+from there, so a call sums each row once.
 
 The cutoffs see a point only through ||x||_2 and ||x||_1, and their
 gradients have closed forms: on a slope, ||grad h1|| = c1 sqrt(n) and
@@ -54,7 +58,10 @@ gradients have closed forms: on a slope, ||grad h1|| = c1 sqrt(n) and
 from <x, sign x> = ||x||_1.  The cutoff checks take these from the norms
 of one pass over the cloud, O(n) per point with no step, and drop the
 points within 1e-4 of a kink, where the gradients jump: such points are
-rare (about 2e-4 of the benchmark's).  The finite-difference evidence
+rare (about 2e-4 of the benchmark's).  Each computes only the norms its
+verdict reads: the gradient check those of h1 and h2, counting the
+nonzero coordinates only where some point lies on h2's slope; the
+product check those and the product's.  The finite-difference evidence
 for the closed forms is in the tests, against an oracle that differences
 every shifted row.
 
@@ -80,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, _validate_n, _validate_open_interval
+from .bodies import BodyFamily, _real, _validate_n, _validate_open_interval
 from .errors import DomainError
 from .profiles import _FAMILIES
 from .rng import generate
@@ -178,7 +185,7 @@ def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleB
 def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
                         seed: int) -> EstimateWithCI:
     """Fraction of sampled points with first coordinate >= a."""
-    a = _validate_open_interval(a, -math.inf, math.inf, "cap height a").tolist()
+    a = _validate_open_interval(a, -math.inf, math.inf, "cap height a")
     batch = sample_uniform(family, n, count, seed)
     hits = int(np.count_nonzero(batch.points[:, 0] >= a))
     return EstimateWithCI.from_proportion(hits, batch.count)
@@ -187,49 +194,54 @@ def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
 # ---------------------------------------------------------------- clouds
 
 def _cloud(points, orthant=False):
-    """points as an (m, n) float array, one (n,) point as one row.
+    """points as an (m, n) float array, one (n,) point as one row; with
+    orthant, that array and its row sums.
 
-    The one intake of every check here that takes points: at most two
-    axes, n >= 1 and finite coordinates; with orthant, T's domain too,
-    every coordinate >= 0 and every row sum finite and > 0.  An empty
-    cloud of m = 0 points passes.  The rows come back C-contiguous, since
-    numpy sums the rows of a column-major block of two or more rows in
-    another order than those of one row, and a result would otherwise
+    The one intake of every check here that takes points: real values, at
+    most two axes, n >= 1 and finite coordinates; with orthant, T's domain
+    too, every coordinate >= 0 and every row sum finite and > 0.  Complex
+    points raise DomainError rather than lose their imaginary parts.  An
+    empty cloud of m = 0 points passes.  The rows come back C-contiguous,
+    since numpy sums the rows of a column-major block of two or more rows
+    in another order than those of one row, and a result would otherwise
     depend on the cloud's layout and on where the blocks of the finite
-    differences fall.
+    differences fall.  So the row sums are those T's kernels would take of
+    any block of rows, bit for bit, and T's check hands them these; it
+    calls the intake under np.errstate(over="ignore"), since a sum that
+    overflows is rejected here.
     """
-    x = np.atleast_2d(np.ascontiguousarray(points, dtype=float))
-    if x.ndim > 2 or x.shape[1] == 0 or not np.all(np.isfinite(x)):
+    x = np.atleast_2d(np.ascontiguousarray(_real(points, "points")))
+    if x.ndim > 2 or x.shape[1] == 0 or not np.isfinite(x).all():
         raise DomainError("points need shape (n,) or (m, n) with n >= 1, all finite")
     if orthant:
-        with np.errstate(over="ignore"):
-            s = x.sum(axis=1)
-        if not (np.all(x >= 0.0) and np.all((s > 0.0) & (s < math.inf))):
+        s = x.sum(axis=1)
+        if not ((x >= 0.0).all() and ((s > 0.0) & (s < math.inf)).all()):
             raise DomainError("T takes points of the positive orthant, row sums in (0, inf)")
+        return x, s
     return x
 
 
 # ---------------------------------------------------------------- T map
 
-def _t(x: np.ndarray, out=None) -> np.ndarray:
-    """T(x) = x/||x||_1 for each row of an (m, n) array, into out if given
-    (which may be x)."""
-    return np.divide(x, x.sum(axis=1, keepdims=True), out=out)
+def _t(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """T(x) = x/||x||_1 for each row of an (m, n) array, from its row sums s."""
+    return np.divide(x, s[:, None])
 
 
-def _t_norms(x: np.ndarray):
+def _t_norms(x: np.ndarray, s: np.ndarray):
     """The exact operator norm sqrt(n) ||T(x)||_2 / ||x||_1 of the Jacobian
-    (0 at n = 1) and the bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1 of each row."""
-    t = _t(x)
+    (0 at n = 1) and the bound (1 + sqrt(n) ||T(x)||_2) / ||x||_1 of each row,
+    from the row sums s."""
+    t = _t(x, s)
     t *= t  # squared in place, as np.linalg.norm squares
     r = math.sqrt(x.shape[1]) * np.sqrt(t.sum(axis=1))
-    s = x.sum(axis=1)
     return (r / s if x.shape[1] > 1 else np.zeros(x.shape[0])), (1.0 + r) / s
 
 
-def _t_differences(x: np.ndarray):
+def _t_differences(x: np.ndarray, s: np.ndarray):
     """T's central differences of step h = FD_STEP at each row x of an
-    (m, n) array, as their distance to the exact Jacobian J, from x alone.
+    (m, n) array, as their distance to the exact Jacobian J, from x and its
+    row sums s.
 
     x + h e_i differs from x in coordinate i only, so its row sum is
     s_i = ||x||_1 + ((x_i + h) - x_i), and T there is x_j / s_i off the
@@ -245,7 +257,7 @@ def _t_differences(x: np.ndarray):
     subnormal values, so these are the unscaled quotients times 2^2e and
     2^e bit for bit, with no overflow or underflow from the scale of x.
     """
-    s = x.sum(axis=1, keepdims=True)
+    s = s[:, None]
     e = np.frexp(s)[1]
     f, step = np.ldexp(s, -e), np.ldexp(2.0 * FD_STEP, -e)  # 2h in units of 2^e
     up, down = x + FD_STEP, x - FD_STEP
@@ -308,33 +320,32 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
     beta_i^2.  Every step acts on one row at a time, so each point's E is
     the one it has in a cloud of its own.
     """
-    points = _cloud(points, orthant=True)
-    m, n = points.shape
-
-    def residual(x):
+    def residual(x, s):
         # E of each row; sum_{j != i} x_j^2 is never negative, since a sum
         # of nonnegative terms rounds to at least each of them
-        e, alpha, beta = _t_differences(x)
+        e, alpha, beta = _t_differences(x, s)
         sq = np.ldexp(x, -e)
         sq *= sq
         alpha *= alpha
-        alpha *= sq.sum(axis=1, keepdims=True) - sq
+        alpha *= np.subtract(sq.sum(axis=1, keepdims=True), sq, out=sq)
         beta *= beta
         beta += alpha
         return np.ldexp(np.sqrt(beta.sum(axis=1)), -e[:, 0])
 
     # a shifted row's sum of 0 makes T infinite or NaN, and N, E and B overflow
     # when ||x||_1 is subnormal; such points fail on the comparisons below
-    rows = max(1, _FD_ENTRIES // n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # an empty cloud makes one empty block
-        err = np.concatenate([residual(points[lo:lo + rows])
-                              for lo in range(0, max(m, 1), rows)])
-        exact, bound = _t_norms(points)
+        points, sums = _cloud(points, orthant=True)
+        m, n = points.shape
+        rows = max(1, _FD_ENTRIES // n)
+        # a cloud of one block, an empty one among them, is differenced whole
+        err = residual(points, sums) if m <= rows else np.concatenate(
+            [residual(points[lo:lo + rows], sums[lo:lo + rows]) for lo in range(0, m, rows)])
+        exact, bound = _t_norms(points, sums)
         # the initial values floor the excess at 0 and answer an empty cloud
-        worst = float(np.max((exact + err) / bound, initial=1.0)) - 1.0
-        fd_err = float(np.max(err, initial=0.0))
-        ok = worst <= 1e-6 and bool(np.all(err / bound <= 1e-5))
+        worst = float(((exact + err) / bound).max(initial=1.0)) - 1.0
+        fd_err = float(err.max(initial=0.0))
+        ok = worst <= 1e-6 and bool((err / bound <= 1e-5).all())
     # a NaN ratio or error reads inf
     worst, fd_err = (math.inf if math.isnan(v) else v for v in (worst, fd_err))
     return TMapCheck(m, worst, fd_err, ok)
@@ -342,50 +353,57 @@ def t_map_lipschitz_check(points: np.ndarray) -> TMapCheck:
 
 # ---------------------------------------------------------------- cutoffs
 
-def _radii(x: np.ndarray):
-    """||x||_2, ||x||_1 and k = #{x_i != 0} of each row, from one array |x|
-    that is squared in place for the first (|x| |x| is bitwise x x) and
-    then holds the indicator of x_i != 0 for k, a float."""
-    a = np.abs(x)
-    r1 = a.sum(axis=1)
-    a *= a
-    r2 = np.sqrt(a.sum(axis=1))
-    return r2, r1, np.not_equal(x, 0.0, out=a).sum(axis=1)
-
-
 def _cloud_cutoffs(x: np.ndarray, c1: float, c2: float):
-    """r2, r1, k from _radii and h1, h2, a, b from _cutoffs, for a cloud the
-    cutoff checks take in.  A squared row norm past the float range (a
+    """r2 = ||x||_2 and r1 = ||x||_1 of each row of a cloud the cutoff
+    checks take in, the cutoffs h1 = clip(2 - a, 0, 1) and
+    h2 = clip(b - 1, 0, 1), and their levels a = c1 sqrt(n) r2 and
+    b = c2 r1 / n.
+
+    The norms come from one array |x|, squared in place for r2 (|x| |x|
+    is bitwise x x).  A squared row norm past the float range (a
     coordinate past about 1.3e154) raises DomainError: it would read
     ||x||_2 = inf and put h1 on the wrong plateau.  A level that overflows
     for finite norms reads inf, on the same plateau (h1 = 0, h2 = 1) as its
-    exact value."""
+    exact value.
+    """
     with np.errstate(over="ignore"):
-        r2, r1, k = _radii(x)
-        if not np.all(r2 < math.inf):
+        sq = np.abs(x)
+        r1 = sq.sum(axis=1)
+        r2 = np.sqrt(np.multiply(sq, sq, out=sq).sum(axis=1))
+        if not (r2 < math.inf).all():
             raise DomainError("the cutoff checks take points whose squared norm is finite")
-        return (r2, r1, k, *_cutoffs(r2, r1, x.shape[1], c1, c2))
+        # sqrt(n) r2 first: c1 sqrt(n) may overflow, and inf * 0 at the origin is NaN
+        a = c1 * (math.sqrt(x.shape[1]) * r2)
+        b = c2 * r1 / x.shape[1]
+    return (r2, r1, *(np.minimum(np.maximum(h, 0.0), 1.0) for h in (2.0 - a, b - 1.0)), a, b)
 
 
-def _cutoffs(r2, r1, n: int, c1: float, c2: float):
-    """h1 = clip(2 - a, 0, 1) and h2 = clip(b - 1, 0, 1) of points of R^n
-    with norms r2 = ||x||_2 and r1 = ||x||_1, and their levels
-    a = c1 sqrt(n) r2 and b = c2 r1 / n."""
-    # sqrt(n) r2 first: c1 sqrt(n) may overflow, and inf * 0 at the origin is NaN
-    a = c1 * (math.sqrt(n) * r2)
-    b = c2 * r1 / n
-    return np.clip(2.0 - a, 0.0, 1.0), np.clip(b - 1.0, 0.0, 1.0), a, b
-
-
-def _cutoff_gradients(r2, r1, k, h1, h2, a, b, n: int, c1: float, c2: float):
+def _cutoff_gradients(x: np.ndarray, a, b, c1: float, c2: float):
     """Rows within KINK_RADIUS of a kink sphere of h1 or h2, from their
-    levels a and b, and, off them, the exact gradient norms of h1, h2 and
-    h1 h2, from the values _cloud_cutoffs returns.
+    levels a and b; the exact gradient norms of h1 and h2 at every row;
+    the rows on h1's slope and those on h2's; and sqrt(k), k = #{x_i != 0}.
 
     On h1's slope (1 < a < 2) grad h1 = -c1 sqrt(n) x/||x||_2, and on h2's
     (1 < b < 2) grad h2 = (c2/n) sign x; off its slope each is 0.  So
-    ||grad h1|| = c1 sqrt(n), ||grad h2|| = (c2/n) sqrt(k), and, since
-    <x, sign x> = ||x||_1, with p = h2 ||grad h1|| and q = h1 ||grad h2||,
+    ||grad h1|| = c1 sqrt(n) and ||grad h2|| = (c2/n) sqrt(k).  k is read
+    from x only where some row lies on h2's slope; sqrt(k) is 1 otherwise,
+    where nothing uses it.
+    """
+    near = (np.abs(a - 1.0) < KINK_RADIUS) | (np.abs(a - 2.0) < KINK_RADIUS)
+    near |= (np.abs(b - 1.0) < KINK_RADIUS) | (np.abs(b - 2.0) < KINK_RADIUS)
+    on1, on2 = (1.0 < a) & (a < 2.0), (1.0 < b) & (b < 2.0)
+    rk = np.sqrt(np.not_equal(x, 0.0).sum(axis=1)) if on2.any() else 1.0
+    g1 = np.where(on1, c1 * math.sqrt(x.shape[1]), 0.0)
+    return near, g1, np.where(on2, c2 / x.shape[1] * rk, 0.0), on1, on2, rk
+
+
+def _product_gradient(x: np.ndarray, r2, r1, h1, h2, a, b, c1: float, c2: float):
+    """The rows near a kink from _cutoff_gradients and, off them, the exact
+    gradient norms of h1, h2 and h1 h2, from the values _cloud_cutoffs
+    returns for the cloud x.
+
+    Since <x, sign x> = ||x||_1, with p = h2 ||grad h1|| and
+    q = h1 ||grad h2||,
 
         ||grad(h1 h2)||^2 = p^2 + q^2 - 2 p q cos = (p - q)^2 + 2 p q (1 - cos)
 
@@ -394,13 +412,9 @@ def _cutoff_gradients(r2, r1, k, h1, h2, a, b, n: int, c1: float, c2: float):
     square root of each factor, does not overflow: on a slope the squared
     norm is at least the smallest subnormal, so p stays below 1e162.
     """
-    lv = np.stack([a, b])
-    near = np.any(np.minimum(np.abs(lv - 1.0), np.abs(lv - 2.0)) < KINK_RADIUS, axis=0)
-    on1, on2 = (1.0 < a) & (a < 2.0), (1.0 < b) & (b < 2.0)
-    g1 = np.where(on1, c1 * math.sqrt(n), 0.0)
-    g2 = np.where(on2, c2 / n * np.sqrt(k), 0.0)
+    near, g1, g2, on1, on2, rk = _cutoff_gradients(x, a, b, c1, c2)
     p, q = h2 * g1, h1 * g2
-    cos = np.divide(r1, r2 * np.sqrt(k), out=np.ones_like(r1), where=on1 & on2)
+    cos = np.divide(r1, r2 * rk, out=np.ones_like(r1), where=on1 & on2)
     gp = np.hypot(p - q, np.sqrt(2.0 * np.maximum(1.0 - cos, 0.0) * p) * np.sqrt(q))
     return near, g1[~near], g2[~near], gp[~near]
 
@@ -426,19 +440,18 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     (c2/n) sqrt(#{x_i != 0}), and each is 0 off its slope.
     """
     pts = _cloud(points)
-    c1, c2 = _validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
+    c1, c2 = (float(_validate_open_interval(c, 0.0, math.inf, "c1 and c2")) for c in (c1, c2))
     n = pts.shape[1]
     sq = math.sqrt(n)
-    cut = _cloud_cutoffs(pts, c1, c2)
-    r2, r1, _, v1, v2 = cut[:5]
+    r2, r1, v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)
     # 1/c1/sq, not 1/(c1 sq): an overflowing product puts both thresholds at 0
     plateau_bad = int(np.count_nonzero((v1 == 1.0) != (r2 <= 1.0 / c1 / sq))
                       + np.count_nonzero((v1 == 0.0) != (r2 >= 2.0 / c1 / sq))
                       + np.count_nonzero((v2 == 1.0) != (r1 >= 2.0 * n / c2))
                       + np.count_nonzero((v2 == 0.0) != (r1 <= n / c2)))
-    near, g1, g2, _ = _cutoff_gradients(*cut, n, c1, c2)
-    grad_bad = int(np.count_nonzero(g1 > c1 * sq * (1.0 + 1e-5))
-                   + np.count_nonzero(g2 > c2 / sq * (1.0 + 1e-5)))
+    near, g1, g2 = _cutoff_gradients(pts, a, b, c1, c2)[:3]
+    grad_bad = int(np.count_nonzero(g1[~near] > c1 * sq * (1.0 + 1e-5))
+                   + np.count_nonzero(g2[~near] > c2 / sq * (1.0 + 1e-5)))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), plateau_bad,
                        grad_bad, plateau_bad == 0 and grad_bad == 0)
 
@@ -453,8 +466,8 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     k = #{x_i != 0}.
     """
     pts = _cloud(points)
-    c1, c2 = _validate_open_interval([c1, c2], 0.0, math.inf, "c1 and c2").tolist()
-    near, g1, g2, gp = _cutoff_gradients(*_cloud_cutoffs(pts, c1, c2), pts.shape[1], c1, c2)
+    c1, c2 = (float(_validate_open_interval(c, 0.0, math.inf, "c1 and c2")) for c in (c1, c2))
+    near, g1, g2, gp = _product_gradient(pts, *_cloud_cutoffs(pts, c1, c2), c1, c2)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)
 
@@ -485,7 +498,7 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     exact value p; ok says both.
     """
     n = _validate_n(n, 1)
-    alpha = _validate_open_interval(alpha, 0.0, math.inf, "alpha").tolist()
+    alpha = _validate_open_interval(alpha, 0.0, math.inf, "alpha")
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))
@@ -566,14 +579,13 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     del num
     # each coordinate's mapped values sorted along a contiguous row of an
     # (n, m) copy, which sorts faster than a strided column, and both
-    # one-sided statistics through one buffer
+    # one-sided statistics through one buffer, D+ read before D- fills it
     cdf = np.ascontiguousarray(mapped.T)
     del mapped
     cdf.sort(axis=1)
     m = cdf.shape[1]
     gap = np.subtract(np.arange(1.0, m + 1) / m, cdf)
-    d_plus = float(np.max(gap))
-    d = max(d_plus, float(np.max(np.subtract(cdf, np.arange(0.0, m) / m, out=gap))))
+    d = max(float(gap.max()), float(np.subtract(cdf, np.arange(0.0, m) / m, out=gap).max()))
     min_p = float(np.clip(stats.kstwo.sf(d, m), 0.0, 1.0))
     uniform_ok = min_p >= 1.0 - (1.0 - _MC_TAIL) ** (1.0 / n)
     contraction_ok = ratio <= 1.0 + 1e-6

@@ -62,7 +62,7 @@ def _ball_profile(t, p):
 def _simplex_profile(t, p):
     """Linear profile c_lambda * t, at the placeholder c_lambda = 1; a new
     array, never the caller's."""
-    return t.copy()
+    return np.array(t)
 
 
 def _lp_profile(t, p):

@@ -107,7 +107,7 @@ def _phi_p(a, p):
 def phi_p_inv(eps: float, p: float) -> float:
     """Inverse of phi_p(., p) on (0, 1)."""
     p = _validate_p(p)
-    return _phi_p_inv(float(_validate_open_interval(eps, 0.0, 1.0, "phi_p_inv's eps")), p)
+    return _phi_p_inv(_validate_open_interval(eps, 0.0, 1.0, "phi_p_inv's eps"), p)
 
 
 def _phi_p_inv(eps, p):
@@ -125,7 +125,7 @@ def psi_p(a, p: float):
 def psi_p_inv(eps: float, p: float) -> float:
     """Inverse of psi_p(., p); equals phi_p_inv(eps, p) / e^{1/p}."""
     p = _validate_p(p)
-    return _psi_p_inv(float(_validate_open_interval(eps, 0.0, 1.0, "psi_p_inv's eps")), p)
+    return _psi_p_inv(_validate_open_interval(eps, 0.0, 1.0, "psi_p_inv's eps"), p)
 
 
 def _psi_p_inv(eps, p):

@@ -14,12 +14,14 @@ import isodist
 from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
                      ball_caps_witness, bodies, bound_report, convergence_report,
                      count_cells_sum_le, cube_diagonal_witness, cube_sum_cdf,
-                     delta_closed_form, distance_upper_bound, estimate_cap_volume,
-                     exp_tail_check, kappa, lp_caps_witness, lp_section_area,
-                     lp_tail_volume, make_profile, phi_p, phi_p_inv, psi_p,
-                     psi_p_inv, sample_uniform,
-                     scaled_max_distance, section_curve, simplex_corner_witness,
-                     sphere_projection_cdf, transfer_map_check, unit_volume_radius)
+                     cutoff_gradient_check, cutoff_product_check, delta_closed_form,
+                     distance_upper_bound, estimate_cap_volume, exp_tail_check, kappa,
+                     lp_caps_witness, lp_section_area, lp_tail_volume, make_profile,
+                     phi_inv, phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
+                     psi_p_inv_asymptote, sample_uniform, scaled_max_distance,
+                     section_curve, simplex_corner_witness, sphere_projection_cdf,
+                     t_map_lipschitz_check, time_to_half, transfer_map_check,
+                     unit_volume_radius)
 
 MODULES = ("bodies", "cli", "enlargement", "errors", "lattice", "montecarlo",
            "profiles", "rng", "sections", "specfun", "witness")
@@ -192,6 +194,7 @@ def test_dimension_must_be_integral(name):
             call(bad)
 
 
+CLOUD = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 0.5]])
 FAMILIES = {f.label(): f for f in (BodyFamily.ball(), BodyFamily.cube(),
                                     BodyFamily.simplex(), BodyFamily.lp(1.5))}
 PROFILES = {label: make_profile(f) for label, f in FAMILIES.items()}
@@ -220,6 +223,11 @@ CHECKS_ONCE = {
     "section_curve": (lambda: section_curve(1.5, 10, GRID), 2),
     # n once, and each of the two Gaussian streams its count and seed
     "transfer_map_check": (lambda: transfer_map_check(3, 8, 1), 5),
+    # the points go through montecarlo._cloud, which is no validator here;
+    # c1 and c2 once each
+    "t_map_lipschitz_check": (lambda: t_map_lipschitz_check(CLOUD), 0),
+    "cutoff_gradient_check": (lambda: cutoff_gradient_check(CLOUD, 0.8, 1.25), 2),
+    "cutoff_product_check": (lambda: cutoff_product_check(CLOUD, 0.8, 1.25), 2),
 }
 VALIDATORS = ("_validate_epsilon", "_validate_n", "_validate_open_interval", "_validate_p")
 
@@ -244,3 +252,58 @@ def test_each_input_is_checked_once(monkeypatch):
         call()
         counts[label] = len(calls)
     assert counts == {label: want for label, (_, want) in CHECKS_ONCE.items()}
+
+
+# every public call that takes a real value the bodies validators or the
+# cloud intake check, as a function of that value, with a valid one
+TAKES_REAL = {
+    # the cloud v CLOUD, as nested lists of Python numbers for T
+    "t_map_lipschitz_check": (lambda v: t_map_lipschitz_check(np.multiply(v, CLOUD).tolist()),
+                              0.5),
+    "cutoff_gradient_check(points)": (
+        lambda v: cutoff_gradient_check(np.multiply(v, CLOUD), 1.0, 1.0), 0.5),
+    "cutoff_product_check(points)": (
+        lambda v: cutoff_product_check(np.multiply(v, CLOUD), 1.0, 1.0), 0.5),
+    "cutoff_gradient_check(c1)": (lambda v: cutoff_gradient_check(CLOUD, v, 1.0), 0.8),
+    "cutoff_gradient_check(c2)": (lambda v: cutoff_gradient_check(CLOUD, 1.0, v), 1.25),
+    "cutoff_product_check(c1)": (lambda v: cutoff_product_check(CLOUD, v, 1.0), 0.8),
+    "cutoff_product_check(c2)": (lambda v: cutoff_product_check(CLOUD, 1.0, v), 1.25),
+    "estimate_cap_volume": (lambda v: estimate_cap_volume(BodyFamily.ball(), 3, v, 8, 1), 0.2),
+    "exp_tail_check": (lambda v: exp_tail_check(3, v, 8, 1), 0.5),
+    "phi_inv": (phi_inv, 0.1),
+    "phi_p_inv(eps)": (lambda v: phi_p_inv(v, 1.5), 0.1),
+    "psi_p_inv(eps)": (lambda v: psi_p_inv(v, 1.5), 0.1),
+    "make_profile(t)": (lambda v: make_profile(BodyFamily.simplex())(v), 0.1),
+    "bound_report": (lambda v: bound_report(BodyFamily.cube(), v), 0.1),
+    "delta_closed_form": (lambda v: delta_closed_form(BodyFamily.ball(), v), 0.1),
+    "distance_upper_bound": (lambda v: distance_upper_bound(BodyFamily.simplex(), v), 0.1),
+    "time_to_half": (lambda v: time_to_half(PROFILES["cube"], v), 0.1),
+    "lp_caps_witness(eps)": (lambda v: lp_caps_witness(10, 1.5, v), 0.1),
+    "ball_caps_witness": (lambda v: ball_caps_witness(10, v), 0.1),
+    "cube_diagonal_witness": (lambda v: cube_diagonal_witness(10, v), 0.1),
+    "simplex_corner_witness": (lambda v: simplex_corner_witness(10, v), 0.1),
+    "scaled_max_distance": (lambda v: scaled_max_distance(4, 4, v), 0.1),
+    "phi_inv_asymptote": (phi_inv_asymptote, 0.1),
+    "psi_p_inv_asymptote(eps)": (lambda v: psi_p_inv_asymptote(v, 1.5), 0.1),
+    "BodyFamily.lp": (BodyFamily.lp, 1.5),
+    "kappa": (kappa, 1.5),
+    "phi_p(p)": (lambda v: phi_p(0.3, v), 1.5),
+    "psi_p(p)": (lambda v: psi_p(0.3, v), 1.5),
+    "phi_p_inv(p)": (lambda v: phi_p_inv(0.1, v), 1.5),
+    "lp_section_area(p)": (lambda v: lp_section_area(0.5, v, 10), 1.5),
+    "lp_tail_volume(p)": (lambda v: lp_tail_volume(0.5, v, 10), 1.5),
+    "section_curve(p)": (lambda v: section_curve(v, 10, GRID), 1.5),
+    "convergence_report(p)": (lambda v: convergence_report(v, [10], GRID), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_REAL))
+def test_complex_input_raises(name):
+    # a complex value raises DomainError, never a bare TypeError and never a
+    # ComplexWarning with the imaginary part dropped, also where that part is 0
+    call, good = TAKES_REAL[name]
+    call(good)
+    for bad in (complex(good, 5.0), np.complex128(complex(good, 1.0)), np.complex64(good),
+                np.array(complex(good, 1.0)), np.array([complex(good, 0.0)])):
+        with pytest.raises(DomainError):
+            call(bad)

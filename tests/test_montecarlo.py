@@ -14,14 +14,14 @@ from isodist import (BodyFamily, DomainError, EstimateWithCI, average_distance_e
                      cutoff_gradient_check, cutoff_product_check,
                      estimate_cap_volume, exp_tail_check, phi, sample_uniform,
                      t_map_lipschitz_check, transfer_map_check, unit_volume_radius)
-from isodist.montecarlo import (FD_STEP, _cutoffs, _fill_for, _gaussian_fill, _radii, _t,
+from isodist.montecarlo import (FD_STEP, _cloud_cutoffs, _fill_for, _gaussian_fill, _t,
                                 _t_differences, _t_norms)
 from isodist.rng import DEFAULT_CHUNK, generate
 
 
 def _h(x, c1, c2):
     """h1, h2 and their levels a, b for each row of x."""
-    return _cutoffs(*_radii(x)[:2], x.shape[1], c1, c2)
+    return _cloud_cutoffs(x, c1, c2)[2:]
 
 
 def _full_jacobian(x):
@@ -104,9 +104,9 @@ def test_estimate_cap_volume_matches_betainc():
 
 
 def test_t_map_basics():
-    assert np.allclose(_t(np.array([[1.0, 3.0]])), [[0.25, 0.75]])
+    assert np.allclose(_t(np.array([[1.0, 3.0]]), np.array([4.0])), [[0.25, 0.75]])
     pts = np.array([[2.0, 2.0], [1.0, 0.0]])
-    assert np.allclose(_t(pts).sum(axis=1), 1.0)
+    assert np.allclose(_t(pts, pts.sum(axis=1)).sum(axis=1), 1.0)
     with pytest.raises(DomainError):
         t_map_lipschitz_check(np.array([-1.0, 2.0]))
     with pytest.raises(DomainError):
@@ -122,20 +122,21 @@ def test_t_map_jacobian_against_finite_differences(rng):
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            jfd[i] = (_t(x + e) - _t(x - e))[0] / (2.0 * h)
+            up, down = x + e, x - e
+            jfd[i] = (_t(up, up.sum(axis=1)) - _t(down, down.sum(axis=1)))[0] / (2.0 * h)
         assert np.max(np.abs(jfd - jex)) < 1e-7
-        assert np.linalg.norm(jex, 2) <= _t_norms(x)[1][0] * (1.0 + 1e-12)
+        assert np.linalg.norm(jex, 2) <= _t_norms(x, x.sum(axis=1))[1][0] * (1.0 + 1e-12)
     # DT(x) = (I - 1 T^T)/||x||_1 is an oblique projection over ||x||_1, so its
     # 2-norm is sqrt(n) ||T||_2 / ||x||_1 for n >= 2, and exactly 0 at n = 1
     for n in (1, 2, 7, 50):
         for k in (-1000, 0, 1000):
             x = np.ldexp(rng.exponential(1.0, (1, n)), k)
             svd = np.linalg.norm(_full_jacobian(x)[0], 2)
-            closed = _t_norms(x)[0][0]
+            closed = _t_norms(x, x.sum(axis=1))[0][0]
             if n == 1:
                 assert svd == closed == 0.0
             else:
-                assert closed == math.sqrt(n) * np.linalg.norm(_t(x)) / x.sum()
+                assert closed == math.sqrt(n) * np.linalg.norm(_t(x, x.sum(axis=1))) / x.sum()
                 assert svd == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
@@ -239,15 +240,44 @@ def test_cloud_functions_reject_non_finite_and_misshapen_clouds(name):
             fn(points)
 
 
-@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+# each constant in every form the validator's scalar path reads as a float
+# (Python int, numpy scalar, bool) or its array path reads as one (0-d
+# array, numeric string)
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0] + [
+    pytest.param(c, id=f"{type(c).__name__}-{c}")
+    for c in (0, -2, np.float64(math.nan), np.int64(0), np.float32(-1.0), np.array(0.0),
+              np.array(math.inf), False, "0", "-1.5", "nan")])
 def test_cutoffs_reject_bad_constants(c):
     pts = np.array([[0.1, 0.2], [1.0, 2.0]])
     for call in (lambda: cutoff_gradient_check(pts, c, 1.0),
                  lambda: cutoff_gradient_check(pts, 1.0, c),
                  lambda: cutoff_product_check(pts, c, 1.0),
                  lambda: cutoff_product_check(pts, 1.0, c)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="c1 and c2 must lie in"):
             call()
+
+
+@pytest.mark.parametrize("c", [1, np.int64(1), np.float64(1.0), np.float32(1.0),
+                               np.array(1.0), True, "1.0", " 1e0 "],
+                         ids=lambda c: f"{type(c).__name__}-{c}")
+def test_cutoffs_read_every_real_form_of_a_constant(c):
+    pts = _spread(np.random.default_rng(4), 40, 5)
+    for check in (cutoff_gradient_check, cutoff_product_check):
+        want = check(pts, 1.0, 1.0)
+        assert check(pts, c, 1.0) == check(pts, 1.0, c) == want
+    for fn in (isodist.montecarlo._validate_open_interval, isodist.bodies._validate_open_interval):
+        assert type(fn(c, 0.0, math.inf, "c")) is float
+
+
+def test_cutoff_constants_are_scalars():
+    # one constant per row would broadcast against the cloud's norms
+    pts = _spread(np.random.default_rng(5), 2, 3)
+    for check in (cutoff_gradient_check, cutoff_product_check):
+        for c in (np.array([1.0, 2.0]), [1.0, 2.0], np.array([1.0])):
+            with pytest.raises(TypeError):
+                check(pts, c, 1.0)
+            with pytest.raises(TypeError):
+                check(pts, 1.0, c)
 
 
 def test_clouds_are_read_in_one_place():
@@ -372,6 +402,45 @@ def test_lemma_checks_match_pointwise_oracles(n):
         _assert_cutoffs_match_pointwise(pts, c1, c2)
 
 
+def _edge_clouds():
+    """Clouds at the edges of the checks' lean paths, each with the cutoff
+    constants (c1, c2) it is checked at."""
+    rng = np.random.default_rng(77)
+    n = 50
+    rows = isodist.montecarlo._FD_ENTRIES // n
+    spread = _spread(rng, 30, 6)
+    # both slopes at once need n < 2 c2/c1: at n = 6, c2 = 9 and
+    # c1 sqrt(n) = 3, h2's levels 1.1-1.9 put most of h1's in (1, 2) too
+    u = rng.uniform(0.5, 1.5, (30, 6))
+    both = u / u.sum(axis=1, keepdims=True) * 6.0 * rng.uniform(1.1, 1.9, (30, 1)) / 9.0
+    return {
+        "empty": (np.empty((0, 4)), [(0.8, 1.25)]),
+        "one 1-D point": (np.abs(spread[0]), [(1.0, 1.0), (0.8, 1.25)]),
+        "n = 1": (rng.exponential(1.0, (25, 1)), [(1.0, 1.0), (0.8, 1.25)]),
+        "column-major": (np.asfortranarray(np.abs(spread)), [(1.0, 1.0), (0.8, 1.25)]),
+        "two of T's blocks": (rng.exponential(1.0, (rows + 7, n)), [(1.0, 1.0)]),
+        "off h2's slope": (0.05 * spread, [(1.0, 1.0), (0.8, 1.25)]),
+        "on both slopes": (both, [(3.0 / math.sqrt(6.0), 9.0)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_clouds()))
+def test_lemma_checks_match_pointwise_oracles_on_edge_clouds(name):
+    pts, constants = _edge_clouds()[name]
+    _assert_tmap_matches_pointwise(pts)
+    rows = np.atleast_2d(pts)
+    for c1, c2 in constants:
+        a, b = _h(np.ascontiguousarray(rows), c1, c2)[2:]
+        on2 = (1.0 < b) & (b < 2.0)
+        if name == "off h2's slope":
+            assert not on2.any()
+        elif name == "on both slopes":
+            assert np.count_nonzero((1.0 < a) & (a < 2.0) & on2) >= 10
+        _assert_cutoffs_match_pointwise(pts, c1, c2)
+    if name == "two of T's blocks":
+        assert len(rows) > isodist.montecarlo._FD_ENTRIES // rows.shape[1]
+
+
 def test_lemma_checks_single_point_and_coordinate_below_step(rng):
     x = _spread(rng, 1, 7)[0]
     _assert_tmap_matches_pointwise(x)
@@ -418,7 +487,7 @@ def test_cutoff_levels_past_the_float_range():
                         (np.full((2, 4), 1e10), 1e300, 1e300)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v1, v2, a, b = isodist.montecarlo._cloud_cutoffs(pts, c1, c2)[3:]
+            v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)[2:]
             cut = cutoff_gradient_check(pts, c1, c2)
             prod = cutoff_product_check(pts, c1, c2)
         assert np.all(a == math.inf) and np.all(b == math.inf)
@@ -432,7 +501,7 @@ def test_cutoff_checks_hold_at_the_origin_past_the_float_range():
     pts = np.vstack([np.ones((3, 4)), np.zeros(4)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v1, a = isodist.montecarlo._cloud_cutoffs(pts, 1e308, 1e308)[3:6:2]
+        v1, a = _cloud_cutoffs(pts, 1e308, 1e308)[2:5:2]
         cut = cutoff_gradient_check(pts, 1e308, 1e308)
         prod = cutoff_product_check(pts, 1e308, 1e308)
     assert a.tolist() == [math.inf] * 3 + [0.0] and v1.tolist() == [0.0] * 3 + [1.0]
@@ -469,10 +538,12 @@ def test_cutoff_checks_skip_a_cloud_all_near_kinks(rng):
 def test_t_map_jacobian_and_bound_stack_row_by_row(rng):
     # the norm, the bound and the differences of each row are those it has alone
     pts = rng.exponential(1.0, (12, 5))
-    parts = _t_norms(pts) + _t_differences(pts)
+    parts = _t_norms(pts, pts.sum(axis=1)) + _t_differences(pts, pts.sum(axis=1))
     assert [p.shape for p in parts] == [(12,)] * 2 + [(12, 1)] + [(12, 5)] * 2
     for i, x in enumerate(pts):
-        for whole, alone in zip(parts, _t_norms(x[None]) + _t_differences(x[None])):
+        y = x[None]
+        single = _t_norms(y, y.sum(axis=1)) + _t_differences(y, y.sum(axis=1))
+        for whole, alone in zip(parts, single):
             assert np.array_equal(alone, whole[i:i + 1])
 
 
@@ -579,7 +650,7 @@ def test_central_diff_is_the_pointwise_loop(n):
     rng = np.random.default_rng(n)
     x = np.vstack([np.ldexp(rng.exponential(1.0, (4, n)), k) for k in (-10, 0, 30)])
     x[1, 0] = 1e-9
-    e, alpha, beta = _t_differences(x)
+    e, alpha, beta = _t_differences(x, x.sum(axis=1))
     assert e.shape == (len(x), 1) and alpha.shape == beta.shape == x.shape
     for p, xp in enumerate(x):
         s, k = xp.sum(), int(e[p, 0])
@@ -596,7 +667,7 @@ def test_central_diff_is_the_pointwise_loop(n):
 def _gradients(pts, c1, c2):
     """The near-kink mask and the gradient norms of h1, h2 and h1 h2 off it."""
     mc = isodist.montecarlo
-    return mc._cutoff_gradients(*mc._cloud_cutoffs(pts, c1, c2), pts.shape[1], c1, c2)
+    return mc._product_gradient(pts, *mc._cloud_cutoffs(pts, c1, c2), c1, c2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 150])
@@ -704,7 +775,7 @@ def test_t_map_lipschitz_check_passes_at_large_n():
     finally:
         tracemalloc.stop()
     assert chk.ok and chk.count == 6 and chk.max_excess == 0.0
-    assert chk.max_fd_error <= 1e-6 * _t_norms(x)[1].min()
+    assert chk.max_fd_error <= 1e-6 * _t_norms(x, x.sum(axis=1))[1].min()
     # T(x) in _t_norms, 0.48 MB, is the peak
     assert peak < 2**20, peak
 
@@ -721,7 +792,7 @@ def test_lemma_checks_difference_in_small_blocks():
     # entries per array, and peak at 0.40 MB on 200 points; differencing
     # every shifted row in one (m n, n) stack for a 2000 x 50 cloud would
     # take 40 MB.  The cutoffs take no differences: their one array the
-    # size of the cloud, |x| in _radii, dominates, at 0.09 MB on 200 points.
+    # size of the cloud, |x| in _cloud_cutoffs, dominates, at 0.09 MB on 200 points.
     # With that array (T(x) for T) all three peak at 0.85-0.90 MB on 2000
     rng = np.random.default_rng(3)
     checks = (t_map_lipschitz_check, lambda x: cutoff_gradient_check(x, 1.0, 1.0),
