@@ -41,6 +41,14 @@ def _real(x, name: str):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+def _number(x, name: str) -> float:
+    """x as one float, read by _real; an array raises DomainError."""
+    x = _real(x, name)
+    if isinstance(x, np.ndarray):
+        raise DomainError(f"{name} must be a single number, not an array")
+    return x
+
+
 def _validate_p(p: float) -> float:
     p = p if type(p) is float else float(_real(p, "p"))
     if not 1.0 <= p <= 2.0:

@@ -3,7 +3,7 @@
 Subcommands
     bounds    two-sided distance bounds per family and volume fraction
     witness   explicit far-apart region pairs at finite n
-    lattice   verify: exhaustive extremal-pair check on a small grid
+    lattice   verify: extremal-pair check on a small grid, exact over down-sets
               scaling: normalized slab distance on the lattice cube
     sections  l_p section area and cap-volume curves with their limits
     check     pass/fail suites: sodin, transfer, tails, avgdist, all
@@ -23,7 +23,7 @@ for byte.  Options shared by several commands (--family and --p, --eps,
 
 Exit codes: 0 success; 1 a check suite found a violated inequality, or
 Monte Carlo evidence more than 5 standard errors off; 2 usage or domain
-error, or an --out FILE that cannot be written; 3 exhaustive-search
+error, or an --out FILE that cannot be written; 3 extremal-search
 budget exceeded.
 """
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lat = subs.add_parser("lattice", help="discrete grid checks")
     lat_subs = lat.add_subparsers(dest="lattice_command", required=True)
-    lv = lat_subs.add_parser("verify", help="exhaustive extremal-pair check",
+    lv = lat_subs.add_parser("verify", help="exact extremal-pair check over down-sets",
                              parents=[output])
     lv.add_argument("--k", type=int, required=True)
     lv.add_argument("--n", type=int, required=True)

@@ -5,13 +5,12 @@ by coordinate sum and, inside a level, antilexicographically by the
 first differing coordinate (larger first coordinate means earlier).  The
 extremal-pair fact checked here: among all pairs of subsets of sizes r
 and s, the initial and final segments of the simplicial order realize
-the largest possible set distance.  verify_extremal_pairs confirms it by
-exhaustive search on small grids.  Sets with r + s > k^n meet, so their
-distance is 0; otherwise the pair is symmetric and the search runs over
-the subsets of the smaller size, min(r, s) <= k^n / 2, unranking them
-block by block of colex ranks into batched numpy work so that memory
-stays bounded however many there are.  It needs only the sizes |N_t(A)|
-of the t-neighbourhoods, which it counts as popcounts of ORed ball masks.
+the largest possible set distance.  verify_extremal_pairs confirms it
+against the exact maximum on small grids.  Sets with r + s > k^n meet,
+so their distance is 0; otherwise the pair is symmetric and the maximum
+needs only the least |N_t(A)| over the sets A of the smaller size, which
+a down-set attains since compressions never enlarge N_t (Bollobas and
+Leader 1991), so only those down-sets are swept, as dilated bit masks.
 
 Subsets are bit masks over the row-major cell index.  The segments read
 the simplicial order from one stable sort of the cells' coordinate sums,
@@ -38,6 +37,7 @@ probe one pass of the sum that gives the counts at three adjacent levels.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -55,11 +55,6 @@ from .specfun import _gauss_tail_inv
 Cell = Tuple[int, ...]
 
 _EXACT_CELL_LIMIT = 32
-_SWEEP_BLOCK = 1024  # subsets per block of the exhaustive sweep
-# _BINOM[i, c] = C(c, i), the colex ranks of the sweep's subsets, which have
-# at most k^n / 2 members; every entry is at most C(32, 16) < 2^31
-_BINOM = np.array([[math.comb(c, i) for c in range(_EXACT_CELL_LIMIT + 1)]
-                   for i in range(_EXACT_CELL_LIMIT // 2 + 1)], dtype=np.int64)
 DEFAULT_PAIR_BUDGET = 10_000_000
 _GRID_CACHE = 2  # grids each per-grid cache keeps, so two can alternate
 
@@ -270,40 +265,29 @@ class ExtremalCheck:
     search_space: int
 
 
-@lru_cache(maxsize=None)
-def _balls(k: int, n: int) -> np.ndarray:
-    """ball[y, t], the uint32 mask of the cells within distance t of cell y,
-    for t = 0, ..., n(k-1): the exhaustive search only runs where
-    k^n <= 32.  Each cell's bit goes into y's shell at its distance, and a
-    running OR along t turns the shells into balls."""
-    size = k**n
-    c = np.indices((k,) * n).reshape(n, -1)
-    dist = np.abs(c[:, :, None] - c[:, None, :]).sum(axis=0)
-    ball = np.zeros((size, n * (k - 1) + 1), dtype=np.uint32)
-    np.bitwise_or.at(ball, (np.arange(size)[:, None], dist),
-                     np.uint32(1) << np.arange(size, dtype=np.uint32))
-    return np.bitwise_or.accumulate(ball, axis=1)
+def _down_sets(k: int, n: int, r: int) -> list:
+    """The masks of the down-sets of [k]^n with r cells, each once.
 
-
-def _colex_members(ranks: np.ndarray, r: int) -> Iterator[np.ndarray]:
-    """The r-subsets with the given colex ranks, one index array per member,
-    largest member first.  In the combinatorial number system the subset
-    c_1 < ... < c_r has rank sum_i C(c_i, i), so c_i is the largest c with
-    C(c, i) at most what is left of the rank."""
-    rank = np.array(ranks, dtype=np.int64)
-    for row in _BINOM[r:0:-1]:
-        c = row.searchsorted(rank, side="right") - 1
-        rank -= row.take(c)
-        yield c
-
-
-def _least_neighbourhood(ball: np.ndarray, members: list) -> np.ndarray:
-    """Per t, the least |N_t(A)| over the block's subsets A: the OR of the
-    members' rows of the ball table, popcounted."""
-    cover = ball.take(members[0], axis=0)
-    for y in members[1:]:
-        np.bitwise_or(cover, ball.take(y, axis=0), out=cover)
-    return np.bitwise_count(cover).min(axis=0)
+    Every prefix of a down-set's cells in row-major order is a down-set,
+    so adding cells above the highest index so far builds each once.  A
+    cell can join when, per axis, it is on the first layer or the cell
+    one stride below is in.
+    """
+    axes = _axis_masks(k, n)
+    full = (1 << k**n) - 1
+    level = [0]
+    for _ in range(r):
+        grown = []
+        for mask in level:
+            free = full >> mask.bit_length() << mask.bit_length()
+            for stride, not_first, _ in axes:
+                free &= mask << stride | full ^ not_first
+            while free:
+                bit = free & -free
+                grown.append(mask | bit)
+                free ^= bit
+        level = grown
+    return level
 
 
 @lru_cache(maxsize=None)
@@ -315,37 +299,45 @@ def _sweep_max_by_s(k: int, n: int, r: int) -> tuple:
     The s-th largest distance to A exceeds t exactly when
     |N_t(A)| <= k^n - s, and |N_t(A)| never decreases in t.  So with
     mu_t = min over |A| = r of |N_t(A)|, entry s-1 is the least t with
-    mu_t > k^n - s, one searchsorted over mu.
+    mu_t > k^n - s, a bisection of mu.
 
-    Every subset is visited once, in blocks of _SWEEP_BLOCK colex ranks
-    unranked member by member, and a block ORs its members' rows of the
-    ball table; verify_extremal_pairs only asks for r <= k^n / 2.  Memory
-    stays bounded by the block, whatever C(k^n, r) is: a
-    (_SWEEP_BLOCK, n(k-1) + 1) array of uint32 masks, at most 128 KB, and
-    about 0.3 MB at the peak with the gathered rows and popcounts.
+    A down-set attains each mu_t (Bollobas and Leader, Compressions and
+    isoperimetric inequalities, 1991).  Compressing A along axis i moves
+    the cells of each line along i to the bottom of that line.  On a line
+    L, N(A) holds the cells of A on L grown one step along L and a copy of
+    A's cells on each neighbouring parallel line, so it has at least as
+    many cells as N(C_i A), whose cells on L are a bottom segment of the
+    longest of those lengths.  So N(C_i A) lies in C_i N(A), by induction
+    N_t(C_i A) in C_i N_t(A), and no |N_t| grows.  A compression that
+    moves a cell lowers the coordinate sum, so compressing along each
+    axis in turn ends at a down-set of r cells.  The sweep dilates each
+    down-set from _down_sets until it fills the grid.
     """
-    ball = _balls(k, n)
     size = k**n
-    mu = np.full(ball.shape[1], size, dtype=np.uint8)
-    total = math.comb(size, r)
-    for lo in range(0, total, _SWEEP_BLOCK):
-        ranks = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
-        least = _least_neighbourhood(ball, list(_colex_members(ranks, r)))
-        np.minimum(mu, least, out=mu)
-    return tuple(mu.searchsorted(size - np.arange(1, size + 1), side="right").tolist())
+    axes = _axis_masks(k, n)
+    mu = [size] * (n * (k - 1) + 1)
+    for mask in _down_sets(k, n, r):
+        for t in range(len(mu)):
+            count = mask.bit_count()
+            if count == size:
+                break
+            mu[t] = min(mu[t], count)
+            mask = _dilate(mask, axes)
+    return tuple(bisect.bisect_right(mu, size - s) for s in range(1, size + 1))
 
 
 def verify_extremal_pairs(grid: Grid, r: int, s: int,
                           budget: int = DEFAULT_PAIR_BUDGET) -> ExtremalCheck:
-    """Exhaustively compare the brute-force extremal distance with the
-    simplicial initial/final segment distance.
+    """Compare the exact extremal distance with the simplicial
+    initial/final segment distance.
 
     An r-set and an s-set with r + s > k^n meet, so their largest
     distance is 0 and nothing is enumerated.  Otherwise the answer is
-    symmetric in (r, s) and the sweep enumerates the C(k^n, min(r, s))
-    subsets of the smaller size, min(r, s) <= k^n / 2.  The search space
-    is still counted as C(k^n, r) * C(k^n, s) pairs; requests beyond the
-    budget raise BudgetExceededError carrying that size.
+    symmetric in (r, s), and _sweep_max_by_s takes it over the down-sets
+    of the smaller size, which attain it since compressions never
+    enlarge a t-neighbourhood (Bollobas and Leader 1991).  The search
+    space is still counted as C(k^n, r) * C(k^n, s) pairs; requests
+    beyond the budget raise BudgetExceededError carrying that size.
     """
     if grid.size > _EXACT_CELL_LIMIT:
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")

@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bodies import BodyFamily, _real, _validate_n, _validate_open_interval
+from .bodies import BodyFamily, _number, _real, _validate_n, _validate_open_interval
 from .errors import DomainError
 from .profiles import _FAMILIES
 from .rng import generate
@@ -185,7 +185,7 @@ def sample_uniform(family: BodyFamily, n: int, count: int, seed: int) -> SampleB
 def estimate_cap_volume(family: BodyFamily, n: int, a: float, count: int,
                         seed: int) -> EstimateWithCI:
     """Fraction of sampled points with first coordinate >= a."""
-    a = _validate_open_interval(a, -math.inf, math.inf, "cap height a")
+    a = _validate_open_interval(_number(a, "cap height a"), -math.inf, math.inf, "cap height a")
     batch = sample_uniform(family, n, count, seed)
     hits = int(np.count_nonzero(batch.points[:, 0] >= a))
     return EstimateWithCI.from_proportion(hits, batch.count)
@@ -498,7 +498,7 @@ def exp_tail_check(n: int, alpha: float, count: int, seed: int) -> ExpTailCheck:
     exact value p; ok says both.
     """
     n = _validate_n(n, 1)
-    alpha = _validate_open_interval(alpha, 0.0, math.inf, "alpha")
+    alpha = _validate_open_interval(_number(alpha, "alpha"), 0.0, math.inf, "alpha")
     sums = generate(seed, f"exp-sum-{n}", count,
                     lambda g, m: g.standard_exponential((m, n)).sum(axis=1))
     hits = int(np.count_nonzero(sums <= alpha * n))

@@ -51,7 +51,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.interpolate import BSpline
 
-from .bodies import _validate_n, _validate_p
+from .bodies import _number, _real, _validate_n, _validate_p
 from .errors import DomainError
 from .specfun import _lp_radius, psi_p
 
@@ -74,7 +74,7 @@ def lp_section_area(x, p: float, n: int):
     """
     p = _validate_p(p)
     n = _validate_n(n, 2)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(_real(x, "section height"))
     if not np.all(x >= 0.0):
         raise DomainError("section height must be >= 0")
     out = _section_area(x, p, n, _lp_radius(n, p))
@@ -126,7 +126,7 @@ def lp_tail_volume(x: float, p: float, n: int) -> float:
     """
     p = _validate_p(p)
     n = _validate_n(n, 2)
-    x = float(x)
+    x = _number(x, "cap height")
     if not x >= 0.0:
         raise DomainError("cap height must be >= 0")
     return float(_lp_cap_volume(x, p, n, _lp_radius(n, p)))
@@ -246,7 +246,7 @@ def cube_sum_cdf(n: int, s: float) -> float:
     2-vCPU x86 VM.
     """
     n = _validate_n(n, 1)
-    s = float(s)
+    s = _number(s, "s")
     if s <= 0.0:
         return 0.0
     if s >= n:
@@ -265,7 +265,7 @@ def sphere_projection_cdf(n: int, x: float) -> float:
     uniform on [-1, 1] and the formula collapses to (1 + x/sqrt(3))/2.
     """
     n = _validate_n(n, 2)
-    y = float(x) / math.sqrt(n)
+    y = _number(x, "x") / math.sqrt(n)
     if y <= -1.0:
         return 0.0
     if y >= 1.0:

@@ -35,7 +35,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import _validate_epsilon, _validate_open_interval, _validate_p
+from .bodies import _real, _validate_epsilon, _validate_open_interval, _validate_p
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_E = math.sqrt(math.e)
@@ -48,7 +48,7 @@ def phi(a):
     maps -inf/+inf to 0/1.  An array comes back in one new array; a's
     own is never written.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(_real(a, "phi's argument"))
     if a.ndim == 0:
         return float(0.5 * sp.erfc(-SQRT_PI * a))
     out = np.multiply(a, -SQRT_PI)
@@ -92,7 +92,7 @@ def phi_p(a, p: float):
     1/2 + P(1/p, kappa_p a^p)/2, with P, Q the regularized pair.
     phi_p(0, p) = 1/2 exactly and phi_2 coincides with phi.
     """
-    return _phi_p(a, _validate_p(p))
+    return _phi_p(_real(a, "phi_p's argument"), _validate_p(p))
 
 
 def _phi_p(a, p):
@@ -119,7 +119,7 @@ def _phi_p_inv(eps, p):
 def psi_p(a, p: float):
     """Section-limit distribution function phi_p(e^{1/p} a)."""
     p = _validate_p(p)
-    return _phi_p(math.exp(1.0 / p) * np.asarray(a, dtype=float), p)
+    return _phi_p(math.exp(1.0 / p) * np.asarray(_real(a, "psi_p's argument")), p)
 
 
 def psi_p_inv(eps: float, p: float) -> float:

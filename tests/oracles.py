@@ -36,10 +36,13 @@ The lattice counts cells by inclusion-exclusion and measures distances
 by dilating bit masks; count_cells_recurrence convolves the
 coordinate-sum counts one dimension at a time, and t_boundary_bfs grows
 a neighborhood by breadth-first search over cell tuples.  The
-extremal-pair search counts neighbourhood sizes over blocks of subsets
-and the segments come from one stable sort; sweep_max_by_s_loop walks
-the r-subsets one at a time and sorts distances, and
-simplicial_segment_sorted sorts cell tuples by (sum, -c).
+extremal-pair search dilates only the down-sets, which it builds cell by
+cell, and the segments come from one stable sort; sweep_max_by_s_loop
+walks all the r-subsets one at a time and sorts distances,
+down_sets_filtered keeps the r-subsets that is_down_set accepts,
+compress moves cell tuples down their lines (the compression step that
+justifies sweeping down-sets alone), and simplicial_segment_sorted sorts
+cell tuples by (sum, -c).
 
 The CLI formats whole columns and joins their text; cli_text writes the
 same rows one at a time, each value through csv.writer or each row
@@ -418,6 +421,34 @@ def sweep_max_by_s_loop(k: int, n: int, r: int) -> tuple:
         d[::-1].sort()
         np.maximum(best, d, out=best)
     return tuple(int(v) for v in best)
+
+
+def is_down_set(cells) -> bool:
+    """Whether every cell one step below a cell of the set, along any axis,
+    is in the set too."""
+    cells = set(map(tuple, cells))
+    return all(c[:i] + (v - 1,) + c[i + 1:] in cells
+               for c in cells for i, v in enumerate(c) if v)
+
+
+def compress(cells, axis: int) -> set:
+    """The compression along an axis: the cells of each line along it moved
+    to the bottom of that line, as many as there were."""
+    lines = {}
+    for c in map(tuple, cells):
+        rest = c[:axis] + c[axis + 1:]
+        lines[rest] = lines.get(rest, 0) + 1
+    return {rest[:axis] + (v,) + rest[axis:]
+            for rest, count in lines.items() for v in range(count)}
+
+
+def down_sets_filtered(k: int, n: int, r: int) -> list:
+    """The masks of the r-subsets of [k]^n that are down-sets, sorted, from
+    all C(k^n, r) subsets; cell c is bit sum_i c_i k^(n-1-i)."""
+    cells = list(itertools.product(range(k), repeat=n))
+    return sorted(sum(1 << i for i in A)
+                  for A in itertools.combinations(range(len(cells)), r)
+                  if is_down_set(cells[i] for i in A))
 
 
 @lru_cache(maxsize=None)

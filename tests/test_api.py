@@ -17,7 +17,7 @@ from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
                      cutoff_gradient_check, cutoff_product_check, delta_closed_form,
                      distance_upper_bound, estimate_cap_volume, exp_tail_check, kappa,
                      lp_caps_witness, lp_section_area, lp_tail_volume, make_profile,
-                     phi_inv, phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
+                     phi, phi_inv, phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
                      psi_p_inv_asymptote, sample_uniform, scaled_max_distance,
                      section_curve, simplex_corner_witness, sphere_projection_cdf,
                      t_map_lipschitz_check, time_to_half, transfer_map_check,
@@ -294,6 +294,14 @@ TAKES_REAL = {
     "lp_tail_volume(p)": (lambda v: lp_tail_volume(0.5, v, 10), 1.5),
     "section_curve(p)": (lambda v: section_curve(v, 10, GRID), 1.5),
     "convergence_report(p)": (lambda v: convergence_report(v, [10], GRID), 1.5),
+    # the distribution functions, which take any value on the line
+    "phi": (phi, 0.3),
+    "phi_p(a)": (lambda v: phi_p(v, 1.5), 0.3),
+    "psi_p(a)": (lambda v: psi_p(v, 1.5), 0.3),
+    "lp_section_area(x)": (lambda v: lp_section_area(v, 1.5, 10), 0.5),
+    "lp_tail_volume(x)": (lambda v: lp_tail_volume(v, 1.5, 10), 0.5),
+    "cube_sum_cdf": (lambda v: cube_sum_cdf(5, v), 2.0),
+    "sphere_projection_cdf": (lambda v: sphere_projection_cdf(5, v), 0.5),
 }
 
 
@@ -305,5 +313,21 @@ def test_complex_input_raises(name):
     call(good)
     for bad in (complex(good, 5.0), np.complex128(complex(good, 1.0)), np.complex64(good),
                 np.array(complex(good, 1.0)), np.array([complex(good, 0.0)])):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
+# the calls of TAKES_REAL whose value is one number, never an array; the
+# cutoff constants c1 and c2 raise TypeError on one instead
+TAKES_NUMBER = ("estimate_cap_volume", "exp_tail_check", "lp_tail_volume(x)",
+                "cube_sum_cdf", "sphere_projection_cdf")
+
+
+@pytest.mark.parametrize("name", TAKES_NUMBER)
+def test_array_for_a_single_number_raises(name):
+    # neither compared entry by entry nor a bare TypeError; a 0-d array passes
+    call, good = TAKES_REAL[name]
+    call(np.array(good))
+    for bad in (np.full(100, good), np.array([good]), [good, good]):
         with pytest.raises(DomainError):
             call(bad)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -400,21 +401,17 @@ def test_brute_max_matches_subset_loop_on_the_path_of_32():
 
 
 def test_brute_max_matches_subset_loop_on_the_cube_of_32():
-    # cell 31 is the top bit of a uint32 ball mask; r > 16 sweeps the s-sets
+    # cell 31 is the top bit of the mask; r > 16 sweeps the s-sets
     for r in (1, 2, 3, 29, 30, 31, 32):
         assert_brute_max_matches_loop(2, 5, r)
 
 
 @pytest.mark.parametrize("k, n, r", [(2, 3, 2), (4, 2, 3), (32, 1, 30), (3, 3, 2),
                                      (2, 4, 13)])
-def test_brute_max_across_block_boundaries(monkeypatch, k, n, r):
-    # C(k^n, r) subsets in blocks one smaller than, equal to and one larger than
-    # their count: a single leftover subset, one exactly full block, one short block
-    count = math.comb(k**n, r)
-    for block in (count - 1, count, count + 1):
-        monkeypatch.setattr(lattice, "_SWEEP_BLOCK", block)
-        lattice._sweep_max_by_s.cache_clear()
-        assert_brute_max_matches_loop(k, n, r)
+def test_brute_max_across_block_boundaries(k, n, r):
+    # the cases that once sat at the edges of the sweep's blocks of subsets,
+    # kept as plain comparisons: paths, cubes and an r above half the grid
+    assert_brute_max_matches_loop(k, n, r)
 
 
 @pytest.mark.parametrize("grid, r, s, swept", [
@@ -439,17 +436,36 @@ def test_verify_extremal_pairs_sweeps_the_smaller_size(monkeypatch, grid, r, s, 
         assert chk.brute_max == 0
 
 
-@pytest.mark.parametrize("size", range(1, 13))
-def test_colex_members_yield_every_subset_once(size):
-    for r in range(1, size + 1):
-        ranks = np.arange(math.comb(size, r))
-        members = np.stack(list(lattice._colex_members(ranks, r)), axis=1)
-        rows = [tuple(row) for row in members.tolist()]
-        # largest member first, and rank order is colex order
-        assert all(list(row) == sorted(row, reverse=True) for row in rows)
-        assert rows == sorted(rows)
-        subsets = sorted(tuple(sorted(row)) for row in rows)
-        assert subsets == list(itertools.combinations(range(size), r))
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5) for k in range(2, 17)
+                                  if k**n <= 16] + [(2, 5), (32, 1)])
+def test_down_sets_are_each_down_set_once(k, n):
+    # every r on up to 16 cells; at both ends of the range on 32
+    size = k**n
+    for r in range(size + 1) if size <= 16 else [*range(5), *range(size - 4, size + 1)]:
+        got = lattice._down_sets(k, n, r)
+        assert sorted(got) == oracles.down_sets_filtered(k, n, r)
+        assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2)])
+def test_compressions_never_enlarge_a_neighbourhood(k, n):
+    # the lemma behind sweeping down-sets alone: compressing a set along each
+    # axis in turn ends at a down-set of the same size, and no |N_t| grows
+    rng = np.random.default_rng(k * 10 + n)
+    cells = list(itertools.product(range(k), repeat=n))
+    diameter = n * (k - 1)
+    for _ in range(40):
+        r = int(rng.integers(1, len(cells) + 1))
+        a = {cells[i] for i in rng.choice(len(cells), r, replace=False)}
+        sizes = [len(oracles.t_boundary_bfs(a, k, t)) for t in range(diameter + 1)]
+        while not oracles.is_down_set(a):
+            for axis in range(n):
+                a = oracles.compress(a, axis)
+                assert len(a) == r
+                grown = [len(oracles.t_boundary_bfs(a, k, t)) for t in range(diameter + 1)]
+                assert all(map(operator.le, grown, sizes))
+                sizes = grown
+        assert SubsetHandle.from_cells(Grid(k, n), list(a)).mask in lattice._down_sets(k, n, r)
 
 
 def test_verify_extremal_pairs_partition_cases():
