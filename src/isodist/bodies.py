@@ -7,11 +7,26 @@ p = 1 member is the cross-polytope, and lp(2) is built as the euclidean
 ball itself, so BodyFamily.lp(2.0) == BodyFamily.ball() and every formula
 reads the ball's row for it.
 
-The private _validate_* helpers below are the shared input checks that
-the other modules import; a public function runs each of its inputs
-through at most one of them, once, and they raise DomainError outside
-the domain.  They read a value through _real, as montecarlo's cloud
-intake does, so a complex value raises DomainError too.
+This module is the one place that turns an argument into a number.  A
+public function reads each argument here before it compares or computes
+with it, by one rule per kind of argument, and what the rule refuses
+raises DomainError:
+
+    one number        _number: a real scalar or a 0-d array, as a float;
+                      an array or a complex value raises
+    real value/array  _real: a float, or a float array when the input
+                      has an axis; a complex value raises, also with a
+                      zero imaginary part
+    integer size      _validate_n: a Python or numpy integer or an
+                      integral float, as an int; a fractional, NaN,
+                      infinite, complex, array or string value raises
+    point cloud       montecarlo._cloud, which reads it through _real
+
+Cell coordinates are the one exception: lattice.Grid.index reads them.
+
+The private _validate_* helpers below then check a value's range; the
+other modules import them, and a public function runs each of its
+inputs through at most one of them, once.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ def _number(x, name: str) -> float:
 
 
 def _validate_p(p: float) -> float:
-    p = p if type(p) is float else float(_real(p, "p"))
+    p = p if type(p) is float else _number(p, "p")
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"p must lie in [1, 2], got {p}")
     return p
@@ -98,7 +113,7 @@ class BodyFamily:
 
 def _validate_epsilon(eps: float) -> float:
     """Volume fractions must sit strictly between 0 and 1/2."""
-    eps = eps if type(eps) is float else float(_real(eps, "epsilon"))
+    eps = eps if type(eps) is float else _number(eps, "epsilon")
     if not 0.0 < eps < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {eps}")
     return eps
@@ -114,12 +129,14 @@ def _validate_open_interval(x, lo: float, hi: float, name: str):
     return x
 
 
-def _validate_n(n, least: int) -> int:
+def _validate_n(n, least: float) -> int:
     """A dimension or lattice size n >= least, as an int.
 
     Python and numpy integers pass, and so do integral floats such as
     25.0; a fractional, infinite or NaN n raises DomainError instead of
-    being truncated.
+    being truncated, as does a complex, array or string one.  least =
+    -inf reads any integer and leaves its range to the caller: the
+    lattice's sizes, indices and masks raise RangeError outside the grid.
     """
     try:
         m = operator.index(n)

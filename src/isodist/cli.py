@@ -24,7 +24,8 @@ for byte.  Options shared by several commands (--family and --p, --eps,
 Exit codes: 0 success; 1 a check suite found a violated inequality, or
 Monte Carlo evidence more than 5 standard errors off; 2 usage or domain
 error, or an --out FILE that cannot be written; 3 extremal-search
-budget exceeded.
+budget exceeded (lattice verify --budget caps the C(k^n, r) * C(k^n, s)
+subset pairs, not the down-sets swept).
 """
 
 from __future__ import annotations
@@ -414,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--n", type=int, required=True)
     lv.add_argument("--r", type=int, required=True)
     lv.add_argument("--s", type=int, required=True)
-    lv.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    lv.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+                    help="cap on C(k^n, r) * C(k^n, s), the subset pairs of a sweep over "
+                         "every pair (not the down-sets swept); exit 3 past it")
     lv.set_defaults(rows=cmd_lattice_verify)
     ls = lat_subs.add_parser("scaling", help="normalized slab distance",
                              parents=[eps, output])

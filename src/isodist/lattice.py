@@ -47,7 +47,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .bodies import _validate_epsilon, _validate_n
+from .bodies import _number, _validate_epsilon, _validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
 from .specfun import _gauss_tail_inv
@@ -92,9 +92,9 @@ class Grid:
         return i
 
     def cell(self, index: int) -> Cell:
+        index = _validate_n(index, -math.inf)
         if not 0 <= index < self.size:
             raise RangeError(f"index {index} outside grid of size {self.size}")
-        index = _validate_n(index, 0)
         out = []
         for _ in range(self.n):
             index, c = divmod(index, self.k)
@@ -137,11 +137,11 @@ class SubsetHandle:
     mask: int
 
     def __post_init__(self):
-        # a negative mask is out of range, a fractional or NaN one malformed
-        mask = self.mask if self.mask < 0 else _validate_n(self.mask, 0)
+        # read as an integer first: a negative one is out of range, a
+        # fractional, NaN, complex or array one malformed
+        mask = _validate_n(self.mask, -math.inf)
         if mask < 0 or mask >> self.grid.size:
-            raise RangeError(f"mask {mask} has bits outside a grid of "
-                             f"{self.grid.size} cells")
+            raise RangeError(f"mask {mask} has bits outside a grid of {self.grid.size} cells")
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -178,9 +178,9 @@ def _simplicial_order(k: int, n: int) -> np.ndarray:
 
 
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
+    count = _validate_n(count, -math.inf)
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
-    count = _validate_n(count, 0)
     order = _simplicial_order(grid.k, grid.n)
     bits = np.zeros(grid.size, dtype=bool)
     bits[order[grid.size - count:] if final else order[:count]] = True
@@ -335,19 +335,23 @@ def verify_extremal_pairs(grid: Grid, r: int, s: int,
     distance is 0 and nothing is enumerated.  Otherwise the answer is
     symmetric in (r, s), and _sweep_max_by_s takes it over the down-sets
     of the smaller size, which attain it since compressions never
-    enlarge a t-neighbourhood (Bollobas and Leader 1991).  The search
-    space is still counted as C(k^n, r) * C(k^n, s) pairs; requests
-    beyond the budget raise BudgetExceededError carrying that size.
+    enlarge a t-neighbourhood (Bollobas and Leader 1991).
+
+    The budget caps search_space, the C(k^n, r) * C(k^n, s) subset pairs
+    that a sweep over every pair would visit, not the down-sets this one
+    visits; a request beyond it raises BudgetExceededError carrying that
+    count.  So the default budget refuses most requests on the larger
+    grids under the cell cap, though none takes long: at (k, n, r, s) =
+    (2, 5, 16, 16) the count is 3.6e17 and a cold sweep about 10 ms.
     """
+    r, s, budget = _validate_n(r, -math.inf), _validate_n(s, -math.inf), _validate_n(budget, 0)
     if grid.size > _EXACT_CELL_LIMIT:
         raise RangeError(f"exact mode needs k^n <= {_EXACT_CELL_LIMIT}, got {grid.size}")
     if not (1 <= r <= grid.size and 1 <= s <= grid.size):
         raise RangeError(f"need 1 <= r, s <= {grid.size}")
-    r, s, budget = _validate_n(r, 1), _validate_n(s, 1), _validate_n(budget, 0)
     space = math.comb(grid.size, r) * math.comb(grid.size, s)
     if space > budget:
-        raise BudgetExceededError(
-            f"search space {space} exceeds budget {budget}", space)
+        raise BudgetExceededError(f"search space {space} exceeds budget {budget}", space)
     small, large = sorted((r, s))
     brute = 0 if r + s > grid.size else _sweep_max_by_s(grid.k, grid.n, small)[large - 1]
     seg = set_distance(initial_segment(grid, r), final_segment(grid, s))
@@ -388,11 +392,14 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
     sum_j (-1)^j C(n, j) C(s - jk + n, n) with s clipped to n(k-1), on
     python integers, so the count stays exact far beyond 2^53.  It is the
     middle count of the one pass that gives the counts at s - 1, s and
-    s + 1 together, the pass each probe of scaled_max_distance makes.  A
-    fractional s counts the cells with sum <= floor(s); s = +inf counts
-    every cell and s = -inf none; NaN raises DomainError.
+    s + 1 together, the pass each probe of scaled_max_distance makes.  An
+    integer s is kept exact, and any other s is read as one real number:
+    a fractional s counts the cells with sum <= floor(s); s = +inf counts
+    every cell and s = -inf none; NaN, a complex value or an array raises
+    DomainError.
     """
     k, n = _validate_n(k, 2), _validate_n(n, 1)
+    s = s if isinstance(s, (int, np.integer)) else _number(s, "s")
     if s != s:
         raise DomainError("s must be a number, got NaN")
     if s < 0:

@@ -45,12 +45,12 @@ T also coordinates >= 0 with row sums finite and positive, for the
 cutoffs row norms whose squares are finite, so a NaN, an infinite
 coordinate or an overflowing sum raises DomainError, and so does a complex
 one.  Each check validates its cloud once and its constants c1, c2 once
-each, as two floats; T, its Jacobian's norm and bound, its finite
-differences, and the cutoffs h1 and h2 with the row norms they read are
-each written once as array kernels, which check nothing but an
-overflowing squared norm.  The intake hands T's check the row sums
-it takes for T's domain, and T, the norms and the differences take them
-from there, so a call sums each row once.
+each, as two single numbers read by bodies._number; T, its Jacobian's
+norm and bound, its finite differences, and the cutoffs h1 and h2 with
+the row norms they read are each written once as array kernels, which
+check nothing but an overflowing squared norm.  The intake hands T's
+check the row sums it takes for T's domain, and T, the norms and the
+differences take them from there, so a call sums each row once.
 
 The cutoffs see a point only through ||x||_2 and ||x||_1, and their
 gradients have closed forms: on a slope, ||grad h1|| = c1 sqrt(n) and
@@ -440,7 +440,8 @@ def cutoff_gradient_check(points: np.ndarray, c1: float, c2: float) -> CutoffChe
     (c2/n) sqrt(#{x_i != 0}), and each is 0 off its slope.
     """
     pts = _cloud(points)
-    c1, c2 = (float(_validate_open_interval(c, 0.0, math.inf, "c1 and c2")) for c in (c1, c2))
+    c1, c2 = (_validate_open_interval(_number(c, "c1 and c2"), 0.0, math.inf, "c1 and c2")
+              for c in (c1, c2))
     n = pts.shape[1]
     sq = math.sqrt(n)
     r2, r1, v1, v2, a, b = _cloud_cutoffs(pts, c1, c2)
@@ -466,7 +467,8 @@ def cutoff_product_check(points: np.ndarray, c1: float, c2: float) -> CutoffChec
     k = #{x_i != 0}.
     """
     pts = _cloud(points)
-    c1, c2 = (float(_validate_open_interval(c, 0.0, math.inf, "c1 and c2")) for c in (c1, c2))
+    c1, c2 = (_validate_open_interval(_number(c, "c1 and c2"), 0.0, math.inf, "c1 and c2")
+              for c in (c1, c2))
     near, g1, g2, gp = _product_gradient(pts, *_cloud_cutoffs(pts, c1, c2), c1, c2)
     bad = int(np.count_nonzero(gp > g1 + g2 + 1e-5))
     return CutoffCheck(pts.shape[0], int(np.count_nonzero(near)), 0, bad, bad == 0)

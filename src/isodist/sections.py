@@ -138,7 +138,7 @@ def psi_p_density_limit(x, p: float):
     Integrates to 1/2 over [0, inf); at p = 2 this is sqrt(e) e^{-pi e x^2}.
     """
     p = _validate_p(p)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(_real(x, "psi_p_density_limit's argument"))
     scale = 2.0 * math.gamma(1.0 + 1.0 / p) * math.exp(1.0 / p)
     out = math.exp(1.0 / p) * np.exp(-np.abs(scale * x) ** p)
     return float(out) if out.ndim == 0 else out
@@ -159,7 +159,7 @@ def section_curve(p: float, n: int, grid: Sequence[float]) -> SectionCurve:
 
     The tails are the closed-form cap volumes, in one vectorised call.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_real(grid, "grid"))
     if not (grid.ndim == 1 and grid.size >= 2 and grid[0] >= 0.0
             and np.all(np.diff(grid) > 0.0)):
         raise DomainError("grid must be increasing and nonnegative")
@@ -189,7 +189,7 @@ def convergence_report(p: float, n_list: Sequence[int],
     """
     p = _validate_p(p)
     n_list = tuple(_validate_n(n, 2) for n in n_list)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_real(grid, "grid"))
     tail_limit = psi_p(-grid, p)
     area_limit = psi_p_density_limit(grid, p)
     gaps_v, gaps_s = [], []

@@ -35,7 +35,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .bodies import _real, _validate_epsilon, _validate_open_interval, _validate_p
+from .bodies import _number, _real, _validate_epsilon, _validate_open_interval, _validate_p
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_E = math.sqrt(math.e)
@@ -107,6 +107,7 @@ def _phi_p(a, p):
 def phi_p_inv(eps: float, p: float) -> float:
     """Inverse of phi_p(., p) on (0, 1)."""
     p = _validate_p(p)
+    eps = _number(eps, "phi_p_inv's eps")
     return _phi_p_inv(_validate_open_interval(eps, 0.0, 1.0, "phi_p_inv's eps"), p)
 
 
@@ -125,6 +126,7 @@ def psi_p(a, p: float):
 def psi_p_inv(eps: float, p: float) -> float:
     """Inverse of psi_p(., p); equals phi_p_inv(eps, p) / e^{1/p}."""
     p = _validate_p(p)
+    eps = _number(eps, "psi_p_inv's eps")
     return _psi_p_inv(_validate_open_interval(eps, 0.0, 1.0, "psi_p_inv's eps"), p)
 
 

@@ -3,6 +3,7 @@ are taken."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pathlib
@@ -11,17 +12,18 @@ import numpy as np
 import pytest
 
 import isodist
-from isodist import (BodyFamily, DomainError, Grid, average_distance_experiment,
-                     ball_caps_witness, bodies, bound_report, convergence_report,
-                     count_cells_sum_le, cube_diagonal_witness, cube_sum_cdf,
-                     cutoff_gradient_check, cutoff_product_check, delta_closed_form,
-                     distance_upper_bound, estimate_cap_volume, exp_tail_check, kappa,
-                     lp_caps_witness, lp_section_area, lp_tail_volume, make_profile,
-                     phi, phi_inv, phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_inv,
-                     psi_p_inv_asymptote, sample_uniform, scaled_max_distance,
-                     section_curve, simplex_corner_witness, sphere_projection_cdf,
+from isodist import (BodyFamily, DomainError, Grid, RangeError, SubsetHandle,
+                     average_distance_experiment, ball_caps_witness, bodies, bound_report,
+                     convergence_report, count_cells_sum_le, cube_diagonal_witness,
+                     cube_sum_cdf, cutoff_gradient_check, cutoff_product_check,
+                     delta_closed_form, distance_upper_bound, estimate_cap_volume,
+                     exp_tail_check, final_segment, initial_segment, kappa, lp_caps_witness,
+                     lp_section_area, lp_tail_volume, make_profile, phi, phi_inv,
+                     phi_inv_asymptote, phi_p, phi_p_inv, psi_p, psi_p_density_limit,
+                     psi_p_inv, psi_p_inv_asymptote, sample_uniform, scaled_max_distance,
+                     section_curve, simplex_corner_witness, sphere_projection_cdf, t_boundary,
                      t_map_lipschitz_check, time_to_half, transfer_map_check,
-                     unit_volume_radius)
+                     unit_volume_radius, verify_extremal_pairs)
 
 MODULES = ("bodies", "cli", "enlargement", "errors", "lattice", "montecarlo",
            "profiles", "rng", "sections", "specfun", "witness")
@@ -155,8 +157,10 @@ def test_family_decisions_stay_in_the_table():
 
 GRID = np.array([0.0, 0.5, 1.0])
 
-# every public function taking a dimension n, called with n = 25, and the
-# lattice functions once more with 25 as the side k or the scale m
+# every public function taking a dimension n, called with n = 25, the
+# lattice functions once more with 25 as the side k or the scale m, and
+# every other integer count that is no lattice size: the sample counts and
+# seeds, the boundary distance t and the search budget
 TAKES_N = {
     "unit_volume_radius": lambda n: unit_volume_radius(BodyFamily.lp(1.5), n),
     "lp_section_area": lambda n: lp_section_area(0.5, 1.5, n),
@@ -180,7 +184,26 @@ TAKES_N = {
     "count_cells_sum_le-k": lambda k: count_cells_sum_le(k, 3, 10),
     "scaled_max_distance": lambda n: scaled_max_distance(n, 4, 0.1),
     "scaled_max_distance-m": lambda m: scaled_max_distance(4, m, 0.1),
+    "sample_uniform(count)": lambda c: sample_uniform(BodyFamily.cube(), 3, c, 1),
+    "sample_uniform(seed)": lambda s: sample_uniform(BodyFamily.cube(), 3, 8, s),
+    "estimate_cap_volume(count)":
+        lambda c: estimate_cap_volume(BodyFamily.ball(), 3, 0.1, c, 1),
+    "estimate_cap_volume(seed)":
+        lambda s: estimate_cap_volume(BodyFamily.ball(), 3, 0.1, 8, s),
+    "exp_tail_check(count)": lambda c: exp_tail_check(3, 0.5, c, 1),
+    "exp_tail_check(seed)": lambda s: exp_tail_check(3, 0.5, 8, s),
+    "transfer_map_check(count)": lambda c: transfer_map_check(3, c, 1),
+    "transfer_map_check(seed)": lambda s: transfer_map_check(3, 8, s),
+    "average_distance_experiment(count)": lambda c: average_distance_experiment(3, c, 1),
+    "average_distance_experiment(seed)": lambda s: average_distance_experiment(3, 8, s),
+    "t_boundary(t)": lambda t: t_boundary(SubsetHandle(Grid(3, 2), 1), t),
+    "verify_extremal_pairs(budget)":
+        lambda b: verify_extremal_pairs(Grid(2, 2), 4, 4, budget=b),
 }
+# the entries of TAKES_N that take 0, so that -1 is their least bad value
+FROM_ZERO = {"sample_uniform(seed)", "estimate_cap_volume(seed)", "exp_tail_check(seed)",
+             "transfer_map_check(seed)", "average_distance_experiment(seed)",
+             "t_boundary(t)", "verify_extremal_pairs(budget)"}
 
 
 @pytest.mark.parametrize("name", sorted(TAKES_N))
@@ -189,7 +212,7 @@ def test_dimension_must_be_integral(name):
     want = repr(call(25))
     assert repr(call(np.int64(25))) == want
     assert repr(call(25.0)) == want
-    for bad in (25.7, float("nan"), float("inf"), 0):
+    for bad in (25.7, float("nan"), float("inf"), -1 if name in FROM_ZERO else 0):
         with pytest.raises(DomainError):
             call(bad)
 
@@ -294,6 +317,12 @@ TAKES_REAL = {
     "lp_tail_volume(p)": (lambda v: lp_tail_volume(0.5, v, 10), 1.5),
     "section_curve(p)": (lambda v: section_curve(v, 10, GRID), 1.5),
     "convergence_report(p)": (lambda v: convergence_report(v, [10], GRID), 1.5),
+    "psi_p_inv(p)": (lambda v: psi_p_inv(0.1, v), 1.5),
+    "psi_p_inv_asymptote(p)": (lambda v: psi_p_inv_asymptote(0.1, v), 1.5),
+    "lp_caps_witness(p)": (lambda v: lp_caps_witness(10, v, 0.1), 1.5),
+    "psi_p_density_limit(p)": (lambda v: psi_p_density_limit(0.3, v), 1.5),
+    "BodyFamily(p)": (lambda v: BodyFamily("lp", v), 1.5),
+    "count_cells_sum_le(s)": (lambda v: count_cells_sum_le(3, 2, v), 2.0),
     # the distribution functions, which take any value on the line
     "phi": (phi, 0.3),
     "phi_p(a)": (lambda v: phi_p(v, 1.5), 0.3),
@@ -302,6 +331,11 @@ TAKES_REAL = {
     "lp_tail_volume(x)": (lambda v: lp_tail_volume(v, 1.5, 10), 0.5),
     "cube_sum_cdf": (lambda v: cube_sum_cdf(5, v), 2.0),
     "sphere_projection_cdf": (lambda v: sphere_projection_cdf(5, v), 0.5),
+    "psi_p_density_limit(x)": (lambda v: psi_p_density_limit(v, 1.5), 0.3),
+    # the grids of heights, scaled by v
+    "section_curve(grid)": (lambda v: section_curve(1.5, 10, np.multiply(v, GRID)), 1.0),
+    "convergence_report(grid)":
+        (lambda v: convergence_report(1.5, [10], np.multiply(v, GRID)), 1.0),
 }
 
 
@@ -317,10 +351,22 @@ def test_complex_input_raises(name):
             call(bad)
 
 
-# the calls of TAKES_REAL whose value is one number, never an array; the
-# cutoff constants c1 and c2 raise TypeError on one instead
-TAKES_NUMBER = ("estimate_cap_volume", "exp_tail_check", "lp_tail_volume(x)",
-                "cube_sum_cdf", "sphere_projection_cdf")
+# the calls of TAKES_REAL whose value is one number, never an array: every
+# eps but phi_inv's, every p, the constants and the single-number arguments
+TAKES_NUMBER = (
+    "bound_report", "delta_closed_form", "distance_upper_bound", "time_to_half",
+    "lp_caps_witness(eps)", "ball_caps_witness", "cube_diagonal_witness",
+    "simplex_corner_witness", "scaled_max_distance", "phi_inv_asymptote",
+    "psi_p_inv_asymptote(eps)", "phi_p_inv(eps)", "psi_p_inv(eps)",
+    "BodyFamily.lp", "BodyFamily(p)", "kappa", "phi_p(p)", "psi_p(p)", "phi_p_inv(p)",
+    "psi_p_inv(p)", "psi_p_inv_asymptote(p)", "lp_caps_witness(p)", "lp_section_area(p)",
+    "lp_tail_volume(p)", "section_curve(p)", "convergence_report(p)",
+    "psi_p_density_limit(p)",
+    "cutoff_gradient_check(c1)", "cutoff_gradient_check(c2)",
+    "cutoff_product_check(c1)", "cutoff_product_check(c2)",
+    "estimate_cap_volume", "exp_tail_check", "lp_tail_volume(x)", "cube_sum_cdf",
+    "sphere_projection_cdf", "count_cells_sum_le(s)",
+)
 
 
 @pytest.mark.parametrize("name", TAKES_NUMBER)
@@ -331,3 +377,78 @@ def test_array_for_a_single_number_raises(name):
     for bad in (np.full(100, good), np.array([good]), [good, good]):
         with pytest.raises(DomainError):
             call(bad)
+
+
+LATTICE = Grid(3, 2)
+
+# every lattice size, index or mask, compared with the grid's cells: a
+# call as a function of it, a valid value, and an integer below and one
+# above its range
+TAKES_SIZE = {
+    "initial_segment(r)": (lambda v: initial_segment(LATTICE, v), 2, (-1, 10)),
+    "final_segment(s)": (lambda v: final_segment(LATTICE, v), 2, (-1, 10)),
+    "Grid.cell(index)": (lambda v: LATTICE.cell(v), 2, (-1, 9)),
+    "SubsetHandle(mask)": (lambda v: SubsetHandle(LATTICE, v), 2, (-1, 1 << 9)),
+    "verify_extremal_pairs(r)": (lambda v: verify_extremal_pairs(LATTICE, v, 2), 2, (0, 10)),
+    "verify_extremal_pairs(s)": (lambda v: verify_extremal_pairs(LATTICE, 2, v), 2, (0, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_SIZE))
+def test_lattice_size_is_read_before_it_is_compared(name):
+    # a malformed value is DomainError itself, not its subclass RangeError
+    # and not a bare TypeError or ValueError from a comparison with the grid;
+    # an integer outside the grid is RangeError
+    call, good, outside = TAKES_SIZE[name]
+    call(good)
+    for bad in (complex(good, 1.0), complex(good, 0.0), np.array([good, good]),
+                np.array([good]), str(good)):
+        with pytest.raises(DomainError) as err:
+            call(bad)
+        assert err.type is DomainError
+    for bad in outside:
+        with pytest.raises(RangeError):
+            call(bad)
+
+
+# the real-valued names a bare TAKES_REAL key feeds, and the integer ones a
+# bare TAKES_N key feeds
+REAL_NAMES = {"a", "alpha", "eps", "p", "points", "s", "x"}
+SIZE_NAMES = {"n", "n_list"}
+
+# arguments no intake reads: the package's own objects, which check their
+# fields when they are built, and two string choices
+EXEMPT_TYPES = {"BodyFamily", "IsoProfile", "Grid", "SubsetHandle", "Cell"}
+EXEMPT = {"BodyFamily(kind)", "distance_upper_bound(method)"}
+
+
+def _fed(table, names):
+    """'f(x)' for each key of an intake table: a key 'f(x)' or 'f-x' feeds
+    parameter x of f, and a bare key 'f' the one parameter of f named in
+    names."""
+    out = set()
+    for key in table:
+        f, sep, x = key.partition("(") if "(" in key else key.partition("-")
+        if not sep:
+            fn = functools.reduce(getattr, f.split("."), isodist)
+            (x,) = (p for p in inspect.signature(fn).parameters if p in names)
+        out.add(f"{f}({x.rstrip(')')})")
+    return out
+
+
+def test_every_argument_goes_through_an_intake():
+    # each parameter of a public function, or of a public class that checks
+    # its fields, is in an intake table or exempt, so a new entry point
+    # cannot skip the intake without failing here
+    fed = (_fed(TAKES_N, SIZE_NAMES) | _fed(TAKES_REAL, REAL_NAMES) | set(TAKES_SIZE)
+           | EXEMPT)
+    assert set(TAKES_NUMBER) <= set(TAKES_REAL)
+    missing = []
+    for name in sorted(isodist.__all__):
+        obj = getattr(isodist, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj) and "__post_init__" in vars(obj):
+            for prm in inspect.signature(obj).parameters.values():
+                kind = getattr(prm.annotation, "__name__", prm.annotation)
+                if f"{name}({prm.name})" not in fed and kind not in EXEMPT_TYPES:
+                    missing.append(f"{name}({prm.name})")
+    assert missing == []

@@ -274,9 +274,9 @@ def test_cutoff_constants_are_scalars():
     pts = _spread(np.random.default_rng(5), 2, 3)
     for check in (cutoff_gradient_check, cutoff_product_check):
         for c in (np.array([1.0, 2.0]), [1.0, 2.0], np.array([1.0])):
-            with pytest.raises(TypeError):
+            with pytest.raises(DomainError):
                 check(pts, c, 1.0)
-            with pytest.raises(TypeError):
+            with pytest.raises(DomainError):
                 check(pts, 1.0, c)
 
 
