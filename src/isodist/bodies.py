@@ -16,13 +16,15 @@ raises DomainError:
                       an array or a complex value raises
     real value/array  _real: a float, or a float array when the input
                       has an axis; a complex value raises, also with a
-                      zero imaginary part
+                      zero imaginary part, and so do None and what numpy
+                      cannot read as floats
     integer size      _validate_n: a Python or numpy integer or an
                       integral float, as an int; a fractional, NaN,
                       infinite, complex, array or string value raises
+    lattice cell      _cell: a tuple of ints, each coordinate a Python
+                      or numpy integer; a float, complex or string
+                      coordinate raises, also an integral one like 1.0
     point cloud       montecarlo._cloud, which reads it through _real
-
-Cell coordinates are the one exception: lattice.Grid.index reads them.
 
 The private _validate_* helpers below then check a value's range; the
 other modules import them, and a public function runs each of its
@@ -46,13 +48,17 @@ def _real(x, name: str):
     validators pass a Python float by without the call.  A Python or
     numpy int, float or bool goes straight through float(); anything else,
     a 0-d array or a numeric string among them, through np.asarray(x,
-    dtype=float) first.  A complex x raises DomainError, also with a zero
-    imaginary part, where numpy would drop that part with no more than a
-    ComplexWarning and float() would raise TypeError."""
+    dtype=float) first.  DomainError is raised for a complex x, also with
+    a zero imaginary part, where numpy would drop that part with no more
+    than a ComplexWarning; for None, which numpy would read as NaN; and
+    for what numpy refuses to read as floats, such as 'abc' or {}."""
     if not isinstance(x, (int, float, np.integer, np.floating)):
-        if np.iscomplexobj(x):
-            raise DomainError(f"{name} must be real, not complex")
-        x = np.asarray(x, dtype=float)
+        if x is None or np.iscomplexobj(x):
+            raise DomainError(f"{name} must be real, got {type(x).__name__}")
+        try:
+            x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be real, got {type(x).__name__}") from None
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
@@ -145,3 +151,14 @@ def _validate_n(n, least: float) -> int:
     if m is None or m < least:
         raise DomainError(f"need an integer >= {least}, got {n!r}")
     return m
+
+
+def _cell(cell) -> tuple:
+    """A lattice cell as a tuple of ints.  Each coordinate is read with
+    operator.index, so a Python or numpy integer passes and a float, even
+    an integral one such as 1.0, raises DomainError, as do a complex or
+    string coordinate; the grid checks the count and range."""
+    try:
+        return tuple(map(operator.index, cell))
+    except TypeError:
+        raise DomainError(f"cell {cell!r} has a non-integer coordinate") from None

@@ -12,20 +12,25 @@ needs only the least |N_t(A)| over the sets A of the smaller size, which
 a down-set attains since compressions never enlarge N_t (Bollobas and
 Leader 1991), so only those down-sets are swept, as dilated bit masks.
 
-Subsets are bit masks over the row-major cell index.  The segments read
-the simplicial order from one stable sort of the cells' coordinate sums,
-made once per grid and cached, so initial_segment, final_segment and
-the two segments of verify_extremal_pairs share it.  That cache and the
-dilation's axis masks each keep the last two grids: 8 k^n bytes of
-order and n k^n / 4 bytes of masks per grid.  t_boundary and
-set_distance grow a mask one step of N_1 at a time: a shift by the
-axis stride and an OR per axis, with the cells on the axis's first or
-last layer masked off so that no bit wraps into the next row.  A step
-costs O(n k^n / 64) word operations and a distance takes as many steps
-as its value, against O(n k^n) for a distance transform, so dilation
-wins at small diameters and loses at large ones: corner to corner on
-[200]^2, diameter 398, it took 3.3 ms against 2.1 ms for the transform
-(one core of a 2-vCPU Xeon VM).
+Subsets are bit masks over the row-major cell index, and every set is
+grown one step of N_1 at a time: a shift by the axis stride and an OR
+per axis, with the cells on the axis's first or last layer masked off
+so that no bit wraps into the next row.  The segments come from the
+balls N_L of the origin, the cells with coordinate sum <= L, made once
+per grid by that dilation, upward only, and cached.  The first r cells
+of the order are the ball N_{L-1} plus the r - |N_{L-1}| highest cells
+of the level N_L minus N_{L-1}, for the first L with |N_L| >= r, since
+inside a level the order runs down the row-major index.  The order is
+total, so the last s cells are the complement of the first k^n - s.
+The balls and the dilation's axis masks each keep the last two grids:
+at most (n(k-1)+1) k^n / 8 bytes of balls and n k^n / 4 bytes of masks
+per grid.  So wide grids pay most for the balls: about 300 MB on
+[70000]^1, where a sorted index array would take 0.56 MB.  A step costs
+O(n k^n / 64) word operations and a distance takes as many steps as its
+value, against O(n k^n) for a distance transform, so dilation wins at
+small diameters and loses at large ones: corner to corner on [200]^2,
+diameter 398, it took 3.3 ms against 2.1 ms for the transform (one core
+of a 2-vCPU Xeon VM).
 
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
@@ -40,14 +45,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-import numpy as np
-
-from .bodies import _number, _validate_epsilon, _validate_n
+from .bodies import _cell, _number, _validate_epsilon, _validate_n
 from .errors import (BudgetExceededError, DimensionMismatchError, DomainError,
                      EmptySetError, RangeError)
 from .specfun import _gauss_tail_inv
@@ -77,15 +80,12 @@ class Grid:
         return itertools.product(range(self.k), repeat=self.n)
 
     def index(self, cell: Cell) -> int:
+        cell = _cell(cell)
         if len(cell) != self.n:
             raise DimensionMismatchError(
                 f"cell {cell} has {len(cell)} coordinates, grid has n={self.n}")
         i = 0
         for c in cell:
-            try:
-                c = operator.index(c)
-            except TypeError:
-                raise DomainError(f"cell {cell} has a non-integer coordinate") from None
             if not 0 <= c < self.k:
                 raise DomainError(f"cell {cell} outside grid")
             i = i * self.k + c
@@ -112,23 +112,11 @@ def simplicial_cmp(x: Cell, y: Cell) -> int:
     x < y iff sum(x) < sum(y), or the sums tie and x_j > y_j at the first
     index j where they differ.
     """
+    x, y = _cell(x), _cell(y)
     if len(x) != len(y):
         raise DimensionMismatchError("cells of different dimension")
     kx, ky = simplicial_key(x), simplicial_key(y)
-    # bool() so numpy integer coordinates cannot turn this into np.bool_
-    return bool(kx > ky) - bool(kx < ky)
-
-
-def _mask_bits(handle: SubsetHandle) -> np.ndarray:
-    """The mask as a boolean array of shape (k,)*n, cell x at bits[x]."""
-    g = handle.grid
-    raw = np.frombuffer(handle.mask.to_bytes((g.size + 7) // 8, "little"), np.uint8)
-    bits = np.unpackbits(raw, count=g.size, bitorder="little")
-    return bits.view(bool).reshape((g.k,) * g.n)
-
-
-def _bits_mask(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return (kx > ky) - (kx < ky)
 
 
 @dataclass(frozen=True)
@@ -152,7 +140,7 @@ class SubsetHandle:
         return bool(self.mask >> self.grid.index(cell) & 1)
 
     def cells(self) -> list[Cell]:
-        return [tuple(c) for c in np.argwhere(_mask_bits(self)).tolist()]
+        return [c for c, bit in zip(self.grid.cells(), bin(self.mask)[:1:-1]) if bit == "1"]
 
     @classmethod
     def from_cells(cls, grid: Grid, cells: Sequence[Cell]) -> "SubsetHandle":
@@ -163,28 +151,37 @@ class SubsetHandle:
 
 
 @lru_cache(maxsize=_GRID_CACHE)
-def _simplicial_order(k: int, n: int) -> np.ndarray:
-    """The row-major indices of the cells of [k]^n in the simplicial order,
-    read-only.  Each cached grid holds 8 k^n bytes."""
-    # level[i] is the coordinate sum of cell i, in the smallest unsigned dtype
-    # holding n(k-1)
-    dtype = np.min_scalar_type(n * (k - 1))
-    level = np.indices((k,) * n, dtype=dtype).sum(axis=0, dtype=dtype).ravel()
-    # inside a level the order runs down the row-major index, so a stable sort
-    # of the reversed levels, read back from the end, is the simplicial order
-    order = k**n - 1 - np.argsort(level[::-1], kind="stable")
-    order.flags.writeable = False
-    return order
+def _levels(k: int, n: int) -> tuple:
+    """The balls N_L of the origin for L = 0, ..., n(k-1): entry L masks
+    the cells with coordinate sum <= L.  Each cached grid holds at most
+    (n(k-1)+1) k^n / 8 bytes."""
+    axes = _axis_masks(k, n)
+    balls = [1]
+    for _ in range(n * (k - 1)):
+        ball = balls[-1]
+        # _dilate less its downward shifts: every cell below a cell of the
+        # ball is in it already, and they would make this 1.7 times slower
+        for stride, not_first, _ in axes:
+            ball |= balls[-1] << stride & not_first
+        balls.append(ball)
+    return tuple(balls)
 
 
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
     count = _validate_n(count, -math.inf)
     if not 0 <= count <= grid.size:
         raise RangeError(f"segment size {count} outside [0, {grid.size}]")
-    order = _simplicial_order(grid.k, grid.n)
-    bits = np.zeros(grid.size, dtype=bool)
-    bits[order[grid.size - count:] if final else order[:count]] = True
-    return SubsetHandle(grid, _bits_mask(bits))
+    r = grid.size - count if final else count
+    balls = _levels(grid.k, grid.n)
+    level = bisect.bisect_left(balls, r, key=int.bit_count)
+    inner = balls[level - 1] if level else 0
+    shell, need = balls[level] ^ inner, r - inner.bit_count()
+    # the shell's `need` highest cells: its bits at or above the highest
+    # cut that has `need` of them at or above it
+    cut = bisect.bisect_right(range(grid.size + 1), -need,
+                              key=lambda at: -(shell >> at).bit_count()) - 1
+    mask = inner | shell >> cut << cut
+    return SubsetHandle(grid, mask ^ ((1 << grid.size) - 1) if final else mask)
 
 
 def initial_segment(grid: Grid, r: int) -> SubsetHandle:
@@ -399,7 +396,7 @@ def count_cells_sum_le(k: int, n: int, s: int) -> int:
     DomainError.
     """
     k, n = _validate_n(k, 2), _validate_n(n, 1)
-    s = s if isinstance(s, (int, np.integer)) else _number(s, "s")
+    s = s if isinstance(s, numbers.Integral) else _number(s, "s")
     if s != s:
         raise DomainError("s must be a number, got NaN")
     if s < 0:

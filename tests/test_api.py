@@ -277,16 +277,25 @@ def test_each_input_is_checked_once(monkeypatch):
     assert counts == {label: want for label, (_, want) in CHECKS_ONCE.items()}
 
 
+def _scaled(v, base):
+    """base scaled by v, as nested lists where base is a list; a v numpy
+    cannot multiply by, such as None or 'abc', is passed on as it is."""
+    try:
+        out = np.multiply(v, base)
+    except TypeError:
+        return v
+    return out.tolist() if isinstance(base, list) else out
+
+
 # every public call that takes a real value the bodies validators or the
 # cloud intake check, as a function of that value, with a valid one
 TAKES_REAL = {
     # the cloud v CLOUD, as nested lists of Python numbers for T
-    "t_map_lipschitz_check": (lambda v: t_map_lipschitz_check(np.multiply(v, CLOUD).tolist()),
-                              0.5),
+    "t_map_lipschitz_check": (lambda v: t_map_lipschitz_check(_scaled(v, CLOUD.tolist())), 0.5),
     "cutoff_gradient_check(points)": (
-        lambda v: cutoff_gradient_check(np.multiply(v, CLOUD), 1.0, 1.0), 0.5),
+        lambda v: cutoff_gradient_check(_scaled(v, CLOUD), 1.0, 1.0), 0.5),
     "cutoff_product_check(points)": (
-        lambda v: cutoff_product_check(np.multiply(v, CLOUD), 1.0, 1.0), 0.5),
+        lambda v: cutoff_product_check(_scaled(v, CLOUD), 1.0, 1.0), 0.5),
     "cutoff_gradient_check(c1)": (lambda v: cutoff_gradient_check(CLOUD, v, 1.0), 0.8),
     "cutoff_gradient_check(c2)": (lambda v: cutoff_gradient_check(CLOUD, 1.0, v), 1.25),
     "cutoff_product_check(c1)": (lambda v: cutoff_product_check(CLOUD, v, 1.0), 0.8),
@@ -333,20 +342,21 @@ TAKES_REAL = {
     "sphere_projection_cdf": (lambda v: sphere_projection_cdf(5, v), 0.5),
     "psi_p_density_limit(x)": (lambda v: psi_p_density_limit(v, 1.5), 0.3),
     # the grids of heights, scaled by v
-    "section_curve(grid)": (lambda v: section_curve(1.5, 10, np.multiply(v, GRID)), 1.0),
-    "convergence_report(grid)":
-        (lambda v: convergence_report(1.5, [10], np.multiply(v, GRID)), 1.0),
+    "section_curve(grid)": (lambda v: section_curve(1.5, 10, _scaled(v, GRID)), 1.0),
+    "convergence_report(grid)": (lambda v: convergence_report(1.5, [10], _scaled(v, GRID)), 1.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TAKES_REAL))
 def test_complex_input_raises(name):
     # a complex value raises DomainError, never a bare TypeError and never a
-    # ComplexWarning with the imaginary part dropped, also where that part is 0
+    # ComplexWarning with the imaginary part dropped, also where that part is
+    # 0; so do None, never read as NaN, and values numpy cannot read as floats
     call, good = TAKES_REAL[name]
     call(good)
     for bad in (complex(good, 5.0), np.complex128(complex(good, 1.0)), np.complex64(good),
-                np.array(complex(good, 1.0)), np.array([complex(good, 0.0)])):
+                np.array(complex(good, 1.0)), np.array([complex(good, 0.0)]),
+                None, "abc", {}):
         with pytest.raises(DomainError):
             call(bad)
 
@@ -416,8 +426,9 @@ def test_lattice_size_is_read_before_it_is_compared(name):
 REAL_NAMES = {"a", "alpha", "eps", "p", "points", "s", "x"}
 SIZE_NAMES = {"n", "n_list"}
 
-# arguments no intake reads: the package's own objects, which check their
-# fields when they are built, and two string choices
+# arguments no table here feeds: the package's own objects, which check
+# their fields when they are built, cells, which bodies._cell reads (see
+# test_lattice), and two string choices
 EXEMPT_TYPES = {"BodyFamily", "IsoProfile", "Grid", "SubsetHandle", "Cell"}
 EXEMPT = {"BodyFamily(kind)", "distance_upper_bound(method)"}
 

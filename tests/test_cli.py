@@ -21,6 +21,7 @@ from isodist.cli import _parse_grid, build_parser, main
 from isodist.lattice import DEFAULT_PAIR_BUDGET
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def run(capsys, *argv):
@@ -488,9 +489,21 @@ def test_manifest_records_the_parsed_options(capsys, tmp_path, argv, parameters)
                              "output_path"}
 
 
-def _readme_commands():
+def _readme_lines():
     block = README.read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def _readme_commands():
+    return [shlex.split(line)[1:] for line in _readme_lines()]
+
+
+def test_ci_console_script_runs_the_readme_commands():
+    # CI runs the installed entry point on the README's commands, listed
+    # twice as text; read both so that neither list drifts from the other
+    step = WORKFLOW.read_text().split("- name: Console script\n", 1)[1].split("- name:", 1)[0]
+    ran = [line.strip() for line in step.splitlines() if line.strip().startswith("isodist ")]
+    assert ran == _readme_lines()
 
 
 def test_readme_covers_every_subcommand():

@@ -102,6 +102,14 @@ def test_simplicial_cmp_examples():
     assert simplicial_cmp((2, 2), (2, 2)) == 0
     with pytest.raises(DimensionMismatchError):
         simplicial_cmp((0, 1), (0, 1, 2))
+    # coordinates are read as Grid.index reads them: integers only
+    for bad in (0.5, 1j, "1"):
+        with pytest.raises(DomainError):
+            simplicial_cmp((bad, 0), (0, 0))
+        with pytest.raises(DomainError):
+            simplicial_cmp((0, 0), (0, bad))
+    assert simplicial_cmp((np.int64(1), np.uint8(0)), (0, 1)) == -1
+    assert simplicial_cmp((np.int32(2), 2), (2, np.int64(2))) == 0
 
 
 def test_simplicial_cmp_total_order_fuzz(rng):
@@ -166,15 +174,31 @@ def test_segments_match_sorted_cells_on_wide_grids(k, n, counts):
             assert segment(g, count).cells() == expect
 
 
-def test_simplicial_order_is_cached_and_read_only():
-    order = lattice._simplicial_order(5, 4)
-    assert lattice._simplicial_order(5, 4) is order
-    assert not order.flags.writeable
-    with pytest.raises(ValueError):
-        order[0] = 1
+# [5]^4, [5]^5 and every grid small enough for verify_extremal_pairs
+SEGMENT_GRIDS = [(5, 4), (5, 5)] + [
+    (k, n) for k in range(2, 33) for n in range(1, 6) if k**n <= 32]
 
 
-@pytest.mark.parametrize("name", ["_simplicial_order", "_axis_masks"])
+@pytest.mark.parametrize("k, n", SEGMENT_GRIDS)
+def test_levels_hold_the_cells_within_each_sum(k, n):
+    g = Grid(k, n)
+    balls = lattice._levels(k, n)
+    assert len(balls) == n * (k - 1) + 1
+    for level, ball in enumerate(balls):
+        assert ball == sum(1 << g.index(c) for c in g.cells() if sum(c) <= level)
+        assert ball.bit_count() == count_cells_sum_le(k, n, level)
+
+
+@pytest.mark.parametrize("k, n", [(5, 5), (2, 5), (32, 1)])
+def test_cells_reads_the_mask_bits(rng, k, n):
+    g = Grid(k, n)
+    masks = [0, (1 << g.size) - 1] + [random_handle(g, rng, d).mask for d in (0.1, 0.5)]
+    for mask in masks:
+        assert SubsetHandle(g, mask).cells() == [
+            g.cell(i) for i in range(g.size) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("name", ["_levels", "_axis_masks"])
 def test_grid_caches_are_bounded(name):
     cache = getattr(lattice, name)
     maxsize = cache.cache_info().maxsize
@@ -193,11 +217,9 @@ def test_final_segment_is_reflected_initial_segment():
             assert set(fin.cells()) == reflected
 
 
-# [5]^4, [5]^5 and every grid small enough for verify_extremal_pairs
-@pytest.mark.parametrize("k, n", [(5, 4), (5, 5)] + [
-    (k, n) for k in range(2, 33) for n in range(1, 6) if k**n <= 32])
+@pytest.mark.parametrize("k, n", SEGMENT_GRIDS)
 def test_segments_match_sorted_cells(k, n):
-    # each segment from a cleared order cache, then again from the warm one
+    # each segment from a cleared cache of balls, then again from the warm one
     g = Grid(k, n)
     order = [sum(c * k ** (n - 1 - j) for j, c in enumerate(cell))
              for cell in oracles.simplicial_segment_sorted(k, n, g.size, False)]
@@ -206,9 +228,9 @@ def test_segments_match_sorted_cells(k, n):
         heads.append(heads[-1] | 1 << head)
         tails.append(tails[-1] | 1 << tail)
     for count in range(g.size + 1):
-        lattice._simplicial_order.cache_clear()
+        lattice._levels.cache_clear()
         assert initial_segment(g, count).mask == heads[count]
-        lattice._simplicial_order.cache_clear()
+        lattice._levels.cache_clear()
         assert final_segment(g, count).mask == tails[count]
         assert initial_segment(g, count).mask == heads[count]
         assert final_segment(g, count).mask == tails[count]
