@@ -16,21 +16,23 @@ Subsets are bit masks over the row-major cell index, and every set is
 grown one step of N_1 at a time: a shift by the axis stride and an OR
 per axis, with the cells on the axis's first or last layer masked off
 so that no bit wraps into the next row.  The segments come from the
-balls N_L of the origin, the cells with coordinate sum <= L, made once
-per grid by that dilation, upward only, and cached.  The first r cells
-of the order are the ball N_{L-1} plus the r - |N_{L-1}| highest cells
-of the level N_L minus N_{L-1}, for the first L with |N_L| >= r, since
-inside a level the order runs down the row-major index.  The order is
-total, so the last s cells are the complement of the first k^n - s.
-The balls and the dilation's axis masks each keep the last two grids:
-at most (n(k-1)+1) k^n / 8 bytes of balls and n k^n / 4 bytes of masks
-per grid.  So wide grids pay most for the balls: about 300 MB on
-[70000]^1, where a sorted index array would take 0.56 MB.  A step costs
-O(n k^n / 64) word operations and a distance takes as many steps as its
-value, against O(n k^n) for a distance transform, so dilation wins at
-small diameters and loses at large ones: corner to corner on [200]^2,
-diameter 398, it took 3.3 ms against 2.1 ms for the transform (one core
-of a 2-vCPU Xeon VM).
+balls N_L of the origin, the cells with coordinate sum <= L.  The first
+r cells of the order are the ball N_{L-1} plus the r - |N_{L-1}| highest
+cells of the level N_L minus N_{L-1}, for the first L with |N_L| >= r,
+since inside a level the order runs down the row-major index.  The
+order is total, so the last s cells are the complement of the first
+k^n - s.  The cells of N_L with first coordinate c are the ball of
+[k]^(n-1) at level L - c, so the balls of [k]^(n-1) alone, grown once
+per grid by that dilation (upward only), laid side by side from the
+top level down and cached, give every N_L as one shift of that stack.
+The stack and the dilation's axis masks each keep the last two grids:
+(n(k-1)+1) k^(n-1) / 8 bytes of stack, under n k^n / 8, and n k^n / 4
+bytes of masks per grid, where a sorted index array of the cells would
+take 8 k^n.  A step of N_1 costs O(n k^n / 64) word operations and a
+distance takes as many steps as its value, against O(n k^n) for a
+distance transform, so dilation wins at small diameters and loses at
+large ones: corner to corner on [200]^2, diameter 398, it took 3.3 ms
+against 2.1 ms for the transform (one core of a 2-vCPU Xeon VM).
 
 count_cells_sum_le and scaled_max_distance handle the slab counting on
 the scaled lattice {0, 1/m, ..., 1}^n whose normalized max distance
@@ -152,36 +154,65 @@ class SubsetHandle:
 
 @lru_cache(maxsize=_GRID_CACHE)
 def _levels(k: int, n: int) -> tuple:
-    """The balls N_L of the origin for L = 0, ..., n(k-1): entry L masks
-    the cells with coordinate sum <= L.  Each cached grid holds at most
-    (n(k-1)+1) k^n / 8 bytes."""
-    axes = _axis_masks(k, n)
-    balls = [1]
-    for _ in range(n * (k - 1)):
-        ball = balls[-1]
+    """(stack, sums, counts) for the balls N_L of the origin in [k]^n.
+
+    The cells of N_L with first coordinate c are the ball of [k]^(n-1) at
+    level L - c.  stack holds the balls of [k]^(n-1) at levels n(k-1),
+    ..., 1, 0 side by side, k^(n-1) bits apart, those past (n-1)(k-1)
+    holding every cell, so N_L is the low k^n bits of
+    stack >> (n(k-1) - L) k^(n-1).  For j = 0, ..., (n-1)(k-1), sums[j]
+    counts the cells of the balls of [k]^(n-1) at levels 0 to j and
+    counts[j] = |N_j|.  Each cached grid holds (n(k-1)+1) k^(n-1) / 8
+    bytes of stack, under n k^n / 8, and two tuples of (n-1)(k-1)+1
+    integers.
+    """
+    axes = _axis_masks(k, n - 1)
+    slices = [1]
+    for _ in range((n - 1) * (k - 1)):
+        ball = slices[-1]
         # _dilate less its downward shifts: every cell below a cell of the
         # ball is in it already, and they would make this 1.7 times slower
         for stride, not_first, _ in axes:
-            ball |= balls[-1] << stride & not_first
-        balls.append(ball)
-    return tuple(balls)
+            ball |= slices[-1] << stride & not_first
+        slices.append(ball)
+    stride = k ** (n - 1)
+    stack = (1 << k * stride) - 1
+    for at, ball in enumerate(reversed(slices[:-1]), k):
+        stack |= ball << at * stride
+    sums = tuple(itertools.accumulate(map(int.bit_count, slices)))
+    return stack, sums, tuple(s - (sums[j - k] if j >= k else 0) for j, s in enumerate(sums))
 
 
 def _segment(grid: Grid, count: int, final: bool) -> SubsetHandle:
+    size = grid.size
     count = _validate_n(count, -math.inf)
-    if not 0 <= count <= grid.size:
-        raise RangeError(f"segment size {count} outside [0, {grid.size}]")
-    r = grid.size - count if final else count
-    balls = _levels(grid.k, grid.n)
-    level = bisect.bisect_left(balls, r, key=int.bit_count)
-    inner = balls[level - 1] if level else 0
-    shell, need = balls[level] ^ inner, r - inner.bit_count()
-    # the shell's `need` highest cells: its bits at or above the highest
-    # cut that has `need` of them at or above it
-    cut = bisect.bisect_right(range(grid.size + 1), -need,
-                              key=lambda at: -(shell >> at).bit_count()) - 1
-    mask = inner | shell >> cut << cut
-    return SubsetHandle(grid, mask ^ ((1 << grid.size) - 1) if final else mask)
+    if not 0 <= count <= size:
+        raise RangeError(f"segment size {count} outside [0, {size}]")
+    r = size - count if final else count
+    stack, sums, counts = _levels(grid.k, grid.n)
+    k, top = grid.k, len(sums) - 1
+    stride, last, full = size // k, grid.n * (k - 1), (1 << size) - 1
+    level = bisect.bisect_left(counts, r)
+    if level > top:
+        # past the counted levels |N_L| adds up the lower balls at levels
+        # L-k+1 to L, those past top full
+        level = bisect.bisect_left(range(last + 1), r, level, key=lambda L: (
+            sums[top] + (L - top) * stride - (sums[L - k] if L >= k else 0)))
+    # N_{level-1}, empty at level 0, and the shell N_level minus it
+    inner = stack >> (last + 1 - level) * stride & full
+    shell, need = (stack >> (last - level) * stride & full) ^ inner, r - inner.bit_count()
+    # inside a level the order runs down the row-major index, so the shell's
+    # `need` highest cells come next: bisect its span for the lowest cut
+    # that leaves at most `need` of them above it
+    lo, hi = (shell & -shell).bit_length() - 1, shell.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (shell >> mid).bit_count() > need:
+            lo = mid + 1
+        else:
+            hi = mid
+    mask = inner | shell >> lo << lo
+    return SubsetHandle(grid, mask ^ full if final else mask)
 
 
 def initial_segment(grid: Grid, r: int) -> SubsetHandle:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,12 +182,43 @@ SEGMENT_GRIDS = [(5, 4), (5, 5)] + [
 
 @pytest.mark.parametrize("k, n", SEGMENT_GRIDS)
 def test_levels_hold_the_cells_within_each_sum(k, n):
+    # block j of the cached stack, counted from the top, is the ball of
+    # [k]^(n-1) at level j; sums adds up their sizes and counts holds
+    # |N_L| of [k]^n, both up to level (n-1)(k-1)
+    stack, sums, counts = lattice._levels(k, n)
+    lower = list(itertools.product(range(k), repeat=n - 1))
+    last, stride = n * (k - 1), k ** (n - 1)
+    assert stack.bit_length() <= (last + 1) * stride
+    blocks = [stack >> (last - level) * stride & ((1 << stride) - 1)
+              for level in range(last + 1)]
+    for level, block in enumerate(blocks):
+        assert block == sum(1 << i for i, c in enumerate(lower) if sum(c) <= level)
+    counted = range((n - 1) * (k - 1) + 1)
+    assert list(sums) == list(itertools.accumulate(blocks[j].bit_count() for j in counted))
+    assert list(counts) == [count_cells_sum_le(k, n, L) for L in counted]
+    # every ball of [k]^n, past the counted levels too, is the segment of its size
     g = Grid(k, n)
-    balls = lattice._levels(k, n)
-    assert len(balls) == n * (k - 1) + 1
-    for level, ball in enumerate(balls):
-        assert ball == sum(1 << g.index(c) for c in g.cells() if sum(c) <= level)
-        assert ball.bit_count() == count_cells_sum_le(k, n, level)
+    for level in range(last + 1):
+        ball = initial_segment(g, count_cells_sum_le(k, n, level))
+        assert ball.mask == sum(1 << g.index(c) for c in g.cells() if sum(c) <= level)
+
+
+@pytest.mark.parametrize("k, n", [(70000, 1), (260, 2)])
+def test_wide_grid_segments_stay_near_a_bit_a_cell(k, n):
+    # a cold initial and final segment peak under two bytes a cell: a few
+    # masks and the stack of the balls of [k]^(n-1), each about a bit a
+    # cell here, where the n(k-1)+1 balls of [k]^n would take k^n bits each
+    g = Grid(k, n)
+    lattice._levels.cache_clear()
+    lattice._axis_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        initial_segment(g, g.size // 2)
+        final_segment(g, g.size // 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.size
 
 
 @pytest.mark.parametrize("k, n", [(5, 5), (2, 5), (32, 1)])
