@@ -175,10 +175,10 @@ def _levels(k: int, n: int) -> tuple:
         for stride, not_first, _ in axes:
             ball |= slices[-1] << stride & not_first
         slices.append(ball)
-    stride = k ** (n - 1)
-    stack = (1 << k * stride) - 1
+    block = k ** (n - 1)
+    stack = (1 << k * block) - 1
     for at, ball in enumerate(reversed(slices[:-1]), k):
-        stack |= ball << at * stride
+        stack |= ball << at * block
     sums = tuple(itertools.accumulate(map(int.bit_count, slices)))
     return stack, sums, tuple(s - (sums[j - k] if j >= k else 0) for j, s in enumerate(sums))
 
