@@ -36,7 +36,7 @@ print(f"exp tail n=10 alpha=0.3: mc {chk.mc.estimate:.2e} "
 # pushing a gaussian cloud through phi coordinatewise gives uniform cube
 # coordinates without expanding any distance
 tr = transfer_map_check(6, 20_000, seed=SEED)
-print(f"transfer map: min KS p {tr.min_ks_pvalue:.3f}, "
+print(f"transfer map: min KS p <= {tr.min_ks_pvalue:.3f} (Massart), "
       f"max stretch {tr.max_direction_ratio:.6f}")
 
 # two random points of the unit cube are ~sqrt(n/6) apart on average,

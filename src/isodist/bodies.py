@@ -16,8 +16,9 @@ raises DomainError:
                       an array or a complex value raises
     real value/array  _real: a float, or a float array when the input
                       has an axis; a complex value raises, also with a
-                      zero imaginary part, and so do None and what numpy
-                      cannot read as floats
+                      zero imaginary part, and so do None, also inside
+                      a list or an object array, and what numpy cannot
+                      read as floats
     integer size      _validate_n: a Python or numpy integer or an
                       integral float, as an int; a fractional, NaN,
                       infinite, complex, array or string value raises
@@ -50,12 +51,15 @@ def _real(x, name: str):
     a 0-d array or a numeric string among them, through np.asarray(x,
     dtype=float) first.  DomainError is raised for a complex x, also with
     a zero imaginary part, where numpy would drop that part with no more
-    than a ComplexWarning; for None, which numpy would read as NaN; and
-    for what numpy refuses to read as floats, such as 'abc' or {}."""
+    than a ComplexWarning; for None, also inside a list or an object
+    array, which numpy would read as NaN (object arrays of Fractions
+    pass); and for what numpy refuses to read as floats, such as 'abc',
+    {} or a ragged list."""
     if not isinstance(x, (int, float, np.integer, np.floating)):
-        if x is None or np.iscomplexobj(x):
-            raise DomainError(f"{name} must be real, got {type(x).__name__}")
         try:
+            a = np.asarray(x)
+            if np.iscomplexobj(a) or a.dtype == object and any(v is None for v in a.flat):
+                raise DomainError(f"{name} must be real, got {type(x).__name__}")
             x = np.asarray(x, dtype=float)
         except (TypeError, ValueError):
             raise DomainError(f"{name} must be real, got {type(x).__name__}") from None

@@ -331,7 +331,7 @@ def cmd_check(args) -> int:
     if "transfer" in suites:
         chk = transfer_map_check(min(n, 10), samples, seed)
         out.append((chk.uniform_ok, "gaussian-to-cube transfer: uniform coordinates "
-                    f"at 5 standard errors (min KS p={chk.min_ks_pvalue:.3g})"))
+                    f"at 5 standard errors (min KS p <= {chk.min_ks_pvalue:.3g}, Massart's bound)"))
         out.append((chk.contraction_ok, "gaussian-to-cube transfer: contraction "
                     f"(max ratio {chk.max_direction_ratio:.9f})"))
     if "avgdist" in suites:

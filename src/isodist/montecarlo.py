@@ -37,7 +37,10 @@ phi (1-Lipschitz, uniform output) on a Gaussian cloud that the check
 draws and maps itself, and the mean-distance lower bound sqrt(n/(2 pi e))
 in high dimension.
 The tail and transfer checks report their exact part and their Monte
-Carlo part apart; the latter is judged at 5 standard errors.
+Carlo part apart; the latter is judged at 5 standard errors.  The
+transfer's uniformity is read from the Kolmogorov-Smirnov statistic D of
+m points through Massart's bound 2 exp(-2 m D^2), an upper bound on the
+exact p-value at every m, in closed form with no scipy.stats.
 
 Every check that takes points reads them through one intake, _cloud:
 an (n,) point or an (m, n) cloud of finite coordinates, n >= 1, and for
@@ -531,7 +534,7 @@ def _gaussian_fill(n: int):
 @dataclass(frozen=True)
 class TransferCheck:
     count: int
-    min_ks_pvalue: float
+    min_ks_pvalue: float  # Massart's upper bound on the least column's KS p-value
     max_direction_ratio: float
     uniform_ok: bool      # the Monte Carlo part, at 5 standard errors
     contraction_ok: bool  # every sampled difference quotient <= 1 + 1e-6
@@ -548,20 +551,24 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     from the streams gaussian-{n} at seed and seed + 1, and maps them:
     Kolmogorov-Smirnov per coordinate on phi(x) against uniform(0,1),
     plus the difference quotients ||phi(x)-phi(y)|| / ||x-y|| of the
-    pairs of rows.  uniform_ok says the smallest of the n p-values is at
-    least 1 - (1 - P)^{1/n}, where P = 5.7e-7 is the two-sided normal
-    tail beyond 5 standard errors, so a uniform sample fails with chance P;
-    contraction_ok says every quotient is at most 1 + 1e-6; ok says both.
+    pairs of rows.  uniform_ok says min_ks_pvalue is at least
+    1 - (1 - P)^{1/n}, where P = 5.7e-7 is the two-sided normal tail
+    beyond 5 standard errors; contraction_ok says every quotient is at
+    most 1 + 1e-6; ok says both.
 
     One sort gives every column's two-sided statistic D, written as
     scipy's kstest writes it (the mapped values lie in [0, 1], where the
-    uniform distribution function is the identity).  The exact p-value
-    kstwo.sf(D, count) falls as D grows, so its value at the largest D
-    is the smallest p-value of the columns.
+    uniform distribution function is the identity).  min_ks_pvalue is
+    Massart's tight Dvoretzky-Kiefer-Wolfowitz bound min(1, 2 exp(-2 m D^2))
+    at the largest D, m = count (P. Massart, "The tight constant in the
+    Dvoretzky-Kiefer-Wolfowitz inequality", Ann. Probab. 18, 1990:
+    P(sqrt(m) D_m > lambda) <= 2 exp(-2 lambda^2) for every m).  It is an
+    upper bound on the smallest column's exact two-sided p-value, not
+    that p-value, so a uniform sample fails with chance at most P at
+    every m, and the check fails only where the exact test fails too.
     """
-    from scipy import stats  # the only user; kept off `import isodist`
-
     n = _validate_n(n, 1)
+    seed = _validate_n(seed, 0)  # before seed + 1, which a numpy int would wrap
     fill = _gaussian_fill(n)
     x = generate(seed, f"gaussian-{n}", count, fill)
     y = generate(seed + 1, f"gaussian-{n}", count, fill)
@@ -588,7 +595,7 @@ def transfer_map_check(n: int, count: int, seed: int) -> TransferCheck:
     m = cdf.shape[1]
     gap = np.subtract(np.arange(1.0, m + 1) / m, cdf)
     d = max(float(gap.max()), float(np.subtract(cdf, np.arange(0.0, m) / m, out=gap).max()))
-    min_p = float(np.clip(stats.kstwo.sf(d, m), 0.0, 1.0))
+    min_p = min(1.0, 2.0 * math.exp(-2.0 * m * d * d))
     uniform_ok = min_p >= 1.0 - (1.0 - _MC_TAIL) ** (1.0 / n)
     contraction_ok = ratio <= 1.0 + 1e-6
     return TransferCheck(int(count), min_p, ratio, uniform_ok, contraction_ok,

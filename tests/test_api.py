@@ -244,8 +244,9 @@ CHECKS_ONCE = {
     "phi_p_inv": (lambda: phi_p_inv(0.1, 1.5), 2),
     "psi_p_inv": (lambda: psi_p_inv(0.1, 1.5), 2),
     "section_curve": (lambda: section_curve(1.5, 10, GRID), 2),
-    # n once, and each of the two Gaussian streams its count and seed
-    "transfer_map_check": (lambda: transfer_map_check(3, 8, 1), 5),
+    # n once, the seed once before it forms seed + 1, and each of the two
+    # Gaussian streams its count and seed
+    "transfer_map_check": (lambda: transfer_map_check(3, 8, 1), 6),
     # the points go through montecarlo._cloud, which is no validator here;
     # c1 and c2 once each
     "t_map_lipschitz_check": (lambda: t_map_lipschitz_check(CLOUD), 0),
@@ -279,10 +280,11 @@ def test_each_input_is_checked_once(monkeypatch):
 
 def _scaled(v, base):
     """base scaled by v, as nested lists where base is a list; a v numpy
-    cannot multiply by, such as None or 'abc', is passed on as it is."""
+    cannot multiply by, such as None, 'abc' or [None, 0.3], is passed on
+    as it is."""
     try:
         out = np.multiply(v, base)
-    except TypeError:
+    except (TypeError, ValueError):
         return v
     return out.tolist() if isinstance(base, list) else out
 
@@ -351,12 +353,13 @@ TAKES_REAL = {
 def test_complex_input_raises(name):
     # a complex value raises DomainError, never a bare TypeError and never a
     # ComplexWarning with the imaginary part dropped, also where that part is
-    # 0; so do None, never read as NaN, and values numpy cannot read as floats
+    # 0; so do None, never read as NaN, also inside a list or an object
+    # array, and values numpy cannot read as floats
     call, good = TAKES_REAL[name]
     call(good)
     for bad in (complex(good, 5.0), np.complex128(complex(good, 1.0)), np.complex64(good),
                 np.array(complex(good, 1.0)), np.array([complex(good, 0.0)]),
-                None, "abc", {}):
+                None, "abc", {}, [None, 0.3], np.array(None)):
         with pytest.raises(DomainError):
             call(bad)
 

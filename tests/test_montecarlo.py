@@ -610,6 +610,7 @@ def test_transfer_map_check_passes():
     chk = transfer_map_check(8, 20_000, seed=6)
     assert chk.ok
     assert chk.min_ks_pvalue > 0.01
+    assert _least_kstest(_transfer_cloud(8, 20_000, 6))[1] > 0.01
     assert chk.max_direction_ratio <= 1.0 + 1e-6
 
 
@@ -837,13 +838,60 @@ def test_lemma_checks_do_not_depend_on_the_block_size(monkeypatch, n):
         assert checks(tmap, spread) == shipped, entries
 
 
+def _transfer_cloud(n, count, seed):
+    """The transfer check's mapped cloud, from the oracle's own draws and phi."""
+    return oracles.phi_erfc(oracles.generate_concat(seed, f"gaussian-{n}", count,
+                                                    oracles.gaussian_fill(n), DEFAULT_CHUNK))
+
+
+def _least_kstest(mapped):
+    """The largest column statistic and the least exact two-sided p-value
+    of scipy's kstest against uniform(0, 1)."""
+    tests = [stats.kstest(mapped[:, i], "uniform") for i in range(mapped.shape[1])]
+    return max(t.statistic for t in tests), min(t.pvalue for t in tests)
+
+
+def _assert_massart_bound(chk, mapped):
+    n, m = mapped.shape[1], mapped.shape[0]
+    d, least = _least_kstest(mapped)
+    assert chk.min_ks_pvalue == min(1.0, 2.0 * math.exp(-2.0 * m * d * d))
+    assert chk.min_ks_pvalue >= least
+    # the bound fails a column only where the exact test fails it too
+    floor = 1.0 - (1.0 - 5.7e-7) ** (1.0 / n)
+    assert chk.uniform_ok == (chk.min_ks_pvalue >= floor)
+    assert chk.uniform_ok or least < floor
+
+
 @pytest.mark.parametrize("count", [2, 3, 8, 137, 141, 5000, 10000, 10001, 16385, 20000])
 def test_transfer_pvalue_is_the_least_column_kstest(count):
+    # the reported p-value is Massart's bound at the least column's kstest
+    # statistic, and at least that column's exact p-value
     n, seed = 3, 40 + count
-    mapped = oracles.phi_erfc(oracles.generate_concat(seed, f"gaussian-{n}", count,
-                                                      oracles.gaussian_fill(n), DEFAULT_CHUNK))
-    least = min(stats.kstest(mapped[:, i], "uniform").pvalue for i in range(n))
-    assert transfer_map_check(n, count, seed).min_ks_pvalue == least
+    _assert_massart_bound(transfer_map_check(n, count, seed), _transfer_cloud(n, count, seed))
+
+
+def test_transfer_fails_only_where_the_exact_kstest_fails(monkeypatch):
+    # a map into (0, 1/2) is not uniform: the bound and the exact test both fail it
+    n, count, seed = 3, 1000, 11
+    monkeypatch.setattr(isodist.montecarlo, "phi", lambda x: phi(x) / 2)
+    chk = transfer_map_check(n, count, seed)
+    assert not chk.uniform_ok
+    _assert_massart_bound(chk, _transfer_cloud(n, count, seed) / 2)
+
+
+def test_massart_bound_is_at_least_kstwo():
+    # Massart (1990): P(sqrt(m) D_m > lambda) <= 2 exp(-2 lambda^2) at every m,
+    # on both sides of kstwo's switch to the Pelz-Good series at m = 140
+    lam = np.linspace(0.02, 4.0, 100)
+    for m in (1, 2, 3, 8, 20, 137, 141, 200, 1000, 5000):
+        d = np.minimum(lam / math.sqrt(m), 1.0)
+        assert np.all(np.minimum(1.0, 2.0 * np.exp(-2.0 * m * d * d)) >= stats.kstwo.sf(d, m)), m
+
+
+def test_transfer_seed_is_read_before_it_is_incremented():
+    # np.int64(2**63 - 1) + 1 would wrap to -2**63 with a RuntimeWarning
+    big = 2**63 - 1
+    assert transfer_map_check(3, 100, np.int64(big)) == transfer_map_check(3, 100, big)
 
 
 # ---------------------------------------------------------------- batches built in place
@@ -936,6 +984,9 @@ def test_experiments_peak_at_a_few_batches(check, batches):
     # in place, where sorting a copy first would hold five
     n, count = 8, 3 * DEFAULT_CHUNK
     batch, chunk = count * n * 8, DEFAULT_CHUNK * n * 8
-    check(2, 10, 0)  # scipy.stats is imported on the transfer check's first call
+    # a small first call, so that what a process sets up once is not counted;
+    # neither check imports anything on its first call, and a cold call's
+    # peak is under a kilobyte above a warm one's
+    check(2, 10, 0)
     peak = _peak(lambda: check(n, count, 3))
     assert peak < batches * batch + 2 * chunk, (peak, batch, chunk)
