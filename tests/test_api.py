@@ -354,12 +354,12 @@ def test_complex_input_raises(name):
     # a complex value raises DomainError, never a bare TypeError and never a
     # ComplexWarning with the imaginary part dropped, also where that part is
     # 0; so do None, never read as NaN, also inside a list or an object
-    # array, and values numpy cannot read as floats
+    # array, and values numpy cannot read as floats, a ragged list among them
     call, good = TAKES_REAL[name]
     call(good)
     for bad in (complex(good, 5.0), np.complex128(complex(good, 1.0)), np.complex64(good),
                 np.array(complex(good, 1.0)), np.array([complex(good, 0.0)]),
-                None, "abc", {}, [None, 0.3], np.array(None)):
+                None, "abc", {}, [None, 0.3], np.array(None), [[good], [good, good]]):
         with pytest.raises(DomainError):
             call(bad)
 
